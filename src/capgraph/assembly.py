@@ -20,7 +20,7 @@ from scipy.sparse import coo_matrix
 
 from .meshing import ScalarField
 
-__all__ = ["residual", "jacobian", "energy", "AssembledSystem", "assemble_system"]
+__all__ = ["residual", "jacobian", "energy"]
 
 
 class _Context:
@@ -193,21 +193,3 @@ def energy(u, tau, problem, metric, mesh):
         wet = _simpson_01(lambda c: problem.phi(xf_flat, c * uf_flat) * uf_flat)
         e -= tau * float(np.sum(ctx.wf * ctx.isg_f * wet.reshape(uf.shape)))
     return e
-
-
-class AssembledSystem:
-    """Residual, Jacobian and energy of one state at one homotopy parameter."""
-
-    def __init__(self, residual, jacobian, energy, tau):
-        self.residual = residual
-        self.jacobian = jacobian
-        self.energy = energy
-        self.tau = tau
-
-
-def assemble_system(u, tau, problem, metric, mesh, with_energy=False):
-    return AssembledSystem(
-        residual(u, tau, problem, metric, mesh),
-        jacobian(u, tau, problem, metric, mesh),
-        energy(u, tau, problem, metric, mesh) if with_energy else None,
-        tau)

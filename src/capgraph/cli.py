@@ -2,7 +2,7 @@
 
 Subcommands: solve, verify, mms, convergence, oracle1d, export.  Exit codes:
 0 success, 1 solver failure, 2 configuration error.  All runs are
-reproducible from (config, seed); output files carry no timestamps.
+reproducible from the config; output files carry no timestamps.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +19,14 @@ from .config import ConfigError, load_config
 from .expressions import parse_expression, symbolic_s_derivative  # noqa: F401 (public surface)
 from .geometry import vertex_slope_factors
 from .meshing import ScalarField, boundary_distance_field, write_mesh, write_vtk
-from .problem import validate_conditions, height_bound
-from .solver import SolverError, continuation_solve
+from .problem import validate_conditions
+from .solver import SolverError, continuation_solve, default_s_range
 from . import verify as vf
 
 __all__ = ["run_command", "main", "write_solution_csv", "read_solution_csv",
            "write_report", "read_report"]
 
 log = logging.getLogger("capgraph.cli")
-
-THREADS_ENV = "CAPGRAPH_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +70,19 @@ def read_report(path):
 # Shared run plumbing
 
 
-def _thread_count(args, cfg):
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    if cfg.threads:
-        return cfg.threads
-    env = os.environ.get(THREADS_ENV)
-    if env and env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
-
-
 def _load(args):
     cfg = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "output_dir", None):
+    if args.output_dir:
         cfg.output["dir"] = args.output_dir
     return cfg
+
+
+def _stored_solution(args, cfg, mesh):
+    """The stored solution (``--solution`` or the output dir's CSV) on ``mesh``."""
+    data = read_solution_csv(args.solution or (cfg.output_dir / "solution.csv"))
+    if len(data["u"]) != mesh.num_vertices:
+        raise ConfigError("stored solution does not match the configured mesh")
+    return ScalarField(mesh, data["u"])
 
 
 def _interior_ball(mesh):
@@ -105,8 +96,11 @@ def _interior_ball(mesh):
     return None
 
 
-def _solution_certificates(u, problem, metric, mesh, tau, threads=1):
-    """All single-solution certificates (provisional traces), optionally threaded."""
+def _solution_certificates(u, problem, metric, mesh, tau):
+    """All single-solution certificates (provisional traces), in report order.
+
+    A certificate that does not apply to this solution is skipped with a warning.
+    """
     jobs = {
         "height": lambda: vf.check_height(u, problem, metric, mesh),
         "boundary": lambda: vf.boundary_gradient_certificate(u, metric, mesh),
@@ -117,40 +111,32 @@ def _solution_certificates(u, problem, metric, mesh, tau, threads=1):
     if ball is not None:
         jobs["interior"] = lambda: vf.interior_gradient_certificate(
             u, metric, mesh, vf.nearest_vertex(mesh, ball[0]), ball[1])
-
-    def separation_rate():
-        zeta = vf.make_interior_bump(mesh, metric)
-        taus = [1e-2, 5e-3, 2.5e-3]
-        return vf.separation_rate_check(u, metric, mesh, zeta, taus)
-
-    jobs["separation-rate"] = separation_rate
+    jobs["separation-rate"] = lambda: vf.separation_rate_check(
+        u, metric, mesh, vf.make_interior_bump(mesh, metric), [1e-2, 5e-3, 2.5e-3])
     certs = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(fn) for name, fn in jobs.items()}
-            for name, fut in futures.items():
-                try:
-                    certs.append(fut.result())
-                except (ValueError, vf.FoldDetected) as exc:
-                    log.warning("certificate %s skipped: %s", name, exc)
-    else:
-        for name, fn in jobs.items():
-            try:
-                certs.append(fn())
-            except (ValueError, vf.FoldDetected) as exc:
-                log.warning("certificate %s skipped: %s", name, exc)
+    for name, fn in jobs.items():
+        try:
+            certs.append(fn())
+        except (ValueError, vf.FoldDetected) as exc:
+            log.warning("certificate %s skipped: %s", name, exc)
     return certs
 
 
-def _write_outputs(cfg, mesh, metric, u, certs):
+def _print_certificates(certs):
+    for c in certs:
+        print(f"certificate {c.name}: observed={c.observed:.6e} "
+              f"passed={c.passed} provisional={c.provisional}")
+
+
+def _write_outputs(cfg, mesh, metric, u, certs, formats):
+    """Write ``u`` (with W and d_gamma) in each of ``formats`` to the output dir."""
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     w = vertex_slope_factors(metric, u)
     d_gamma = boundary_distance_field(mesh, metric).values
-    formats = cfg.formats
     if "csv" in formats:
         write_solution_csv(outdir / "solution.csv", mesh, u.values, w, d_gamma)
-    if "report" in formats and certs is not None:
+    if "report" in formats:
         write_report(outdir / "report.jsonl", certs)
     if "mesh" in formats:
         write_mesh(mesh, outdir / "mesh.txt")
@@ -171,15 +157,11 @@ def _cmd_solve(args):
     metric.validate(mesh.vertices)
     state = continuation_solve(problem, metric, mesh, cfg.build_solver_cfg(),
                                unsafe=cfg.unsafe)
-    tau = state.tau
-    certs = _solution_certificates(state.u, problem, metric, mesh, tau,
-                                   threads=_thread_count(args, cfg))
-    _write_outputs(cfg, mesh, metric, state.u, certs)
+    certs = _solution_certificates(state.u, problem, metric, mesh, state.tau)
+    _write_outputs(cfg, mesh, metric, state.u, certs, cfg.formats)
     print(f"status={state.status} tau={state.tau:.6f} "
           f"steps={len(state.history)} max|u|={np.max(np.abs(state.u.values)):.6e}")
-    for c in certs:
-        print(f"certificate {c.name}: observed={c.observed:.6e} "
-              f"passed={c.passed} provisional={c.provisional}")
+    _print_certificates(certs)
     return 0 if state.status == "converged" else 1
 
 
@@ -188,31 +170,16 @@ def _cmd_verify(args):
     mesh = cfg.build_domain().build()
     metric = cfg.build_metric(mesh.dim)
     problem = cfg.build_problem(mesh.dim)
-    solution_path = args.solution or (cfg.output_dir / "solution.csv")
-    data = read_solution_csv(solution_path)
-    if len(data["u"]) != mesh.num_vertices:
-        raise ConfigError("stored solution does not match the configured mesh")
-    u = ScalarField(mesh, data["u"])
+    u = _stored_solution(args, cfg, mesh)
     report = validate_conditions(problem, mesh, metric,
-                                 s_range=_default_s_range(problem, metric, mesh))
+                                 s_range=default_s_range(problem, metric, mesh))
     print(report.summary())
-    certs = _solution_certificates(u, problem, metric, mesh, 1.0,
-                                   threads=_thread_count(args, cfg))
+    certs = _solution_certificates(u, problem, metric, mesh, 1.0)
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     write_report(outdir / "report.jsonl", certs)
-    for c in certs:
-        print(f"certificate {c.name}: observed={c.observed:.6e} "
-              f"passed={c.passed} provisional={c.provisional}")
+    _print_certificates(certs)
     return 0
-
-
-def _default_s_range(problem, metric, mesh):
-    try:
-        b = height_bound(problem, metric, mesh)
-    except ValueError:
-        b = 1.0
-    return (-2.0 * max(1.0, b), 2.0 * max(1.0, b))
 
 
 def _cmd_mms(args):
@@ -242,14 +209,13 @@ def _cmd_mms(args):
 
 def _cmd_convergence(args):
     cfg = _load(args)
+    if "u_exact" in cfg.mms:
+        return _cmd_mms(args)
     domain = cfg.build_domain()
     metric = cfg.build_metric()
     levels = cfg.mms.get("levels", (0, 1, 2))
-    if "u_exact" in cfg.mms:
-        return _cmd_mms(args)
     problem = cfg.build_problem()
-    mesh0 = domain.build(0)
-    ball = _interior_ball(mesh0)
+    ball = _interior_ball(domain.build(0))
     certs, state = vf.run_refinement_suite(problem, metric, domain, levels=levels,
                                            cfg=cfg.build_solver_cfg(),
                                            interior_ball=ball)
@@ -291,23 +257,8 @@ def _cmd_export(args):
     cfg = _load(args)
     mesh = cfg.build_domain().build()
     metric = cfg.build_metric(mesh.dim)
-    solution_path = args.solution or (cfg.output_dir / "solution.csv")
-    data = read_solution_csv(solution_path)
-    if len(data["u"]) != mesh.num_vertices:
-        raise ConfigError("stored solution does not match the configured mesh")
-    u = ScalarField(mesh, data["u"])
-    outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    w = vertex_slope_factors(metric, u)
-    d_gamma = boundary_distance_field(mesh, metric).values
-    fmt = args.format
-    if fmt == "vtk":
-        write_vtk(mesh, outdir / "solution.vtk",
-                  point_data={"u": u.values, "W": w, "d_gamma_boundary": d_gamma})
-    elif fmt == "csv":
-        write_solution_csv(outdir / "solution.csv", mesh, u.values, w, d_gamma)
-    else:
-        write_mesh(mesh, outdir / "mesh.txt")
+    u = _stored_solution(args, cfg, mesh)
+    _write_outputs(cfg, mesh, metric, u, None, [args.format])
     return 0
 
 
@@ -325,8 +276,6 @@ def _build_parser():
                      ("oracle1d", _cmd_oracle1d), ("export", _cmd_export)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--output-dir", default=None)
         if name in ("verify", "export"):
             p.add_argument("--solution", default=None)

@@ -1,6 +1,6 @@
 """Strict INI-style run configuration.
 
-Sections: [metric] [domain] [problem] [solver] [output] [run] [mms] [oracle].
+Sections: [metric] [domain] [problem] [solver] [output] [mms] [oracle].
 Unknown sections or keys fail fast; numeric parameters are range-checked at
 load time.  Expressions (gamma, sigma_conformal, psi, phi, u_exact) use the
 grammar documented in `capgraph.expressions`.
@@ -32,7 +32,6 @@ _SCHEMA = {
                 "beta", "mu", "beta_prime", "c_psi", "c_phi"},
     "solver": {"tol", "max_newton", "dtau", "dtau_min", "dtau_max", "unsafe"},
     "output": {"dir", "formats"},
-    "run": {"seed", "threads"},
     "mms": {"u_exact", "kappa0", "levels"},
     "oracle": {"m_dense"},
 }
@@ -49,8 +48,6 @@ class RunConfig:
     problem: dict = field(default_factory=dict)
     solver: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
-    seed: int = 0
-    threads: int = 0
     mms: dict = field(default_factory=dict)
     oracle: dict = field(default_factory=dict)
 
@@ -241,13 +238,6 @@ def load_config(path):
             if bad:
                 raise ConfigError(f"[output] unknown formats {sorted(bad)}")
             cfg.output["formats"] = ",".join(formats)
-
-    if parser.has_section("run"):
-        r = parser["run"]
-        if "seed" in r:
-            cfg.seed = int(_number("run", "seed", r["seed"], lo=0, integer=True))
-        if "threads" in r:
-            cfg.threads = int(_number("run", "threads", r["threads"], lo=0, integer=True))
 
     if parser.has_section("mms"):
         mm = parser["mms"]

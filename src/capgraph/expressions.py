@@ -542,6 +542,17 @@ class Expression:
 
     __call__ = evaluate
 
+    def at_points(self, pts, s=None):
+        """Values at the rows of an (n, dim) chart-point array as a new float
+        array of length n; ``s`` (scalar or length n) binds the height."""
+        n = len(pts)
+        env = {"x1": pts[:, 0]}
+        if pts.shape[1] > 1:
+            env["x2"] = pts[:, 1]
+        if s is not None:
+            env["s"] = np.broadcast_to(np.asarray(s, dtype=float), (n,))
+        return np.broadcast_to(np.asarray(self.evaluate(**env), dtype=float), (n,)).copy()
+
     def derivative(self, var, dim=None):
         """Symbolic partial derivative with respect to ``var`` in {x1, x2, s}.
 

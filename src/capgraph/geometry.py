@@ -101,16 +101,9 @@ class MetricField:
             else:
                 preset = "custom-expression"
 
-        def env(pts):
-            e = {"x1": pts[:, 0]}
-            if dim > 1:
-                e["x2"] = pts[:, 1]
-            return e
-
         def conf(x):
             pts, _ = _as_points(x, dim)
-            c = np.broadcast_to(np.asarray(conf_expr.evaluate(**env(pts)), dtype=float),
-                                (len(pts),))
+            c = conf_expr.at_points(pts)
             if np.any(c <= 0):
                 raise ValueError("sigma conformal factor must be positive")
             return c
@@ -137,18 +130,16 @@ class MetricField:
 
         def gamma_fn(x):
             pts, _ = _as_points(x, dim)
-            g = np.broadcast_to(np.asarray(gamma_expr.evaluate(**env(pts)), dtype=float),
-                                (len(pts),))
+            g = gamma_expr.at_points(pts)
             if np.any(g <= 0):
                 raise ValueError("gamma must be positive")
-            return g.copy()
+            return g
 
         def grad_gamma(x):
             pts, _ = _as_points(x, dim)
             out = np.zeros((len(pts), dim))
             for i, d in enumerate(dgam):
-                out[:, i] = np.broadcast_to(
-                    np.asarray(d.evaluate(**env(pts)), dtype=float), (len(pts),))
+                out[:, i] = d.at_points(pts)
             return out
 
         return cls(dim, sigma, sigma_inv, sqrt_det, gamma_fn, grad_gamma, preset=preset)

@@ -228,16 +228,6 @@ class Mesh:
     def boundary_vertices(self):
         return np.unique(self.boundary_facets.ravel())
 
-    def vertex_cells(self):
-        """List of incident cell indices per vertex (cached)."""
-        if "vertex_cells" not in self._cache:
-            inc = [[] for _ in range(self.num_vertices)]
-            for c, cell in enumerate(self.cells):
-                for v in cell:
-                    inc[v].append(c)
-            self._cache["vertex_cells"] = inc
-        return self._cache["vertex_cells"]
-
     def vertex_neighbors(self):
         """List of adjacent vertex indices per vertex (cached)."""
         if "vertex_neighbors" not in self._cache:

@@ -29,13 +29,7 @@ __all__ = [
 
 def _expr_callable(expr, dim):
     def fn(x, s):
-        x = np.asarray(x, dtype=float).reshape(-1, dim)
-        s = np.broadcast_to(np.asarray(s, dtype=float), (len(x),))
-        env = {"x1": x[:, 0], "s": s}
-        if dim > 1:
-            env["x2"] = x[:, 1]
-        return np.broadcast_to(np.asarray(expr.evaluate(**env), dtype=float),
-                               (len(x),)).copy()
+        return expr.at_points(np.asarray(x, dtype=float).reshape(-1, dim), s)
     return fn
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "ContinuationStep",
     "ContinuationState",
     "newton_solve",
+    "default_s_range",
     "continuation_solve",
     "uniqueness_probe",
 ]
@@ -193,6 +194,16 @@ def _as_field(u, mesh):
     return ScalarField(mesh, u)
 
 
+def default_s_range(problem, metric, mesh):
+    """Heights at which the structural conditions are checked: twice the
+    a-priori height bound (at least 1) either side of zero."""
+    try:
+        b = height_bound(problem, metric, mesh)
+    except ValueError:
+        b = 1.0
+    return (-2.0 * max(1.0, b), 2.0 * max(1.0, b))
+
+
 def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=None):
     """Advance tau from 0 to 1 starting at the trivial solution.
 
@@ -206,11 +217,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
         raise ValueError("need 0 < dtau <= dtau_max <= 1")
     if not unsafe:
         if s_range is None:
-            try:
-                b = height_bound(problem, metric, mesh)
-            except ValueError:
-                b = 1.0
-            s_range = (-2.0 * max(1.0, b), 2.0 * max(1.0, b))
+            s_range = default_s_range(problem, metric, mesh)
         report = validate_conditions(problem, mesh, metric, s_range)
         if not report.passed:
             raise ValueError(

@@ -392,23 +392,14 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
     dus = [expr.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]]
     d2us = [[du.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]] for du in dus]
 
-    def env(x):
-        e = {"x1": x[:, 0]}
-        if dim > 1:
-            e["x2"] = x[:, 1]
-        return e
-
     def u_ex(x):
-        x = np.asarray(x, dtype=float).reshape(-1, dim)
-        return np.broadcast_to(np.asarray(expr.evaluate(**env(x)), dtype=float),
-                               (len(x),)).copy()
+        return expr.at_points(np.asarray(x, dtype=float).reshape(-1, dim))
 
     def du_ex(x):
         x = np.asarray(x, dtype=float).reshape(-1, dim)
         out = np.zeros((len(x), dim))
         for i, d in enumerate(dus):
-            out[:, i] = np.broadcast_to(
-                np.asarray(d.evaluate(**env(x)), dtype=float), (len(x),))
+            out[:, i] = d.at_points(x)
         return out
 
     def hess_ex(x):
@@ -416,8 +407,7 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
         out = np.zeros((len(x), dim, dim))
         for i in range(dim):
             for j in range(dim):
-                out[:, i, j] = np.broadcast_to(
-                    np.asarray(d2us[i][j].evaluate(**env(x)), dtype=float), (len(x),))
+                out[:, i, j] = d2us[i][j].at_points(x)
         return 0.5 * (out + out.transpose(0, 2, 1))
     conormal = _shape_conormal(mesh, metric)
 

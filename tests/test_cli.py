@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from capgraph.cli import read_report, read_solution_csv, run_command
+from capgraph.config import load_config
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg"))
 
 DISK_CFG = """
 [metric]
@@ -22,9 +27,6 @@ tol = 1e-10
 [output]
 dir = {out}
 formats = csv,report,vtk,mesh
-
-[run]
-seed = 3
 """
 
 INTERVAL_CFG = """
@@ -105,6 +107,7 @@ def test_verify_runs_on_stored_solution(tmp_path, capsys):
     ("dtau = 2", "dtau"),
     ("granularity = 1", "unknown key"),
     ("formats = csv,xls", "formats"),
+    ("[run]\nseed = 3", "unknown section"),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, mutation, message):
     base = DISK_CFG.format(psi="s", phi="0", out=tmp_path / "out")
@@ -117,6 +120,11 @@ def test_config_errors_exit_2(tmp_path, capsys, mutation, message):
     cfg = write_cfg(tmp_path, "bad.cfg", text)
     assert run_command(["solve", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    load_config(path)
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -163,12 +171,6 @@ def test_export_vtk(tmp_path):
     assert run_command(["solve", "--config", cfg]) == 0
     assert run_command(["export", "--config", cfg, "--format", "vtk"]) == 0
     assert (tmp_path / "out" / "solution.vtk").read_text().startswith("# vtk")
-
-
-def test_threads_flag(tmp_path):
-    cfg = write_cfg(tmp_path, "run.cfg",
-                    DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out"))
-    assert run_command(["solve", "--config", cfg, "--threads", "2"]) == 0
 
 
 def test_mesh_file_domain_round_trip(tmp_path):
