@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix, diags
 
 from .expressions import parse_expression
 
@@ -271,40 +272,60 @@ def vertex_slope_factors(metric, u):
     return slope_factor(metric, u.mesh.vertices, grads)
 
 
+def _patch_derivatives(mesh, values, vertices):
+    """Batched quadratic patch recovery: (gradients, hessians, fitted) at ``vertices``.
+
+    A vertex's patch is its one-ring, widened to the two-ring when that has
+    too few points for a quadratic; ``fitted`` is False where the two-ring is
+    still too small.  Patches of equal size are fitted together by one
+    stacked pseudo-inverse with the cutoff ``lstsq(rcond=None)`` uses.
+    """
+    values = np.asarray(values, dtype=float)
+    vertices = np.asarray(vertices, dtype=int).reshape(-1)
+    dim, m = mesh.dim, len(vertices)
+    needed = 3 if dim == 1 else 6
+    # edge lengths are positive, so row r's sparsity pattern is vertices[r]'s patch
+    graph = mesh.sigma_edge_graph()
+    ring = (graph[vertices] + coo_matrix((np.ones(m), (np.arange(m), vertices)),
+                                         shape=(m, graph.shape[1]))).tocsr()
+    small = np.diff(ring.indptr) < needed
+    patch = (ring + diags(small.astype(float)) @ ring @ graph).tocsr()
+    patch.eliminate_zeros()
+    patch.sort_indices()
+    size = np.diff(patch.indptr)
+    fitted = size >= needed
+    grad = np.zeros((m, dim))
+    hess = np.zeros((m, dim, dim))
+    for k in np.unique(size[fitted]):
+        rows = np.where(size == k)[0]
+        ids = patch.indices[patch.indptr[rows][:, None] + np.arange(k)]
+        dx = mesh.vertices[ids] - mesh.vertices[vertices[rows]][:, None]
+        scale = np.max(np.linalg.norm(dx, axis=2), axis=1)
+        x = dx / scale[:, None, None]
+        if dim == 1:
+            cols = [np.ones((len(rows), k)), x[..., 0], 0.5 * x[..., 0] ** 2]
+        else:
+            cols = [np.ones((len(rows), k)), x[..., 0], x[..., 1],
+                    0.5 * x[..., 0] ** 2, x[..., 0] * x[..., 1], 0.5 * x[..., 1] ** 2]
+        fit = np.linalg.pinv(np.stack(cols, axis=-1),
+                             rcond=np.finfo(float).eps * max(k, len(cols)))
+        coef = np.einsum("mck,mk->mc", fit, values[ids])
+        grad[rows] = coef[:, 1:dim + 1] / scale[:, None]
+        second = coef[:, dim + 1:] / scale[:, None] ** 2
+        hess[rows] = second[:, [[0]] if dim == 1 else [[0, 1], [1, 2]]]
+    return grad, hess, fitted
+
+
 def quadratic_patch_fit(mesh, values, vertex):
     """Least-squares quadratic over the element patch: (gradient, hessian) at a vertex.
 
-    Extends to the two-ring when the one-ring is too small; raises
-    `DegenerateStencilError` if still under-determined.
+    One-vertex call of the batched patch recovery; raises
+    `DegenerateStencilError` if the patch is under-determined.
     """
-    values = np.asarray(values, dtype=float)
-    dim = mesh.dim
-    needed = 3 if dim == 1 else 6
-    nbrs = mesh.vertex_neighbors()
-    patch = {vertex, *nbrs[vertex]}
-    if len(patch) < needed:
-        for v in list(patch):
-            patch.update(nbrs[v])
-    if len(patch) < needed:
-        raise DegenerateStencilError(f"patch of vertex {vertex} has {len(patch)} points")
-    ids = np.array(sorted(patch))
-    dx = mesh.vertices[ids] - mesh.vertices[vertex]
-    scale = np.max(np.linalg.norm(dx, axis=1))
-    dxs = dx / scale
-    if dim == 1:
-        cols = [np.ones(len(ids)), dxs[:, 0], 0.5 * dxs[:, 0] ** 2]
-    else:
-        cols = [np.ones(len(ids)), dxs[:, 0], dxs[:, 1],
-                0.5 * dxs[:, 0] ** 2, dxs[:, 0] * dxs[:, 1], 0.5 * dxs[:, 1] ** 2]
-    a = np.column_stack(cols)
-    coef, *_ = np.linalg.lstsq(a, values[ids], rcond=None)
-    if dim == 1:
-        grad = np.array([coef[1]]) / scale
-        hess = np.array([[coef[2]]]) / scale**2
-    else:
-        grad = coef[1:3] / scale
-        hess = np.array([[coef[3], coef[4]], [coef[4], coef[5]]]) / scale**2
-    return grad, hess
+    grad, hess, fitted = _patch_derivatives(mesh, values, [vertex])
+    if not fitted[0]:
+        raise DegenerateStencilError(f"patch of vertex {vertex} is too small for a quadratic")
+    return grad[0], hess[0]
 
 
 def _metric_coefficient_derivatives(metric, pts):
@@ -357,9 +378,9 @@ def mean_curvature_from_derivatives(metric, x, grad, hess):
 def mean_curvature_strong(metric, u, vertex):
     """Strong-form curvature operator at an interior vertex of a nodal field.
 
-    Second derivatives come from a quadratic least-squares fit over the
-    element patch; equals n H of the graph with respect to the upward
-    normal, hence the pointwise residual of the prescribed-curvature
+    Second derivatives come from the batched quadratic least-squares patch
+    fit, called for one vertex; equals n H of the graph with respect to the
+    upward normal, hence the pointwise residual of the prescribed-curvature
     equation is nH - tau psi.
     """
     du, hess = quadratic_patch_fit(u.mesh, u.values, vertex)

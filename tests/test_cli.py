@@ -1,3 +1,4 @@
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,16 @@ def test_config_errors_exit_2(tmp_path, capsys, mutation, message):
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
 def test_shipped_config_loads(path):
     load_config(path)
+
+
+@pytest.mark.parametrize("name", ["disk_capillary", "forced_zero", "hyperbolic_warp"])
+def test_shipped_solve_config_certifies_everything(name, tmp_path, caplog):
+    path = SHIPPED_CONFIGS[0].parent / f"{name}.cfg"
+    with caplog.at_level(logging.WARNING, logger="capgraph"):
+        assert run_command(["solve", "--config", str(path),
+                            "--output-dir", str(tmp_path)]) == 0
+    skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert skipped == []
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -1,9 +1,16 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import capgraph as cg
+from capgraph.config import load_config
+from capgraph.geometry import (
+    DegenerateStencilError,
+    _patch_derivatives,
+    mean_curvature_from_derivatives,
+)
 from capgraph.meshing import DomainSpec
 from capgraph.solver import continuation_solve
 from capgraph.verify import (
@@ -25,6 +32,8 @@ from capgraph.verify import (
     strong_form_residual,
 )
 from conftest import cap_values
+
+SHIPPED = Path(__file__).parents[1] / "scripts" / "configs"
 
 
 def make(dim, psi, phi="0", **kw):
@@ -297,3 +306,117 @@ def test_interior_bump_requires_resolution(euclid1):
     mesh = cg.generate_interval_mesh(0.0, 1.0, 2)
     with pytest.raises(ValueError, match="coarse"):
         make_interior_bump(mesh, euclid1)
+
+
+# ---------------------------------------------------------------------------
+# Batched patch recovery against the per-vertex least-squares loop
+
+
+def _lstsq_patch_fit(mesh, values, vertex):
+    """Reference: one least-squares quadratic over the vertex patch."""
+    needed = 3 if mesh.dim == 1 else 6
+    nbrs = mesh.vertex_neighbors()
+    patch = {vertex, *nbrs[vertex]}
+    if len(patch) < needed:
+        for v in list(patch):
+            patch.update(nbrs[v])
+    if len(patch) < needed:
+        raise DegenerateStencilError(f"patch of vertex {vertex} has {len(patch)} points")
+    ids = np.array(sorted(patch))
+    dx = mesh.vertices[ids] - mesh.vertices[vertex]
+    scale = np.max(np.linalg.norm(dx, axis=1))
+    x = dx / scale
+    if mesh.dim == 1:
+        cols = [np.ones(len(ids)), x[:, 0], 0.5 * x[:, 0] ** 2]
+    else:
+        cols = [np.ones(len(ids)), x[:, 0], x[:, 1],
+                0.5 * x[:, 0] ** 2, x[:, 0] * x[:, 1], 0.5 * x[:, 1] ** 2]
+    coef, *_ = np.linalg.lstsq(np.column_stack(cols), values[ids], rcond=None)
+    if mesh.dim == 1:
+        return np.array([coef[1]]) / scale, np.array([[coef[2]]]) / scale**2
+    return (coef[1:3] / scale,
+            np.array([[coef[3], coef[4]], [coef[4], coef[5]]]) / scale**2)
+
+
+def _lstsq_curvatures(metric, mesh, values, vertices):
+    """Reference nH per vertex (NaN where the stencil is degenerate)."""
+    nh = np.full(len(vertices), np.nan)
+    for i, v in enumerate(vertices):
+        try:
+            du, hess = _lstsq_patch_fit(mesh, values, v)
+        except DegenerateStencilError:
+            continue
+        nh[i] = mean_curvature_from_derivatives(metric, mesh.vertices[v], du, hess)
+    return nh
+
+
+def _fan_mesh():
+    # one interior vertex whose two-ring has 4 points: a degenerate stencil
+    return cg.Mesh(2, [[0.0, 0.0], [1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]],
+                   [[0, 1, 2], [0, 2, 3], [0, 3, 1]], [[1, 2], [2, 3], [3, 1]],
+                   ["b", "b", "b"])
+
+
+def _patch_case(name):
+    if name == "hyperbolic_warp":
+        cfg = load_config(SHIPPED / "hyperbolic_warp.cfg")
+        mesh = cfg.build_domain().build()
+        return mesh, cfg.build_metric(2), cfg.build_problem(2)
+    if name == "warped-interval":
+        mesh = cg.generate_interval_mesh(0.0, 1.0, 40)
+        return mesh, cg.MetricField.from_expressions(1, gamma="exp(2*x1)"), make(1, "1 + s")
+    if name == "fan":
+        return _fan_mesh(), cg.MetricField.euclidean(2), make(2, "1 + s")
+    metric = (cg.MetricField.euclidean(2) if name == "flat-disk"
+              else cg.MetricField.radial_warp(2, gamma="1 + r^2"))
+    return cg.generate_disk_mesh(1.0, 0.1), metric, make(2, "1 + s")
+
+
+def _smooth_field(mesh):
+    x = mesh.vertices
+    r2 = (x**2).sum(axis=1)
+    return 0.3 + 0.2 * x[:, 0] - 0.4 * r2 + 0.1 * np.sin(3.0 * x[:, -1])
+
+
+@pytest.mark.parametrize("name", ["flat-disk", "radial-warp-disk", "hyperbolic_warp",
+                                  "warped-interval", "fan"])
+def test_batched_patch_recovery_matches_lstsq_loop(name):
+    mesh, metric, problem = _patch_case(name)
+    values = _smooth_field(mesh)
+    every = np.arange(mesh.num_vertices)
+    reference = _lstsq_curvatures(metric, mesh, values, every)
+    grad, hess, fitted = _patch_derivatives(mesh, values, every)
+    np.testing.assert_array_equal(fitted, np.isfinite(reference))
+    if fitted.any():
+        nh = mean_curvature_from_derivatives(metric, mesh.vertices[fitted],
+                                             grad[fitted], hess[fitted])
+        np.testing.assert_allclose(nh, reference[fitted], rtol=0, atol=1e-10)
+
+    tau = 0.7
+    u = cg.ScalarField(mesh, values)
+    interior = np.where(~mesh.is_boundary_vertex)[0]
+    ref = _lstsq_curvatures(metric, mesh, values, interior)
+    ok = np.isfinite(ref)
+    psi = problem.psi(mesh.vertices[interior[ok]], values[interior[ok]])
+    ref_vals = np.abs(ref[ok] - tau * psi)
+    cert = strong_form_residual(u, tau, problem, metric, mesh)
+    assert cert.details["skipped_stencils"] == int(np.count_nonzero(~ok))
+    assert cert.details["interior_vertices"] == len(interior)
+    assert cert.observed == pytest.approx(np.max(ref_vals) if ok.any() else 0.0,
+                                          rel=0, abs=1e-10)
+    assert cert.details["median"] == pytest.approx(
+        np.median(ref_vals) if ok.any() else 0.0, rel=0, abs=1e-10)
+
+
+def test_strong_form_residual_evaluates_psi_once(disk_01, euclid2):
+    calls = []
+
+    def psi(x, s):
+        calls.append(np.shape(x))
+        return 1.0 + np.asarray(s, dtype=float)
+
+    prob = cg.CapillaryProblem.from_callables(
+        2, psi, lambda x, s: np.ones(len(np.reshape(x, (-1, 2)))))
+    u = cg.ScalarField(disk_01, _smooth_field(disk_01))
+    cert = strong_form_residual(u, 1.0, prob, euclid2, disk_01)
+    assert calls == [(cert.details["interior_vertices"], 2)]
