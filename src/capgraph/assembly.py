@@ -9,14 +9,17 @@ equation with the angle condition <N, nu> = tau phi appearing naturally.
 The Jacobian uses D = (sigma^{-1} - g g^T / W^2)/W (positive definite for
 finite gradients) plus the definite zeroth-order block tau d(psi)/ds.
 
-Assembly is vectorized over cells; scatter uses np.add.at and a single
-COO-to-CSR pass, so reductions are deterministic for a fixed mesh.
+P1 gradients are constant on each cell, so every integrand is summed over
+the quadrature points first and meets the gradients once per cell.  The
+Jacobian's CSR pattern and its scatter map are built once per mesh; each
+call fills the values with one np.bincount, and the residual is scattered
+with one np.bincount too, so reductions are deterministic for a fixed mesh.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 
 from .meshing import ScalarField
 
@@ -24,7 +27,12 @@ __all__ = ["residual", "jacobian", "energy"]
 
 
 class _Context:
-    """Per-(mesh, metric) quadrature data reused across assemblies."""
+    """Per-(mesh, metric) quadrature data reused across assemblies.
+
+    Per-cell arrays keep the cell index on the last axis, so the small
+    contractions over vertices, quadrature points and coordinates run over
+    long contiguous rows.
+    """
 
     def __init__(self, mesh, metric):
         self.mesh = mesh
@@ -33,15 +41,18 @@ class _Context:
         bary, wref = mesh.cell_quad
         coords = mesh.vertices[mesh.cells]                      # (nc, d+1, d)
         self.cell_bary = bary
-        self.xq = np.einsum("qa,cad->cqd", bary, coords)        # (nc, nq, d)
+        self.topo = _topology(mesh)
+        self.xq = np.einsum("qa,cad->qcd", bary, coords)        # (nq, nc, d)
         flat = self.xq.reshape(-1, d)
         nq = len(wref)
         nc = mesh.num_cells
-        self.inv_sigma_q = metric.sigma_inv(flat).reshape(nc, nq, d, d)
-        self.gamma_q = metric.gamma(flat).reshape(nc, nq)
-        self.isg_q = 1.0 / np.sqrt(self.gamma_q)
-        sqrt_det = metric.sqrt_det_sigma(flat).reshape(nc, nq)
-        self.wq = wref[None, :] * mesh.cell_measure[:, None] * sqrt_det
+        self.inv_sigma_q = np.ascontiguousarray(
+            metric.sigma_inv(flat).reshape(nq, nc, d, d).transpose(2, 3, 0, 1))
+        self.gamma_q = metric.gamma(flat).reshape(nq, nc)
+        sqrt_det = metric.sqrt_det_sigma(flat).reshape(nq, nc)
+        # cell and facet integration weights carry the 1/sqrt(gamma) factor
+        self.cw = (wref[:, None] * mesh.cell_measure[None, :] * sqrt_det
+                   / np.sqrt(self.gamma_q))                     # (nq, nc)
 
         fb, fw = mesh.facet_quad
         self.facet_bary = fb
@@ -49,16 +60,48 @@ class _Context:
         self.xf = np.einsum("qa,fad->fqd", fb, fverts)          # (nb, nqf, d)
         nb, nqf = self.xf.shape[:2]
         fflat = self.xf.reshape(-1, d)
-        self.gamma_f = metric.gamma(fflat).reshape(nb, nqf)
-        self.isg_f = 1.0 / np.sqrt(self.gamma_f)
         if d == 1:
-            self.wf = np.ones((nb, nqf))                        # counting measure
+            wf = np.ones((nb, nqf))                             # counting measure
         else:
             t = fverts[:, 1] - fverts[:, 0]
             that = t / np.linalg.norm(t, axis=1, keepdims=True)
             sig = metric.sigma(fflat).reshape(nb, nqf, d, d)
             stretch = np.sqrt(np.einsum("fi,fqij,fj->fq", that, sig, that))
-            self.wf = fw[None, :] * mesh.facet_measure[:, None] * stretch
+            wf = fw[None, :] * mesh.facet_measure[:, None] * stretch
+        self.fcw = wf / np.sqrt(metric.gamma(fflat).reshape(nb, nqf))
+
+        # products of the barycentric coordinates at each quadrature point
+        self.cell_mass = np.einsum("qa,qb->abq", bary, bary).reshape(-1, nq)
+        self.facet_mass = np.einsum("qa,qb->qab", fb, fb).reshape(nqf, -1)
+
+
+class _Topology:
+    """Per-mesh index data: cells and P1 gradients with the cell index last,
+    the vertex of each residual entry, and the Jacobian's CSR pattern with
+    the map that scatters its local entries (the cell blocks as
+    (a, b, cell), then the boundary-facet blocks as (facet, a, b)) into it."""
+
+    def __init__(self, mesh):
+        n = mesh.num_vertices
+        self.cells = np.ascontiguousarray(mesh.cells.T)         # (d+1, nc)
+        self.grads = np.ascontiguousarray(
+            mesh.grads_lambda.transpose(1, 2, 0))               # (d+1, d, nc)
+        bf = mesh.boundary_facets
+        self.vertex_index = np.concatenate([self.cells.ravel(), bf.ravel()])
+        k = bf.shape[1]
+        keys = np.concatenate([
+            (self.cells[:, None, :] * n + self.cells[None, :, :]).ravel(),
+            (np.repeat(bf, k, axis=1) * n + np.tile(bf, (1, k))).ravel()])
+        unique, self.scatter = np.unique(keys, return_inverse=True)
+        idx = np.int32 if max(len(unique), n) < 2**31 else np.int64
+        self.indices = (unique % n).astype(idx)
+        self.indptr = np.searchsorted(unique, np.arange(n + 1) * n).astype(idx)
+
+
+def _topology(mesh):
+    if "assembly_topology" not in mesh._cache:
+        mesh._cache["assembly_topology"] = _Topology(mesh)
+    return mesh._cache["assembly_topology"]
 
 
 def _context(mesh, metric):
@@ -79,13 +122,20 @@ def _check_tau(tau):
 
 
 def _cell_state(ctx, vals):
-    """Per-cell gradient and per-quadrature-point (g, W, u)."""
-    mesh = ctx.mesh
-    grad = np.einsum("ca,cad->cd", vals[mesh.cells], mesh.grads_lambda)  # (nc, d)
-    g = np.einsum("cqij,cj->cqi", ctx.inv_sigma_q, grad)                 # (nc, nq, d)
-    w = np.sqrt(ctx.gamma_q + np.einsum("ci,cqi->cq", grad, g))
-    uq = np.einsum("qa,ca->cq", ctx.cell_bary, vals[mesh.cells])
+    """Per-cell gradient (d, nc) and per-quadrature-point g (d, nq, nc),
+    W (nq, nc) and u (nq, nc)."""
+    vc = vals[ctx.topo.cells]                                   # (d+1, nc)
+    grad = np.einsum("ac,adc->dc", vc, ctx.topo.grads)
+    g = np.einsum("ijqc,jc->iqc", ctx.inv_sigma_q, grad)
+    w = np.sqrt(ctx.gamma_q + np.einsum("ic,iqc->qc", grad, g))
+    uq = ctx.cell_bary @ vc
     return grad, g, w, uq
+
+
+def _boundary_values(ctx, vals, fn):
+    """Traces of u and fn(x, u) at the boundary quadrature points, (nb, nqf)."""
+    uf = np.einsum("qa,fa->fq", ctx.facet_bary, vals[ctx.mesh.boundary_facets])
+    return fn(ctx.xf.reshape(-1, ctx.mesh.dim), uf.ravel()).reshape(uf.shape)
 
 
 def residual(u, tau, problem, metric, mesh):
@@ -95,56 +145,44 @@ def residual(u, tau, problem, metric, mesh):
     vals = _values(u)
     grad, g, w, uq = _cell_state(ctx, vals)
     psi_q = problem.psi(ctx.xq.reshape(-1, mesh.dim), uq.ravel()).reshape(uq.shape)
-    ga = np.einsum("cad,cqd->cqa", mesh.grads_lambda, g)
-    contrib = ctx.wq[:, :, None] * ctx.isg_q[:, :, None] * (
-        ga / w[:, :, None]
-        + tau * psi_q[:, :, None] * ctx.cell_bary[None, :, :])
-    out = np.zeros(mesh.num_vertices)
-    np.add.at(out, mesh.cells, contrib.sum(axis=1))
-
-    uf = np.einsum("qa,fa->fq", ctx.facet_bary, vals[mesh.boundary_facets])
-    phi_q = problem.phi(ctx.xf.reshape(-1, mesh.dim), uf.ravel()).reshape(uf.shape)
-    bcontrib = -(ctx.wf * ctx.isg_f * tau * phi_q)[:, :, None] * ctx.facet_bary[None]
-    np.add.at(out, mesh.boundary_facets, bcontrib.sum(axis=1))
-    return out
+    gbar = np.einsum("qc,iqc->ic", ctx.cw / w, g)
+    contrib = (np.einsum("adc,dc->ac", ctx.topo.grads, gbar)
+               + ctx.cell_bary.T @ (tau * ctx.cw * psi_q))      # (d+1, nc)
+    phi_q = _boundary_values(ctx, vals, problem.phi)
+    bcontrib = -(tau * ctx.fcw * phi_q) @ ctx.facet_bary         # (nb, d)
+    return np.bincount(ctx.topo.vertex_index,
+                       np.concatenate([contrib.ravel(), bcontrib.ravel()]),
+                       minlength=mesh.num_vertices)
 
 
 def jacobian(u, tau, problem, metric, mesh):
-    """Analytic Jacobian of the residual, sparse CSR, symmetric by construction."""
+    """Analytic Jacobian of the residual, sparse CSR, symmetric by construction.
+
+    The pattern holds every cell and boundary-facet block, so it depends on
+    the mesh only, not on u, tau or the data.
+    """
     _check_tau(tau)
     ctx = _context(mesh, metric)
     vals = _values(u)
     grad, g, w, uq = _cell_state(ctx, vals)
-    d_mat = (ctx.inv_sigma_q
-             - np.einsum("cqi,cqj->cqij", g, g) / (w**2)[:, :, None, None]
-             ) / w[:, :, None, None]
-    t = np.einsum("cqde,cae->cqad", d_mat, mesh.grads_lambda)
-    k_grad = np.einsum("cqad,cbd->cqab", t, mesh.grads_lambda)
+    # integral of D = (sigma^{-1} - g g^T / W^2) / W over each cell
+    cw = ctx.cw / w
+    d_bar = (np.einsum("qc,ijqc->ijc", cw, ctx.inv_sigma_q)
+             - np.einsum("iqc,jqc->ijc", cw / w**2 * g, g))
+    t = np.einsum("aec,dec->adc", ctx.topo.grads, d_bar)
+    k_grad = np.einsum("adc,bdc->abc", t, ctx.topo.grads)
     dpsi_q = problem.dpsi_ds(ctx.xq.reshape(-1, mesh.dim), uq.ravel()).reshape(uq.shape)
-    k_mass = (tau * dpsi_q)[:, :, None, None] * np.einsum(
-        "qa,qb->qab", ctx.cell_bary, ctx.cell_bary)[None]
-    k_local = ((ctx.wq * ctx.isg_q)[:, :, None, None] * (k_grad + k_mass)).sum(axis=1)
+    k_mass = ctx.cell_mass @ (tau * ctx.cw * dpsi_q)            # ((d+1)^2, nc)
+    dphi_q = _boundary_values(ctx, vals, problem.dphi_ds)
+    kb = -(tau * ctx.fcw * dphi_q) @ ctx.facet_mass              # (nb, d^2)
 
-    cells = mesh.cells
-    npc = mesh.dim + 1
-    rows = [np.repeat(cells, npc, axis=1).ravel()]
-    cols = [np.tile(cells, (1, npc)).ravel()]
-    data = [k_local.ravel()]
-
-    uf = np.einsum("qa,fa->fq", ctx.facet_bary, vals[mesh.boundary_facets])
-    dphi_q = problem.dphi_ds(ctx.xf.reshape(-1, mesh.dim), uf.ravel()).reshape(uf.shape)
-    if np.any(dphi_q != 0.0):
-        kb = -(ctx.wf * ctx.isg_f * tau * dphi_q)[:, :, None, None] * np.einsum(
-            "qa,qb->qab", ctx.facet_bary, ctx.facet_bary)[None]
-        bf = mesh.boundary_facets
-        rows.append(np.repeat(bf, mesh.dim, axis=1).ravel())
-        cols.append(np.tile(bf, (1, mesh.dim)).ravel())
-        data.append(kb.sum(axis=1).ravel())
-
+    topo = ctx.topo
+    data = np.bincount(topo.scatter, np.concatenate(
+        [(k_grad.reshape(k_mass.shape) + k_mass).ravel(), kb.ravel()]),
+        minlength=len(topo.indices))
     n = mesh.num_vertices
-    return coo_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
+    # the index arrays are copied: scipy edits them in place (eliminate_zeros)
+    return csr_matrix((data, topo.indices.copy(), topo.indptr.copy()), shape=(n, n))
 
 
 def _simpson_01(f, tol=1e-10, max_doublings=16):
@@ -181,15 +219,15 @@ def energy(u, tau, problem, metric, mesh):
     ctx = _context(mesh, metric)
     vals = _values(u)
     grad, g, w, uq = _cell_state(ctx, vals)
-    e = float(np.sum(ctx.wq * ctx.isg_q * w))
+    e = float(np.sum(ctx.cw * w))
     xq_flat = ctx.xq.reshape(-1, mesh.dim)
     uq_flat = uq.ravel()
     if tau > 0.0:
         pot = _simpson_01(lambda c: problem.psi(xq_flat, c * uq_flat) * uq_flat)
-        e += tau * float(np.sum(ctx.wq * ctx.isg_q * pot.reshape(uq.shape)))
+        e += tau * float(np.sum(ctx.cw * pot.reshape(uq.shape)))
         uf = np.einsum("qa,fa->fq", ctx.facet_bary, vals[mesh.boundary_facets])
         xf_flat = ctx.xf.reshape(-1, mesh.dim)
         uf_flat = uf.ravel()
         wet = _simpson_01(lambda c: problem.phi(xf_flat, c * uf_flat) * uf_flat)
-        e -= tau * float(np.sum(ctx.wf * ctx.isg_f * wet.reshape(uf.shape)))
+        e -= tau * float(np.sum(ctx.fcw * wet.reshape(uf.shape)))
     return e

@@ -365,8 +365,8 @@ def mean_curvature_from_derivatives(metric, x, grad, hess):
     g = np.einsum("mkl,ml->mk", inv_sigma, du)
     w = np.sqrt(gamma + np.einsum("mk,mk->m", du, g))
     # dW_i = (d_i gamma + du^T d_i(sigma^{-1}) du + 2 (sigma^{-1} hess du)_i) / 2W
-    dw = (ggam + np.einsum("mikl,mk,ml->mi", d_inv, du, du)
-          + 2.0 * np.einsum("mkl,mik,ml->mi", inv_sigma, hess, du)) / (2.0 * w[:, None])
+    dw = (ggam + np.einsum("mik,mk->mi", np.einsum("mikl,ml->mik", d_inv, du), du)
+          + 2.0 * np.einsum("mik,mk->mi", hess, g)) / (2.0 * w[:, None])
     div_x = (np.einsum("miil,ml->m", d_inv, du) / w
              + np.einsum("mil,mil->m", inv_sigma, hess) / w
              - np.einsum("mi,mi->m", g, dw) / w**2)

@@ -9,7 +9,6 @@ construction so refinement studies are reproducible.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,28 +115,35 @@ class Mesh:
     def _check_conformity(self):
         # every interior facet in exactly two cells, boundary facets in one,
         # and the declared boundary must be exactly the once-counted facets
-        facet_owner = {}
-        counts = Counter()
-        for c, cell in enumerate(self.cells):
-            subs = ([tuple(sorted((cell[0], cell[1]))), tuple(sorted((cell[1], cell[2]))),
-                     tuple(sorted((cell[0], cell[2])))] if self.dim == 2
-                    else [(cell[0],), (cell[1],)])
-            for f in subs:
-                counts[f] += 1
-                facet_owner[f] = c
-        bad = [f for f, n in counts.items() if n > 2]
-        if bad:
-            raise MeshFormatError(f"facet shared by more than two cells: {bad[0]}")
-        boundary = {f for f, n in counts.items() if n == 1}
-        declared = {tuple(sorted(f)) for f in map(tuple, self.boundary_facets)}
-        if boundary != declared:
-            missing = boundary - declared
-            extra = declared - boundary
+        local = [[0, 1], [1, 2], [0, 2]] if self.dim == 2 else [[0], [1]]
+        facets = np.sort(self.cells[:, local], axis=2).reshape(-1, self.dim)
+        declared = np.sort(self.boundary_facets, axis=1)
+        lo = min(facets.min(initial=0), declared.min(initial=0))
+        base = max(facets.max(initial=0), declared.max(initial=0)) - lo + 1
+
+        def keys(f):
+            out = f[:, 0] - lo
+            for col in f[:, 1:].T:
+                out = out * base + (col - lo)
+            return out
+
+        unique, first, counts = np.unique(keys(facets), return_index=True,
+                                          return_counts=True)
+        bad = first[counts > 2]
+        if len(bad):
+            raise MeshFormatError(
+                f"facet shared by more than two cells: {tuple(facets[bad.min()])}")
+        boundary = unique[counts == 1]
+        declared_keys = keys(declared)
+        if not np.array_equal(boundary, np.unique(declared_keys)):
+            missing = np.setdiff1d(boundary, declared_keys).size
+            extra = np.setdiff1d(declared_keys, boundary).size
             raise MeshFormatError(
                 f"declared boundary does not match mesh topology "
-                f"(missing {len(missing)}, extraneous {len(extra)})")
-        return np.array([facet_owner[tuple(sorted(f))]
-                         for f in map(tuple, self.boundary_facets)], dtype=np.int64)
+                f"(missing {missing}, extraneous {extra})")
+        # a boundary facet has one cell: the one whose facet list holds it
+        owner = first[np.searchsorted(unique, declared_keys)] // len(local)
+        return owner.astype(np.int64)
 
     def _build_geometry(self):
         verts, cells = self.vertices, self.cells

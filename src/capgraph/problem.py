@@ -132,19 +132,29 @@ def _boundary_sample_points(mesh):
     return np.vstack([qp, mesh.vertices[mesh.boundary_vertices]])
 
 
-def _ambient_gradient_norm(problem, metric, x, s):
-    """|ambient grad psi| = sqrt(|grad_x psi|^2_sigma + gamma (d_s psi)^2)."""
-    inv_sigma = metric.sigma_inv(x)
-    gamma = metric.gamma(x)
-    dxs = np.zeros((len(x), metric.dim))
-    for i in range(metric.dim):
+def _ambient_gradient_norm(problem, s, dpsi, inv_sigma, gamma, shifted):
+    """|ambient grad psi| = sqrt(|grad_x psi|^2_sigma + gamma (d_s psi)^2).
+
+    ``dpsi`` is d_s psi at the sample points, ``inv_sigma`` and ``gamma`` the
+    metric there and ``shifted`` their central-difference points from
+    `_difference_points`; only ``dpsi`` depends on s.
+    """
+    dxs = np.stack([(problem.psi(xp, s) - problem.psi(xm, s)) / two_step
+                    for xp, xm, two_step in shifted], axis=1)
+    grad_sq = np.einsum("ki,ki->k", dxs, np.einsum("kij,kj->ki", inv_sigma, dxs))
+    return np.sqrt(grad_sq + gamma * dpsi ** 2)
+
+
+def _difference_points(x):
+    """(x + h e_i, x - h e_i, 2 h) per coordinate i, with h = 1e-6 (1 + |x_i|)."""
+    out = []
+    for i in range(x.shape[1]):
         step = 1e-6 * (1.0 + np.abs(x[:, i]))
         xp, xm = x.copy(), x.copy()
         xp[:, i] += step
         xm[:, i] -= step
-        dxs[:, i] = (problem.psi(xp, s) - problem.psi(xm, s)) / (2 * step)
-    grad_sq = np.einsum("ki,kij,kj->k", dxs, inv_sigma, dxs)
-    return np.sqrt(grad_sq + gamma * problem.dpsi_ds(x, s) ** 2)
+        out.append((xp, xm, 2 * step))
+    return out
 
 
 def validate_conditions(problem, mesh, metric, s_range, num_s=21):
@@ -156,11 +166,14 @@ def validate_conditions(problem, mesh, metric, s_range, num_s=21):
 
     # positive gravity (ii) and magnitude bound (i) over interior x times s
     dpsi_min, cpsi_max, fd_err = np.inf, 0.0, 0.0
+    inv_sigma, gamma = metric.sigma_inv(xs), metric.gamma(xs)
+    shifted = _difference_points(xs)
     for s0 in s_grid:
         s = np.full(len(xs), s0)
         dpsi = problem.dpsi_ds(xs, s)
         dpsi_min = min(dpsi_min, float(np.min(dpsi)))
-        mag = np.abs(problem.psi(xs, s)) + _ambient_gradient_norm(problem, metric, xs, s)
+        mag = np.abs(problem.psi(xs, s)) + _ambient_gradient_norm(
+            problem, s, dpsi, inv_sigma, gamma, shifted)
         cpsi_max = max(cpsi_max, float(np.max(mag)))
         ds = 1e-6 * (1.0 + abs(s0))
         fd = (problem.psi(xs, s + ds) - problem.psi(xs, s - ds)) / (2 * ds)

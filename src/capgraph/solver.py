@@ -10,11 +10,10 @@ doubles it after three consecutive easy steps.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.sparse.linalg import splu
 
 from .assembly import jacobian, residual
 from .meshing import ScalarField
@@ -106,13 +105,18 @@ class ContinuationState:
 
 
 def _linear_solve(mat, rhs, iterate):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            delta = spsolve(mat.tocsc(), rhs)
-        except (MatrixRankWarning, RuntimeError) as exc:
-            raise SingularJacobian(f"linear solve broke down: {exc}",
-                                   iterate=iterate) from exc
+    # one sparse LU per Newton step, reused by the refinement step.  The
+    # Jacobian is symmetric, so the columns follow a minimum-degree ordering
+    # of A^T + A and symmetric mode applies it to the rows too; pivoting
+    # keeps the default threshold, so a diagonal pivot is taken only when it
+    # is the largest in its column
+    try:
+        lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularJacobian(f"linear solve broke down: {exc}",
+                               iterate=iterate) from exc
+    delta = lu.solve(rhs)
     if not np.all(np.isfinite(delta)):
         raise SingularJacobian("linear solve produced non-finite values",
                                iterate=iterate)
@@ -120,21 +124,18 @@ def _linear_solve(mat, rhs, iterate):
     # solve) plus a loose forward gate: a singular factorization can return a
     # huge null-space-polluted delta whose backward error still looks tiny
     rhs_norm = np.linalg.norm(rhs, np.inf)
+    mat_norm = abs(mat).sum(axis=1).max()
 
     def errors(d):
-        backward = (np.linalg.norm(mat @ d - rhs, np.inf)
-                    / (abs(mat).sum(axis=1).max() * np.linalg.norm(d, np.inf)
-                       + rhs_norm))
-        forward = (np.linalg.norm(mat @ d - rhs, np.inf) / rhs_norm
-                   if rhs_norm > 0 else 0.0)
+        res_norm = np.linalg.norm(mat @ d - rhs, np.inf)
+        backward = res_norm / (mat_norm * np.linalg.norm(d, np.inf) + rhs_norm)
+        forward = res_norm / rhs_norm if rhs_norm > 0 else 0.0
         return backward, forward
 
     backward, forward = errors(delta)
     if backward > _LINEAR_RTOL or forward > 1e-6:
         # one round of iterative refinement before declaring breakdown
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MatrixRankWarning)
-            correction = spsolve(mat.tocsc(), rhs - mat @ delta)
+        correction = lu.solve(rhs - mat @ delta)
         if np.all(np.isfinite(correction)):
             delta = delta + correction
             backward, forward = errors(delta)

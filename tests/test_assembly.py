@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 import capgraph as cg
 from capgraph.assembly import energy, jacobian, residual
@@ -189,3 +190,94 @@ def test_gradient_block_matches_cotangent_formula(euclid2):
             k[b, b] += cot / 2
             k[c, c] += cot / 2
     np.testing.assert_allclose(j, k, atol=1e-13)
+
+
+def _reference_assembly(u, tau, problem, metric, mesh):
+    # the per-quadrature-point kernels and the np.add.at / COO-to-CSR scatter
+    # that the per-cell assembly into a fixed CSR pattern replaced
+    d, n = mesh.dim, mesh.num_vertices
+    bary, wref = mesh.cell_quad
+    nc, nq = mesh.num_cells, len(wref)
+    xq = np.einsum("qa,cad->cqd", bary, mesh.vertices[mesh.cells]).reshape(-1, d)
+    inv_sigma = metric.sigma_inv(xq).reshape(nc, nq, d, d)
+    gamma = metric.gamma(xq).reshape(nc, nq)
+    wq = (wref[None, :] * mesh.cell_measure[:, None]
+          * metric.sqrt_det_sigma(xq).reshape(nc, nq)) / np.sqrt(gamma)
+    fb, fw = mesh.facet_quad
+    fverts = mesh.vertices[mesh.boundary_facets]
+    xf = np.einsum("qa,fad->fqd", fb, fverts)
+    nb, nqf = xf.shape[:2]
+    xf = xf.reshape(-1, d)
+    if d == 1:
+        wf = np.ones((nb, nqf))
+    else:
+        t = fverts[:, 1] - fverts[:, 0]
+        that = t / np.linalg.norm(t, axis=1, keepdims=True)
+        sig = metric.sigma(xf).reshape(nb, nqf, d, d)
+        wf = (fw[None, :] * mesh.facet_measure[:, None]
+              * np.sqrt(np.einsum("fi,fqij,fj->fq", that, sig, that)))
+    wf = wf / np.sqrt(metric.gamma(xf).reshape(nb, nqf))
+
+    gl = mesh.grads_lambda
+    grad = np.einsum("ca,cad->cd", u[mesh.cells], gl)
+    g = np.einsum("cqij,cj->cqi", inv_sigma, grad)
+    w = np.sqrt(gamma + np.einsum("ci,cqi->cq", grad, g))
+    uq = np.einsum("qa,ca->cq", bary, u[mesh.cells]).ravel()
+    uf = np.einsum("qa,fa->fq", fb, u[mesh.boundary_facets]).ravel()
+
+    psi_q = problem.psi(xq, uq).reshape(nc, nq)
+    ga = np.einsum("cad,cqd->cqa", gl, g)
+    contrib = wq[:, :, None] * (ga / w[:, :, None]
+                                + tau * psi_q[:, :, None] * bary[None, :, :])
+    r = np.zeros(n)
+    np.add.at(r, mesh.cells, contrib.sum(axis=1))
+    phi_q = problem.phi(xf, uf).reshape(nb, nqf)
+    np.add.at(r, mesh.boundary_facets,
+              (-(wf * tau * phi_q)[:, :, None] * fb[None]).sum(axis=1))
+
+    d_mat = (inv_sigma - np.einsum("cqi,cqj->cqij", g, g) / (w**2)[:, :, None, None]
+             ) / w[:, :, None, None]
+    k_grad = np.einsum("cqad,cbd->cqab", np.einsum("cqde,cae->cqad", d_mat, gl), gl)
+    dpsi_q = problem.dpsi_ds(xq, uq).reshape(nc, nq)
+    k_mass = (tau * dpsi_q)[:, :, None, None] * np.einsum("qa,qb->qab", bary, bary)[None]
+    k_local = (wq[:, :, None, None] * (k_grad + k_mass)).sum(axis=1)
+    dphi_q = problem.dphi_ds(xf, uf).reshape(nb, nqf)
+    kb = (-(wf * tau * dphi_q)[:, :, None, None]
+          * np.einsum("qa,qb->qab", fb, fb)[None]).sum(axis=1)
+    rows, cols, data = [], [], []
+    for elems, block in ((mesh.cells, k_local), (mesh.boundary_facets, kb)):
+        k = elems.shape[1]
+        rows.append(np.repeat(elems, k, axis=1).ravel())
+        cols.append(np.tile(elems, (1, k)).ravel())
+        data.append(block.ravel())
+    j = coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                   shape=(n, n)).tocsr()
+    return r, j
+
+
+@pytest.mark.parametrize("case", ["flat-disk", "radial-warp-disk", "annulus",
+                                  "warped-interval"])
+@pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+def test_assembly_matches_quadrature_point_coo_reference(case, tau):
+    if case == "warped-interval":
+        mesh = cg.generate_interval_mesh(0.0, 1.0, 20)
+        metric = cg.MetricField.from_expressions(1, gamma="exp(x1)")
+        prob = make(1, "1 + s + 0.2*s^2 + 0.1*x1", "0.3 - 0.1*tanh(s)")
+    else:
+        mesh = (cg.generate_disk_mesh(1.0, 0.15, inner_radius=0.4) if case == "annulus"
+                else cg.generate_disk_mesh(1.0, 0.15))
+        metric = {"flat-disk": cg.MetricField.euclidean(2),
+                  "radial-warp-disk": cg.MetricField.radial_warp(2, gamma="1 + 3*r^2"),
+                  "annulus": cg.MetricField.from_expressions(
+                      2, gamma="1 + r^2", sigma_conformal="1 + 0.3*r^2")}[case]
+        prob = make(2, "1 + s + 0.2*s^2 + 0.1*x1", "0.3 - 0.1*tanh(s)")
+    u = 0.3 * np.random.default_rng(5).standard_normal(mesh.num_vertices)
+    r_ref, j_ref = _reference_assembly(u, tau, prob, metric, mesh)
+    r = residual(u, tau, prob, metric, mesh)
+    j = jacobian(u, tau, prob, metric, mesh)
+    assert np.max(np.abs(r - r_ref)) <= 1e-13 * np.max(np.abs(r_ref))
+    assert j.nnz == j_ref.nnz
+    np.testing.assert_array_equal(j.indptr, j_ref.indptr)
+    np.testing.assert_array_equal(j.indices, j_ref.indices)
+    assert j.indices.dtype == j_ref.indices.dtype == np.int32
+    assert np.max(np.abs(j.data - j_ref.data)) <= 1e-13 * np.max(np.abs(j_ref.data))

@@ -180,3 +180,40 @@ def test_metric_validation():
     negative = cg.MetricField.from_expressions(2, gamma="x1")
     with pytest.raises(ValueError):
         negative.gamma(np.array([[-0.5, 0.0]]))
+
+
+def _mean_curvature_three_operand(metric, pts, du, hess):
+    # the three-operand einsums that the two-step contractions replaced
+    from capgraph.geometry import _metric_coefficient_derivatives
+    inv_sigma = metric.sigma_inv(pts)
+    gamma = metric.gamma(pts)
+    ggam = metric.grad_gamma(pts)
+    d_inv, d_logsd = _metric_coefficient_derivatives(metric, pts)
+    g = np.einsum("mkl,ml->mk", inv_sigma, du)
+    w = np.sqrt(gamma + np.einsum("mk,mk->m", du, g))
+    dw = (ggam + np.einsum("mikl,mk,ml->mi", d_inv, du, du)
+          + 2.0 * np.einsum("mkl,mik,ml->mi", inv_sigma, hess, du)) / (2.0 * w[:, None])
+    div_x = (np.einsum("miil,ml->m", d_inv, du) / w
+             + np.einsum("mil,mil->m", inv_sigma, hess) / w
+             - np.einsum("mi,mi->m", g, dw) / w**2)
+    div_sigma = div_x + np.einsum("mi,mi->m", g, d_logsd) / w
+    return div_sigma - np.einsum("mi,mi->m", ggam, g) / (2.0 * gamma * w)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["flat", "radial-warp", "conformal"])
+def test_mean_curvature_matches_three_operand_einsums(dim, kind):
+    metric = {
+        "flat": lambda: cg.MetricField.euclidean(dim),
+        "radial-warp": lambda: cg.MetricField.radial_warp(dim, gamma="1 + 2*r^2"),
+        "conformal": lambda: cg.MetricField.from_expressions(
+            dim, gamma="1 + x1^2", sigma_conformal="1 + 0.3*r^2"),
+    }[kind]()
+    rng = np.random.default_rng(dim)
+    pts = rng.uniform(-0.8, 0.8, size=(200, dim))
+    du = rng.standard_normal((200, dim))
+    hess = rng.standard_normal((200, dim, dim))
+    hess = hess + hess.transpose(0, 2, 1)
+    new = mean_curvature_from_derivatives(metric, pts, du, hess)
+    old = _mean_curvature_three_operand(metric, pts, du, hess)
+    np.testing.assert_allclose(new, old, rtol=1e-13, atol=1e-13 * np.max(np.abs(old)))

@@ -171,3 +171,44 @@ def test_read_mesh_missing_section(tmp_path):
     path.write_text("DIM 1\nVERTICES 2\n0.0\n1.0\n")
     with pytest.raises(MeshFormatError, match="CELLS"):
         read_mesh(path)
+
+
+def _boundary_cells_reference(mesh):
+    # the per-cell dict loop that the vectorized conformity check replaced
+    owner = {}
+    for c, cell in enumerate(mesh.cells):
+        subs = ([(cell[0], cell[1]), (cell[1], cell[2]), (cell[0], cell[2])]
+                if mesh.dim == 2 else [(cell[0],), (cell[1],)])
+        for f in subs:
+            owner[tuple(sorted(f))] = c
+    return np.array([owner[tuple(sorted(f))] for f in mesh.boundary_facets])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cg.generate_disk_mesh(1.0, 0.1),
+    lambda: cg.generate_disk_mesh(1.0, 0.1, inner_radius=0.5),
+    lambda: cg.generate_interval_mesh(0.0, 1.0, 16),
+], ids=["disk", "annulus", "interval"])
+def test_boundary_cells_match_dict_loop(build):
+    mesh = build()
+    np.testing.assert_array_equal(mesh.boundary_cells, _boundary_cells_reference(mesh))
+
+
+def test_facet_in_three_cells_is_rejected():
+    # edges {0, 1} and {2, 5} each lie in three cells; the message names the
+    # one met first in cell order, {2, 5}
+    verts = [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0],
+             [1.5, 1.0], [1.0, 2.0], [1.0, 0.5], [2.0, 2.0]]
+    cells = [[2, 5, 6], [0, 1, 2], [0, 1, 3], [2, 5, 7], [1, 0, 4], [5, 2, 8]]
+    facets = [[0, 2]]
+    with pytest.raises(MeshFormatError, match="more than two cells") as err:
+        cg.Mesh(2, verts, cells, facets, ["outer"])
+    shared = tuple(np.array([2, 5], dtype=np.int64))
+    assert str(err.value) == f"facet shared by more than two cells: {shared}"
+
+
+def test_dropped_boundary_facet_is_reported():
+    mesh = cg.generate_disk_mesh(1.0, 0.3)
+    with pytest.raises(MeshFormatError, match=r"\(missing 1, extraneous 0\)"):
+        cg.Mesh(2, mesh.vertices, mesh.cells, mesh.boundary_facets[1:],
+                mesh.boundary_tags[1:])

@@ -140,3 +140,39 @@ def test_uniqueness_probe_requires_converged_state(euclid2):
     stalled = continuation_solve(make(2, "1"), euclid2, mesh, unsafe=True)
     with pytest.raises(ValueError, match="converged"):
         uniqueness_probe(make(2, "1"), euclid2, mesh, state=stalled)
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_one_factorization_per_jacobian(monkeypatch, disk_01, euclid2):
+    import capgraph.solver as solver
+    counts = {}
+    _count_calls(monkeypatch, counts, solver, "splu")
+    _count_calls(monkeypatch, counts, solver, "jacobian")
+    state = continuation_solve(make(2, "1 + s", "0.3 - 0.1*tanh(s)"), euclid2, disk_01)
+    assert state.status == "converged"
+    assert counts["jacobian"] == sum(h.newton_iterations for h in state.history) > 0
+    assert counts["splu"] == counts["jacobian"]
+
+
+def test_refinement_reuses_the_factorization(monkeypatch, disk_01, euclid2):
+    # an unreachable backward-error gate forces the refinement step and then
+    # the breakdown report; the matrix is factored once all the same
+    import capgraph.solver as solver
+    counts = {}
+    _count_calls(monkeypatch, counts, solver, "splu")
+    monkeypatch.setattr(solver, "_LINEAR_RTOL", 0.0)
+    prob = make(2, "1 + s", "0.3")
+    u = np.zeros(disk_01.num_vertices)
+    j = solver.jacobian(u, 0.5, prob, euclid2, disk_01)
+    r = solver.residual(u, 0.5, prob, euclid2, disk_01)
+    with pytest.raises(SingularJacobian, match="backward error"):
+        solver._linear_solve(j, -r, None)
+    assert counts["splu"] == 1
