@@ -105,11 +105,12 @@ def _topology(mesh):
 
 
 def _context(mesh, metric):
-    cache = mesh._cache.setdefault("assembly", {})
-    key = id(metric)
-    if key not in cache:
-        cache[key] = _Context(mesh, metric)
-    return cache[key]
+    # only the last metric's context is kept: a caller that builds a fresh
+    # metric per solve on one mesh would otherwise pile up one per metric
+    ctx = mesh._cache.get("assembly")
+    if ctx is None or ctx.metric is not metric:
+        ctx = mesh._cache["assembly"] = _Context(mesh, metric)
+    return ctx
 
 
 def _values(u):

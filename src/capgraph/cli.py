@@ -18,7 +18,8 @@ import numpy as np
 from .config import ConfigError, load_config
 from .expressions import parse_expression, symbolic_s_derivative  # noqa: F401 (public surface)
 from .geometry import vertex_slope_factors
-from .meshing import ScalarField, boundary_distance_field, write_mesh, write_vtk
+from .meshing import (ScalarField, boundary_distance_field, format_rows, write_mesh,
+                      write_vtk)
 from .problem import validate_conditions
 from .solver import SolverError, continuation_solve, default_s_range
 from . import verify as vf
@@ -38,10 +39,8 @@ def write_solution_csv(path, mesh, u, w, d_gamma):
     cols = ["vertex_id", "x1"] + (["x2"] if mesh.dim == 2 else [])
     cols += ["u", "W", "d_gamma_boundary"]
     lines = [",".join(cols)]
-    for i in range(mesh.num_vertices):
-        row = [str(i)] + [repr(float(c)) for c in mesh.vertices[i]]
-        row += [repr(float(u[i])), repr(float(w[i])), repr(float(d_gamma[i]))]
-        lines.append(",".join(row))
+    lines += format_rows(np.arange(mesh.num_vertices),
+                         np.column_stack([mesh.vertices, u, w, d_gamma]), sep=",")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -56,9 +55,10 @@ def read_solution_csv(path):
     return {name: np.array(vals) for name, vals in data.items()}
 
 
-def write_report(path, certificates):
-    """One JSON object per certificate, sorted keys, one per line."""
-    lines = [json.dumps(c.to_dict(), sort_keys=True) for c in certificates]
+def write_report(path, records):
+    """One JSON object per record (certificate or continuation attempt), sorted
+    keys, one per line, in the order given."""
+    lines = [json.dumps(r.to_dict(), sort_keys=True) for r in records]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -128,8 +128,9 @@ def _print_certificates(certs):
               f"passed={c.passed} provisional={c.provisional}")
 
 
-def _write_outputs(cfg, mesh, metric, u, certs, formats):
-    """Write ``u`` (with W and d_gamma) in each of ``formats`` to the output dir."""
+def _write_outputs(cfg, mesh, metric, u, certs, formats, attempts=None):
+    """Write ``u`` (with W and d_gamma) in each of ``formats`` to the output dir;
+    the report format also writes the continuation ``attempts`` when given."""
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
     w = vertex_slope_factors(metric, u)
@@ -138,6 +139,8 @@ def _write_outputs(cfg, mesh, metric, u, certs, formats):
         write_solution_csv(outdir / "solution.csv", mesh, u.values, w, d_gamma)
     if "report" in formats:
         write_report(outdir / "report.jsonl", certs)
+        if attempts is not None:
+            write_report(outdir / "continuation.jsonl", attempts)
     if "mesh" in formats:
         write_mesh(mesh, outdir / "mesh.txt")
     if "vtk" in formats:
@@ -158,11 +161,14 @@ def _cmd_solve(args):
     state = continuation_solve(problem, metric, mesh, cfg.build_solver_cfg(),
                                unsafe=cfg.unsafe)
     certs = _solution_certificates(state.u, problem, metric, mesh, state.tau)
-    _write_outputs(cfg, mesh, metric, state.u, certs, cfg.formats)
+    _write_outputs(cfg, mesh, metric, state.u, certs, cfg.formats, state.attempts)
     print(f"status={state.status} tau={state.tau:.6f} "
           f"steps={len(state.history)} max|u|={np.max(np.abs(state.u.values)):.6e}")
     _print_certificates(certs)
-    return 0 if state.status == "converged" else 1
+    if state.status != "converged":
+        print(state.stall_reason(), file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_verify(args):
@@ -240,7 +246,7 @@ def _cmd_oracle1d(args):
     state = continuation_solve(problem, metric, mesh, cfg.build_solver_cfg(),
                                unsafe=cfg.unsafe)
     if state.status != "converged":
-        print(f"solver stalled at tau={state.tau:.4f}", file=sys.stderr)
+        print(state.stall_reason(), file=sys.stderr)
         return 1
     m_dense = cfg.oracle.get("m_dense", 4096)
     a, b = cfg.domain["a"], cfg.domain["b"]

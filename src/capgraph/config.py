@@ -223,9 +223,8 @@ def load_config(path):
                                              lo=1e-6, hi=1.0)
         if "unsafe" in s:
             cfg.solver["unsafe"] = _boolean("solver", "unsafe", s["unsafe"])
-        dtau = cfg.solver.get("dtau", 0.1)
-        dmax = cfg.solver.get("dtau_max", 0.25)
-        if dtau > dmax:
+        dmax = cfg.solver.get("dtau_max", ContinuationConfig.dtau_max)
+        if cfg.solver.get("dtau", dmax) > dmax:
             raise ConfigError("[solver] dtau must not exceed dtau_max")
 
     if parser.has_section("output"):

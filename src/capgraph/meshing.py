@@ -29,6 +29,7 @@ __all__ = [
     "geodesic_distance_field",
     "boundary_distance_field",
     "read_mesh",
+    "format_rows",
     "write_mesh",
     "write_vtk",
 ]
@@ -478,15 +479,28 @@ class DomainSpec:
 # Plain-text mesh format and legacy VTK export
 
 
+def format_rows(*blocks, sep=" "):
+    """Text rows of the arrays ``blocks`` (1D or 2D, equal lengths) side by side.
+
+    ``tolist`` turns the entries into Python numbers, whose ``repr`` is the
+    shortest round-trip form of a float and the digits of an integer.
+    """
+    columns = []
+    for block in blocks:
+        block = np.asarray(block)
+        columns += (block[:, None] if block.ndim == 1 else block).T.tolist()
+    return [sep.join(map(repr, row)) for row in zip(*columns)]
+
+
 def write_mesh(mesh, path):
     """Write the VERTICES / CELLS / BOUNDARY plain-text format (0-based ids)."""
     lines = [f"DIM {mesh.dim}", f"VERTICES {mesh.num_vertices}"]
-    lines += [" ".join(repr(float(x)) for x in v) for v in mesh.vertices]
+    lines += format_rows(mesh.vertices)
     lines.append(f"CELLS {mesh.num_cells}")
-    lines += [" ".join(str(i) for i in c) for c in mesh.cells]
+    lines += format_rows(mesh.cells)
     lines.append(f"BOUNDARY {len(mesh.boundary_facets)}")
-    lines += [" ".join(str(i) for i in f) + f" {t}"
-              for f, t in zip(mesh.boundary_facets, mesh.boundary_tags)]
+    lines += [f"{row} {t}" for row, t in zip(format_rows(mesh.boundary_facets),
+                                              mesh.boundary_tags)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -526,9 +540,9 @@ def write_vtk(mesh, path, point_data=None):
     nc, npc = mesh.num_cells, mesh.dim + 1
     out = ["# vtk DataFile Version 3.0", "capgraph export", "ASCII",
            "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.num_vertices} double"]
-    out += [" ".join(repr(float(x)) for x in p) for p in pts]
+    out += format_rows(pts)
     out.append(f"CELLS {nc} {nc * (npc + 1)}")
-    out += [f"{npc} " + " ".join(str(i) for i in c) for c in mesh.cells]
+    out += format_rows(np.full(nc, npc), mesh.cells)
     out.append(f"CELL_TYPES {nc}")
     out += [str(3 if mesh.dim == 1 else 5)] * nc
     if point_data:
@@ -536,5 +550,5 @@ def write_vtk(mesh, path, point_data=None):
         for name, values in point_data.items():
             out.append(f"SCALARS {name} double 1")
             out.append("LOOKUP_TABLE default")
-            out += [repr(float(v)) for v in np.asarray(values).ravel()]
+            out += format_rows(np.asarray(values, dtype=float).ravel())
     Path(path).write_text("\n".join(out) + "\n")

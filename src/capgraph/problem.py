@@ -305,7 +305,7 @@ def random_positive_gravity_problem(rng, dim, warp=False):
     sign = -1.0 if warp else 1.0
     phi = f"{phi0!r} + {sign * 0.025!r}*(1 + x1)" if x_dep else f"{phi0!r}"
 
-    if warp and dim == 2:
+    if warp:
         g = float(rng.uniform(15.0, 30.0))
         metric_field = _radial_metric(dim, g)
     else:

@@ -1,16 +1,20 @@
 """Damped Newton corrector and adaptive homotopy continuation in tau.
 
 The family scales the data (psi, phi) by tau in [0, 1]; u = 0 solves the
-tau = 0 problem, and positive gravity makes the linearization definite along
-the path, so plain Newton with residual-norm backtracking is an adequate
-corrector.  The continuation driver halves the step on corrector failure and
-doubles it after three consecutive easy steps.
+tau = 0 problem.  Positive gravity (dpsi/ds >= beta > 0) and monotone angle
+data (dphi/ds <= 0) make the discrete energy strictly convex, so damped
+Newton with residual-norm backtracking converges from any start, and the
+continuation driver first tries the full step to tau = 1.  The homotopy is
+the fallback: a rejected step is halved, and after three consecutive easy
+steps below ``dtau_max`` the step doubles again (up to ``dtau_max``).  Every
+attempt, accepted or rejected, is recorded with its Newton figures and, when
+rejected, its cause.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -24,7 +28,6 @@ __all__ = [
     "SingularJacobian",
     "LineSearchFailed",
     "MaxIterationsExceeded",
-    "ContinuationStalled",
     "NewtonReport",
     "ContinuationConfig",
     "ContinuationStep",
@@ -43,11 +46,13 @@ _LINEAR_RTOL = 1e-12
 
 
 class SolverError(RuntimeError):
-    """Base solver failure; carries the last iterate for diagnosis."""
+    """Base solver failure; carries the last iterate for diagnosis and, when
+    raised by `newton_solve`, the `NewtonReport` of the iterations made."""
 
     def __init__(self, message, iterate=None):
         super().__init__(message)
         self.iterate = iterate
+        self.report = None
 
 
 class SingularJacobian(SolverError):
@@ -62,49 +67,88 @@ class MaxIterationsExceeded(SolverError):
     pass
 
 
-class ContinuationStalled(SolverError):
-    def __init__(self, message, tau, iterate):
-        super().__init__(message, iterate)
-        self.tau = tau
-
-
 @dataclass
 class NewtonReport:
+    """Residual max-norms (the start and each accepted iterate), the damping
+    factor of each step and the normwise backward error of its linear solve."""
+
     iterations: int
     residual_norm: float
     damping_factors: list
     converged: bool
     residual_history: list
+    backward_errors: list = field(default_factory=list)
 
 
 @dataclass
 class ContinuationConfig:
+    """Newton tolerance and the tau-step schedule.
+
+    The first step is ``dtau``; left unset, it is ``dtau_max``, so the
+    default is the full step to tau = 1.
+    """
+
     tol: float = 1e-10
     max_newton: int = 50
-    dtau: float = 0.1
+    dtau: float | None = None
     dtau_min: float = 1e-4
-    dtau_max: float = 0.25
+    dtau_max: float = 1.0
     easy_streak: int = 3          # consecutive successes before doubling dtau
+
+    def __post_init__(self):
+        if self.dtau is None:
+            self.dtau = self.dtau_max
 
 
 @dataclass
 class ContinuationStep:
+    """One corrector attempt from the current point with step ``dtau`` to
+    ``tau``.  ``cause`` is None for an accepted attempt; for a rejected one it
+    names the exception class and message."""
+
     tau: float
     newton_iterations: int
     residual_norm: float
     dtau: float
+    damping_factors: list = field(default_factory=list)
+    residual_history: list = field(default_factory=list)
+    backward_errors: list = field(default_factory=list)
+    cause: str | None = None
+
+    @classmethod
+    def from_report(cls, tau, dtau, rep, cause=None):
+        return cls(tau, rep.iterations, rep.residual_norm, dtau, rep.damping_factors,
+                   rep.residual_history, rep.backward_errors, cause)
+
+    @property
+    def accepted(self):
+        return self.cause is None
+
+    def to_dict(self):
+        return {**asdict(self), "accepted": self.accepted}
 
 
 @dataclass
 class ContinuationState:
+    """``history`` holds the accepted steps, ``attempts`` every attempt in
+    the order made (the accepted ones are the same objects)."""
+
     tau: float
     u: ScalarField
     dtau: float
     history: list = field(default_factory=list)
+    attempts: list = field(default_factory=list)
     status: str = "advancing"
+
+    def stall_reason(self):
+        """One line naming tau, the last step tried and why it was rejected."""
+        last = self.attempts[-1]
+        return (f"continuation stalled at tau={self.tau:.6f}: step dtau={last.dtau:.4g} "
+                f"to tau={last.tau:.6f} rejected ({last.cause})")
 
 
 def _linear_solve(mat, rhs, iterate):
+    """The Newton step and its normwise backward error."""
     # one sparse LU per Newton step, reused by the refinement step.  The
     # Jacobian is symmetric, so the columns follow a minimum-degree ordering
     # of A^T + A and symmetric mode applies it to the rows too; pivoting
@@ -143,7 +187,7 @@ def _linear_solve(mat, rhs, iterate):
         raise SingularJacobian(
             f"linear solve breakdown (backward error {backward:.2e}, "
             f"relative residual {forward:.2e})", iterate=iterate)
-    return delta
+    return delta, backward
 
 
 def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
@@ -151,7 +195,8 @@ def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
 
     Accepted steps strictly decrease the residual max-norm (Armijo with halving,
     at most 30 halvings per step).  Failures raise `SingularJacobian`,
-    `LineSearchFailed` or `MaxIterationsExceeded`, each carrying the iterate.
+    `LineSearchFailed` or `MaxIterationsExceeded`, each carrying the iterate
+    and the report of the iterations made.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -160,33 +205,38 @@ def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
         raise ValueError("initial iterate must be finite")
     r = residual(u, tau, problem, metric, mesh)
     rnorm = float(np.max(np.abs(r)))
-    history, damping = [rnorm], []
-    for it in range(1, max_iter + 1):
-        if rnorm <= tol:
-            return (ScalarField(mesh, u),
-                    NewtonReport(it - 1, rnorm, damping, True, history))
-        j = jacobian(u, tau, problem, metric, mesh)
-        delta = _linear_solve(j, -r, ScalarField(mesh, u))
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS + 1):
-            u_try = u + alpha * delta
-            r_try = residual(u_try, tau, problem, metric, mesh)
-            rnorm_try = float(np.max(np.abs(r_try)))
-            if np.isfinite(rnorm_try) and rnorm_try <= (1.0 - _ARMIJO * alpha) * rnorm:
-                break
-            alpha *= 0.5
-        else:
-            raise LineSearchFailed(
-                f"no residual decrease after {_MAX_HALVINGS} halvings at tau={tau:g}",
-                iterate=ScalarField(mesh, u))
-        u, r, rnorm = u_try, r_try, rnorm_try
-        damping.append(alpha)
-        history.append(rnorm)
-    if rnorm <= tol:
-        return ScalarField(mesh, u), NewtonReport(max_iter, rnorm, damping, True, history)
-    raise MaxIterationsExceeded(
-        f"residual {rnorm:.3e} > tol {tol:g} after {max_iter} iterations",
-        iterate=ScalarField(mesh, u))
+    rep = NewtonReport(0, rnorm, [], False, [rnorm])
+    try:
+        while rnorm > tol:
+            if rep.iterations == max_iter:
+                raise MaxIterationsExceeded(
+                    f"residual {rnorm:.3e} > tol {tol:g} after {max_iter} iterations",
+                    iterate=ScalarField(mesh, u))
+            j = jacobian(u, tau, problem, metric, mesh)
+            delta, backward = _linear_solve(j, -r, ScalarField(mesh, u))
+            rep.backward_errors.append(backward)
+            alpha = 1.0
+            for _ in range(_MAX_HALVINGS + 1):
+                u_try = u + alpha * delta
+                r_try = residual(u_try, tau, problem, metric, mesh)
+                rnorm_try = float(np.max(np.abs(r_try)))
+                if np.isfinite(rnorm_try) and rnorm_try <= (1.0 - _ARMIJO * alpha) * rnorm:
+                    break
+                alpha *= 0.5
+            else:
+                raise LineSearchFailed(
+                    f"no residual decrease after {_MAX_HALVINGS} halvings at tau={tau:g}",
+                    iterate=ScalarField(mesh, u))
+            u, r, rnorm = u_try, r_try, rnorm_try
+            rep.iterations += 1
+            rep.residual_norm = rnorm
+            rep.damping_factors.append(alpha)
+            rep.residual_history.append(rnorm)
+    except SolverError as exc:
+        exc.report = rep
+        raise
+    rep.converged = True
+    return ScalarField(mesh, u), rep
 
 
 def _as_field(u, mesh):
@@ -208,9 +258,12 @@ def default_s_range(problem, metric, mesh):
 def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=None):
     """Advance tau from 0 to 1 starting at the trivial solution.
 
-    Predictor: previous solution, secant extrapolation once two accepted
-    points exist.  Newton failure halves dtau (down to dtau_min -> status
-    "stalled"); three consecutive easy steps double it (up to dtau_max).
+    The first attempt is ``cfg.dtau``: by default the full step to tau = 1,
+    which converges on data meeting the structural conditions.  A rejected
+    attempt halves dtau (below dtau_min the status is "stalled"; see
+    `ContinuationState.stall_reason`); after ``easy_streak`` consecutive
+    accepted steps dtau doubles, up to dtau_max.  Predictor: the previous
+    solution, or secant extrapolation once two accepted points exist.
     Validation of the structural conditions runs first unless ``unsafe``.
     """
     cfg = cfg or ContinuationConfig()
@@ -228,7 +281,9 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
     u, rep = newton_solve(ScalarField.zeros(mesh), 0.0, problem, metric, mesh,
                           tol=cfg.tol, max_iter=cfg.max_newton)
     state = ContinuationState(tau=0.0, u=u, dtau=cfg.dtau)
-    state.history.append(ContinuationStep(0.0, rep.iterations, rep.residual_norm, 0.0))
+    step = ContinuationStep.from_report(0.0, 0.0, rep)
+    state.history.append(step)
+    state.attempts.append(step)
     log.info("continuation tau=%.6f dtau=%.4g newton_iters=%d residual=%.3e",
              0.0, 0.0, rep.iterations, rep.residual_norm)
 
@@ -246,20 +301,22 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
                                        metric, mesh, tol=cfg.tol,
                                        max_iter=cfg.max_newton)
         except SolverError as exc:
+            cause = f"{type(exc).__name__}: {exc}"
+            state.attempts.append(ContinuationStep.from_report(
+                tau_next, state.dtau, exc.report, cause))
             log.info("continuation tau=%.6f rejected (%s); halving dtau=%.4g",
-                     tau_next, type(exc).__name__, state.dtau / 2)
+                     tau_next, cause, state.dtau / 2)
             state.dtau *= 0.5
             streak = 0
             if state.dtau < cfg.dtau_min:
                 state.status = "stalled"
-                log.warning("continuation stalled at tau=%.6f (dtau < %.1e)",
-                            state.tau, cfg.dtau_min)
                 return state
             continue
         prev = (state.tau, state.u.values)
         state.tau, state.u = tau_next, u_next
-        state.history.append(ContinuationStep(tau_next, rep.iterations,
-                                              rep.residual_norm, state.dtau))
+        step = ContinuationStep.from_report(tau_next, state.dtau, rep)
+        state.history.append(step)
+        state.attempts.append(step)
         log.info("continuation tau=%.6f dtau=%.4g newton_iters=%d residual=%.3e",
                  tau_next, state.dtau, rep.iterations, rep.residual_norm)
         streak += 1

@@ -563,7 +563,8 @@ def mms_convergence_study(metric, domain, u_exact, levels=(0, 1, 2), kappa0=1.0,
         problem = mms_manufacture(metric, mesh, u_exact, kappa0=kappa0)
         state = continuation_solve(problem, metric, mesh, cfg, unsafe=unsafe)
         if state.status != "converged":
-            raise OracleFailed(f"manufactured solve stalled at tau={state.tau:.4f}")
+            raise OracleFailed(f"manufactured solve at level {level}: "
+                               f"{state.stall_reason()}")
         err = float(np.max(np.abs(state.u.values - problem.u_exact(mesh.vertices))))
         angle = contact_angle_residual(state.u, 1.0, problem, metric, mesh).observed
         strong = strong_form_residual(state.u, 1.0, problem, metric, mesh).observed
@@ -597,7 +598,7 @@ def run_refinement_suite(problem, metric, domain, levels=(0, 1, 2), cfg=None,
         prob = problem_factory(mesh) if problem_factory is not None else problem
         state = continuation_solve(prob, metric, mesh, cfg)
         if state.status != "converged":
-            raise OracleFailed(f"suite solve stalled at tau={state.tau:.4f}")
+            raise OracleFailed(f"suite solve at level {level}: {state.stall_reason()}")
         u = state.u
         per_level["height"].append(check_height(u, prob, metric, mesh))
         per_level["boundary"].append(boundary_gradient_certificate(u, metric, mesh))

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -281,3 +283,18 @@ def test_assembly_matches_quadrature_point_coo_reference(case, tau):
     np.testing.assert_array_equal(j.indices, j_ref.indices)
     assert j.indices.dtype == j_ref.indices.dtype == np.int32
     assert np.max(np.abs(j.data - j_ref.data)) <= 1e-13 * np.max(np.abs(j_ref.data))
+
+
+def test_one_assembly_context_per_mesh():
+    # a fresh metric per solve replaces the cached context instead of adding one
+    from capgraph import assembly
+    from capgraph.solver import continuation_solve
+    mesh = cg.generate_disk_mesh(1.0, 0.3)
+    for _ in range(4):
+        metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
+        assert continuation_solve(make(2, "1 + s", "0.3"), metric, mesh).status == "converged"
+    gc.collect()
+    contexts = [o for o in gc.get_objects()
+                if isinstance(o, assembly._Context) and o.mesh is mesh]
+    assert len(contexts) == 1
+    assert contexts[0].metric is metric

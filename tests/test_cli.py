@@ -1,3 +1,4 @@
+import json
 import logging
 from pathlib import Path
 
@@ -87,7 +88,7 @@ def test_determinism_across_runs(tmp_path):
                         str(tmp_path / "o1")]) == 0
     assert run_command(["solve", "--config", cfg, "--output-dir",
                         str(tmp_path / "o2")]) == 0
-    for name in ("solution.csv", "report.jsonl"):
+    for name in ("solution.csv", "report.jsonl", "continuation.jsonl"):
         a = (tmp_path / "o1" / name).read_bytes()
         b = (tmp_path / "o2" / name).read_bytes()
         assert a == b
@@ -106,6 +107,7 @@ def test_verify_runs_on_stored_solution(tmp_path, capsys):
 
 @pytest.mark.parametrize("mutation,message", [
     ("dtau = 2", "dtau"),
+    ("dtau = 0.5\ndtau_max = 0.25", "dtau must not exceed dtau_max"),
     ("granularity = 1", "unknown key"),
     ("formats = csv,xls", "formats"),
     ("[run]\nseed = 3", "unknown section"),
@@ -244,3 +246,136 @@ def test_export_mesh_format(tmp_path):
     assert run_command(["solve", "--config", cfg]) == 0
     assert run_command(["export", "--config", cfg, "--format", "mesh"]) == 0
     assert (tmp_path / "out" / "mesh.txt").read_text().startswith("DIM 2")
+
+
+def _attempts(outdir):
+    return [json.loads(line)
+            for line in (outdir / "continuation.jsonl").read_text().splitlines()]
+
+
+def test_continuation_file_records_each_attempt(tmp_path):
+    cfg = write_cfg(tmp_path, "run.cfg",
+                    DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out"))
+    assert run_command(["solve", "--config", cfg]) == 0
+    lines = (tmp_path / "out" / "continuation.jsonl").read_text().splitlines()
+    assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines)
+    first, full = (json.loads(line) for line in lines)
+    assert set(full) == {"tau", "dtau", "accepted", "cause", "newton_iterations",
+                         "residual_norm", "damping_factors", "residual_history",
+                         "backward_errors"}
+    assert (first["tau"], first["newton_iterations"]) == (0.0, 0)
+    assert (full["tau"], full["dtau"], full["accepted"], full["cause"]) == (1.0, 1.0, True, None)
+    n = full["newton_iterations"]
+    assert len(full["damping_factors"]) == len(full["backward_errors"]) == n > 0
+    assert len(full["residual_history"]) == n + 1
+    assert full["residual_history"][-1] == full["residual_norm"] <= 1e-10
+
+
+def test_dtau_max_alone_sets_the_step(tmp_path, capsys):
+    text = DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out").replace(
+        "tol = 1e-10", "tol = 1e-10\ndtau_max = 0.25")
+    assert run_command(["solve", "--config", write_cfg(tmp_path, "run.cfg", text)]) == 0
+    assert [a["tau"] for a in _attempts(tmp_path / "out")] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert "steps=5 " in capsys.readouterr().out
+
+
+def test_solve_stall_names_its_cause(tmp_path, capsys):
+    text = DISK_CFG.format(psi="1", phi="0", out=tmp_path / "out").replace(
+        "tol = 1e-10", "tol = 1e-10\nunsafe = true")
+    assert run_command(["solve", "--config", write_cfg(tmp_path, "run.cfg", text)]) == 1
+    captured = capsys.readouterr()
+    assert "status=stalled tau=0.000000 steps=1 " in captured.out
+    stall = [line for line in captured.err.splitlines() if "stalled" in line]
+    assert stall == [line for line in stall
+                     if line.startswith("continuation stalled at tau=0.000000: step "
+                                        "dtau=0.0001221 to tau=0.000122 rejected "
+                                        "(SingularJacobian: ")]
+    assert len(stall) == 1
+    attempts = _attempts(tmp_path / "out")
+    assert attempts[1]["tau"] == 1.0 and not attempts[1]["accepted"]
+    assert all(a["cause"].startswith("SingularJacobian: ") for a in attempts[1:])
+
+
+def test_oracle1d_stall_names_its_cause(tmp_path, capsys):
+    text = INTERVAL_CFG.format(out=tmp_path / "out").replace(
+        "psi = 1 + s", "psi = 1") + "\n[solver]\nunsafe = true\n"
+    assert run_command(["oracle1d", "--config", write_cfg(tmp_path, "run.cfg", text)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("continuation stalled at tau=0.000000: step dtau=")
+    assert "(SingularJacobian: " in err[0]
+
+
+def test_mms_stall_names_its_cause(tmp_path, capsys):
+    # one Newton iteration never meets a tolerance of 1e-16
+    text = DISK_CFG.format(psi="s", phi="0", out=tmp_path / "out").replace(
+        "tol = 1e-10", "tol = 1e-16\nmax_newton = 1") + (
+        "\n[mms]\nu_exact = sqrt(4 - r^2)\nlevels = 0,1\n")
+    assert run_command(["mms", "--config", write_cfg(tmp_path, "run.cfg", text)]) == 1
+    err = capsys.readouterr().err
+    assert ("solver failure: manufactured solve at level 0: continuation stalled at "
+            "tau=0.000000: step dtau=") in err
+    assert "(MaxIterationsExceeded: residual " in err
+
+
+def _old_solution_csv(mesh, u, w, d_gamma):
+    cols = ["vertex_id", "x1"] + (["x2"] if mesh.dim == 2 else [])
+    cols += ["u", "W", "d_gamma_boundary"]
+    lines = [",".join(cols)]
+    for i in range(mesh.num_vertices):
+        row = [str(i)] + [repr(float(c)) for c in mesh.vertices[i]]
+        row += [repr(float(u[i])), repr(float(w[i])), repr(float(d_gamma[i]))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _old_mesh(mesh):
+    lines = [f"DIM {mesh.dim}", f"VERTICES {mesh.num_vertices}"]
+    lines += [" ".join(repr(float(x)) for x in v) for v in mesh.vertices]
+    lines.append(f"CELLS {mesh.num_cells}")
+    lines += [" ".join(str(i) for i in c) for c in mesh.cells]
+    lines.append(f"BOUNDARY {len(mesh.boundary_facets)}")
+    lines += [" ".join(str(i) for i in f) + f" {t}"
+              for f, t in zip(mesh.boundary_facets, mesh.boundary_tags)]
+    return "\n".join(lines) + "\n"
+
+
+def _old_vtk(mesh, point_data):
+    pts = np.zeros((mesh.num_vertices, 3))
+    pts[:, :mesh.dim] = mesh.vertices
+    nc, npc = mesh.num_cells, mesh.dim + 1
+    out = ["# vtk DataFile Version 3.0", "capgraph export", "ASCII",
+           "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.num_vertices} double"]
+    out += [" ".join(repr(float(x)) for x in p) for p in pts]
+    out.append(f"CELLS {nc} {nc * (npc + 1)}")
+    out += [f"{npc} " + " ".join(str(i) for i in c) for c in mesh.cells]
+    out.append(f"CELL_TYPES {nc}")
+    out += [str(3 if mesh.dim == 1 else 5)] * nc
+    out.append(f"POINT_DATA {mesh.num_vertices}")
+    for name, values in point_data.items():
+        out.append(f"SCALARS {name} double 1")
+        out.append("LOOKUP_TABLE default")
+        out += [repr(float(v)) for v in np.asarray(values).ravel()]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_writers_match_the_per_value_loops(tmp_path, dim):
+    import capgraph as cg
+    from capgraph.cli import write_solution_csv
+    from capgraph.meshing import write_mesh, write_vtk
+
+    mesh = (cg.generate_interval_mesh(-0.3, 1.7, 40) if dim == 1
+            else cg.generate_disk_mesh(1.0, 0.2, inner_radius=0.4))
+    rng = np.random.default_rng(dim)
+    u = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.integers(-20, 20, mesh.num_vertices)
+    u[:3] = [0.0, -0.0, 1e-300]
+    w = 1.0 + rng.uniform(size=mesh.num_vertices)
+    d_gamma = rng.uniform(size=mesh.num_vertices)
+    write_solution_csv(tmp_path / "s.csv", mesh, u, w, d_gamma)
+    assert (tmp_path / "s.csv").read_text() == _old_solution_csv(mesh, u, w, d_gamma)
+    write_mesh(mesh, tmp_path / "m.txt")
+    assert (tmp_path / "m.txt").read_text() == _old_mesh(mesh)
+    point_data = {"u": u, "W": w, "d_gamma_boundary": d_gamma}
+    write_vtk(mesh, tmp_path / "s.vtk", point_data=point_data)
+    assert (tmp_path / "s.vtk").read_text() == _old_vtk(mesh, point_data)

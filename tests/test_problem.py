@@ -99,7 +99,7 @@ def test_declared_constants_reconciled_safely(disk_01, euclid2):
     assert ratio == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("dim,warp", [(1, False), (2, False), (2, True)])
+@pytest.mark.parametrize("dim,warp", [(1, False), (1, True), (2, False), (2, True)])
 def test_random_family_is_admissible(dim, warp):
     rng = np.random.default_rng(5)
     prob, metric = random_positive_gravity_problem(rng, dim, warp=warp)
@@ -108,6 +108,9 @@ def test_random_family_is_admissible(dim, warp):
     report = validate_conditions(prob, mesh, metric, (-3, 3))
     assert report.passed
     assert report.mu >= 0
+    # negative angle data come with warp slack, in 1D as in 2D
+    ratio = effective_constants(prob, metric, mesh)[2]
+    assert ratio >= 4.0 if warp else ratio == 1.0
 
 
 def test_problem_from_callables_defaults():

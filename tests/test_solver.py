@@ -1,7 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capgraph as cg
+from capgraph.problem import random_positive_gravity_problem
 from capgraph.solver import (
     ContinuationConfig,
     SingularJacobian,
@@ -10,6 +15,7 @@ from capgraph.solver import (
     newton_solve,
     uniqueness_probe,
 )
+from capgraph.verify import check_height
 
 
 def make(dim, psi, phi="0", **kw):
@@ -47,6 +53,28 @@ def test_newton_singular_jacobian_carries_iterate(euclid2):
         newton_solve(cg.ScalarField.zeros(mesh), 1.0, make(2, "1"), euclid2, mesh)
     assert err.value.iterate is not None
     assert isinstance(err.value, SingularJacobian)
+    rep = err.value.report
+    assert (rep.iterations, rep.converged, rep.backward_errors) == (0, False, [])
+    assert len(rep.residual_history) == 1
+
+
+def test_newton_report_has_one_entry_per_step(disk_01, euclid2):
+    _, rep = newton_solve(cg.ScalarField.zeros(disk_01), 1.0, make(2, "1 + s", "0.3"),
+                          euclid2, disk_01)
+    assert rep.converged and rep.iterations > 0
+    assert len(rep.damping_factors) == len(rep.backward_errors) == rep.iterations
+    assert len(rep.residual_history) == rep.iterations + 1
+    assert rep.residual_history[-1] == rep.residual_norm
+    assert all(0.0 <= e <= 1e-12 for e in rep.backward_errors)
+
+
+def test_max_iterations_carries_the_report(disk_01, euclid2):
+    with pytest.raises(SolverError, match="after 1 iterations") as err:
+        newton_solve(cg.ScalarField.zeros(disk_01), 1.0, make(2, "1 + s", "0.3"),
+                     euclid2, disk_01, tol=1e-16, max_iter=1)
+    rep = err.value.report
+    assert rep.iterations == len(rep.damping_factors) == len(rep.backward_errors) == 1
+    assert not rep.converged
 
 
 def test_continuation_trivial_path(disk_01, euclid2):
@@ -81,6 +109,22 @@ def test_continuation_stalls_on_incompatible_data(euclid2):
     assert state.status == "stalled"
     assert state.tau < 1.0
     assert state.dtau < 1e-4
+    # the rejected full step is recorded with its cause (a singular
+    # Jacobian), and so is every halved step after it
+    assert [h.tau for h in state.history] == [0.0]
+    first = state.attempts[1]
+    assert (first.tau, first.dtau, first.accepted) == (1.0, 1.0, False)
+    assert first.cause.startswith("SingularJacobian: linear solve")
+    assert first.newton_iterations == 0
+    rejected = state.attempts[1:]
+    assert [a.dtau for a in rejected] == [0.5**k for k in range(len(rejected))]
+    assert not any(a.accepted for a in rejected)
+    assert rejected[-1].dtau / 2 < ContinuationConfig().dtau_min <= rejected[-1].dtau
+    reason = state.stall_reason()
+    assert "\n" not in reason
+    assert reason.startswith("continuation stalled at tau=0.000000: step dtau=0.0001221")
+    assert "(SingularJacobian: " in reason
+    assert first.to_dict()["cause"] == first.cause
 
 
 def test_continuation_determinism(euclid1, interval_64):
@@ -90,6 +134,57 @@ def test_continuation_determinism(euclid1, interval_64):
     assert [(h.tau, h.newton_iterations, h.residual_norm) for h in s1.history] == \
            [(h.tau, h.newton_iterations, h.residual_norm) for h in s2.history]
     np.testing.assert_array_equal(s1.u.values, s2.u.values)
+
+
+def test_default_schedule_is_the_full_step():
+    cfg = ContinuationConfig()
+    assert cfg.dtau == cfg.dtau_max == 1.0
+    # an unset dtau starts at dtau_max
+    assert ContinuationConfig(dtau_max=0.25).dtau == 0.25
+    assert ContinuationConfig(dtau=0.1).dtau_max == 1.0
+
+
+def test_full_step_and_ladder_schedules(disk_01, euclid2):
+    prob = make(2, "1 + s", "0.3")
+    full = continuation_solve(prob, euclid2, disk_01)
+    assert [h.tau for h in full.history] == [0.0, 1.0]
+    assert full.attempts == full.history
+    # an explicit schedule keeps the halving/doubling homotopy: three easy
+    # steps of 0.1, then doubling capped at dtau_max
+    ladder = continuation_solve(prob, euclid2, disk_01,
+                                ContinuationConfig(dtau=0.1, dtau_max=0.25))
+    assert [h.tau for h in ladder.history] == pytest.approx(
+        [0.0, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0], abs=1e-14)
+    assert [h.dtau for h in ladder.history] == pytest.approx(
+        [0.0, 0.1, 0.1, 0.1, 0.2, 0.25, 0.25])
+    np.testing.assert_allclose(full.u.values, ladder.u.values, rtol=0, atol=1e-9)
+
+
+@functools.cache
+def _sweep_mesh(dim, level):
+    return (cg.generate_interval_mesh(0.0, 1.0, 24 * 2**level) if dim == 1
+            else cg.generate_disk_mesh(1.0, 0.3 / 2**level))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
+       warp=st.booleans(), level=st.sampled_from([0, 1]))
+def test_full_step_converges_on_random_admissible_data(seed, dim, warp, level):
+    # strict convexity of the discrete energy: the full step needs no more
+    # Newton iterations than the explicit 0.1/0.25 ladder
+    prob, metric = random_positive_gravity_problem(np.random.default_rng(seed), dim,
+                                                   warp=warp)
+    mesh = _sweep_mesh(dim, level)
+    full = continuation_solve(prob, metric, mesh)
+    assert full.status == "converged"
+    cert = check_height(full.u, prob, metric, mesh)
+    assert cert.applicable and cert.passed
+    # the data were validated by the first solve
+    ladder = continuation_solve(prob, metric, mesh,
+                                ContinuationConfig(dtau=0.1, dtau_max=0.25), unsafe=True)
+    assert ladder.status == "converged"
+    assert (sum(a.newton_iterations for a in full.attempts)
+            <= sum(a.newton_iterations for a in ladder.attempts))
 
 
 def test_continuation_config_validation(disk_01, euclid2):
