@@ -130,15 +130,18 @@ class ContinuationStep:
 
 @dataclass
 class ContinuationState:
-    """``history`` holds the accepted steps, ``attempts`` every attempt in
-    the order made (the accepted ones are the same objects)."""
+    """``attempts`` holds every attempt in the order made, ``history`` the
+    accepted ones."""
 
     tau: float
     u: ScalarField
     dtau: float
-    history: list = field(default_factory=list)
     attempts: list = field(default_factory=list)
     status: str = "advancing"
+
+    @property
+    def history(self):
+        return [a for a in self.attempts if a.accepted]
 
     def stall_reason(self):
         """One line naming tau, the last step tried and why it was rejected."""
@@ -281,9 +284,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
     u, rep = newton_solve(ScalarField.zeros(mesh), 0.0, problem, metric, mesh,
                           tol=cfg.tol, max_iter=cfg.max_newton)
     state = ContinuationState(tau=0.0, u=u, dtau=cfg.dtau)
-    step = ContinuationStep.from_report(0.0, 0.0, rep)
-    state.history.append(step)
-    state.attempts.append(step)
+    state.attempts.append(ContinuationStep.from_report(0.0, 0.0, rep))
     log.info("continuation tau=%.6f dtau=%.4g newton_iters=%d residual=%.3e",
              0.0, 0.0, rep.iterations, rep.residual_norm)
 
@@ -314,9 +315,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
             continue
         prev = (state.tau, state.u.values)
         state.tau, state.u = tau_next, u_next
-        step = ContinuationStep.from_report(tau_next, state.dtau, rep)
-        state.history.append(step)
-        state.attempts.append(step)
+        state.attempts.append(ContinuationStep.from_report(tau_next, state.dtau, rep))
         log.info("continuation tau=%.6f dtau=%.4g newton_iters=%d residual=%.3e",
                  tau_next, state.dtau, rep.iterations, rep.residual_norm)
         streak += 1
