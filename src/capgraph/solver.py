@@ -4,7 +4,7 @@ The family scales the data (psi, phi) by tau in [0, 1]; u = 0 solves the
 tau = 0 problem.  Positive gravity (dpsi/ds >= beta > 0) and monotone angle
 data (dphi/ds <= 0) make the discrete energy strictly convex, so damped
 Newton with residual-norm backtracking converges from any start, and the
-continuation driver first tries the full step to tau = 1.  The homotopy is
+continuation first tries the full step to tau = 1.  The homotopy is
 the fallback: a rejected step is halved, and after three consecutive easy
 steps below ``dtau_max`` the step doubles again (up to ``dtau_max``).  Every
 attempt, accepted or rejected, is recorded with its Newton figures and, when
