@@ -43,6 +43,7 @@ log = logging.getLogger("capgraph.solver")
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
 _LINEAR_RTOL = 1e-12
+_EASY_STREAK = 3          # consecutive accepted steps before dtau doubles
 
 
 class SolverError(RuntimeError):
@@ -93,7 +94,6 @@ class ContinuationConfig:
     dtau: float | None = None
     dtau_min: float = 1e-4
     dtau_max: float = 1.0
-    easy_streak: int = 3          # consecutive successes before doubling dtau
 
     def __post_init__(self):
         if self.dtau is None:
@@ -103,29 +103,27 @@ class ContinuationConfig:
 @dataclass
 class ContinuationStep:
     """One corrector attempt from the current point with step ``dtau`` to
-    ``tau``.  ``cause`` is None for an accepted attempt; for a rejected one it
-    names the exception class and message."""
+    ``tau``, with the `NewtonReport` of its iterations.  ``cause`` is None for
+    an accepted attempt; for a rejected one it names the exception class and
+    message."""
 
     tau: float
-    newton_iterations: int
-    residual_norm: float
     dtau: float
-    damping_factors: list = field(default_factory=list)
-    residual_history: list = field(default_factory=list)
-    backward_errors: list = field(default_factory=list)
+    report: NewtonReport
     cause: str | None = None
-
-    @classmethod
-    def from_report(cls, tau, dtau, rep, cause=None):
-        return cls(tau, rep.iterations, rep.residual_norm, dtau, rep.damping_factors,
-                   rep.residual_history, rep.backward_errors, cause)
 
     @property
     def accepted(self):
         return self.cause is None
 
     def to_dict(self):
-        return {**asdict(self), "accepted": self.accepted}
+        """Flat record: the attempt's fields and the report's figures, with
+        ``iterations`` under ``newton_iterations``."""
+        figures = asdict(self.report)
+        del figures["converged"]            # the same as accepted
+        figures["newton_iterations"] = figures.pop("iterations")
+        return {"tau": self.tau, "dtau": self.dtau, "cause": self.cause,
+                "accepted": self.accepted, **figures}
 
 
 @dataclass
@@ -198,8 +196,9 @@ def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
 
     Accepted steps strictly decrease the residual max-norm (Armijo with halving,
     at most 30 halvings per step).  Failures raise `SingularJacobian`,
-    `LineSearchFailed` or `MaxIterationsExceeded`, each carrying the iterate
-    and the report of the iterations made.
+    `LineSearchFailed`, `MaxIterationsExceeded` or, for a start iterate whose
+    residual is not finite, `SolverError`; each carries the iterate and the
+    report of the iterations made.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -210,6 +209,11 @@ def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
     rnorm = float(np.max(np.abs(r)))
     rep = NewtonReport(0, rnorm, [], False, [rnorm])
     try:
+        # a NaN norm fails every comparison, so the loop test alone would
+        # accept it as converged
+        if not np.isfinite(rnorm):
+            raise SolverError(f"residual is not finite at the start iterate (tau={tau:g})",
+                              iterate=ScalarField(mesh, u))
         while rnorm > tol:
             if rep.iterations == max_iter:
                 raise MaxIterationsExceeded(
@@ -264,8 +268,8 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
     The first attempt is ``cfg.dtau``: by default the full step to tau = 1,
     which converges on data meeting the structural conditions.  A rejected
     attempt halves dtau (below dtau_min the status is "stalled"; see
-    `ContinuationState.stall_reason`); after ``easy_streak`` consecutive
-    accepted steps dtau doubles, up to dtau_max.  Predictor: the previous
+    `ContinuationState.stall_reason`); after three consecutive accepted
+    steps dtau doubles, up to dtau_max.  Predictor: the previous
     solution, or secant extrapolation once two accepted points exist.
     Validation of the structural conditions runs first unless ``unsafe``.
     """
@@ -284,7 +288,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
     u, rep = newton_solve(ScalarField.zeros(mesh), 0.0, problem, metric, mesh,
                           tol=cfg.tol, max_iter=cfg.max_newton)
     state = ContinuationState(tau=0.0, u=u, dtau=cfg.dtau)
-    state.attempts.append(ContinuationStep.from_report(0.0, 0.0, rep))
+    state.attempts.append(ContinuationStep(0.0, 0.0, rep))
     log.info("continuation tau=%.6f dtau=%.4g newton_iters=%d residual=%.3e",
              0.0, 0.0, rep.iterations, rep.residual_norm)
 
@@ -303,7 +307,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
                                        max_iter=cfg.max_newton)
         except SolverError as exc:
             cause = f"{type(exc).__name__}: {exc}"
-            state.attempts.append(ContinuationStep.from_report(
+            state.attempts.append(ContinuationStep(
                 tau_next, state.dtau, exc.report, cause))
             log.info("continuation tau=%.6f rejected (%s); halving dtau=%.4g",
                      tau_next, cause, state.dtau / 2)
@@ -315,11 +319,11 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
             continue
         prev = (state.tau, state.u.values)
         state.tau, state.u = tau_next, u_next
-        state.attempts.append(ContinuationStep.from_report(tau_next, state.dtau, rep))
+        state.attempts.append(ContinuationStep(tau_next, state.dtau, rep))
         log.info("continuation tau=%.6f dtau=%.4g newton_iters=%d residual=%.3e",
                  tau_next, state.dtau, rep.iterations, rep.residual_norm)
         streak += 1
-        if streak >= cfg.easy_streak:
+        if streak >= _EASY_STREAK:
             state.dtau = min(2.0 * state.dtau, cfg.dtau_max)
     state.status = "converged"
     return state

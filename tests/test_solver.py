@@ -77,6 +77,21 @@ def test_max_iterations_carries_the_report(disk_01, euclid2):
     assert not rep.converged
 
 
+def test_newton_rejects_a_non_finite_start_residual(disk_01, euclid2):
+    # exp(s) - exp(2s) overflows to inf - inf = nan at the start iterate
+    problem = cg.CapillaryProblem.from_callables(
+        2, lambda x, s: np.exp(s) - np.exp(2 * s),
+        lambda x, s: np.exp(s) - 2 * np.exp(2 * s))
+    start = cg.ScalarField(disk_01, np.full(disk_01.num_vertices, 1e3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="not finite") as err:
+            newton_solve(start, 1.0, problem, euclid2, disk_01)
+    rep = err.value.report
+    assert err.value.iterate is not None
+    assert (rep.iterations, rep.converged) == (0, False)
+    assert np.isnan(rep.residual_norm)
+
+
 def test_continuation_trivial_path(disk_01, euclid2):
     state = continuation_solve(make(2, "s"), euclid2, disk_01)
     assert state.status == "converged"
@@ -84,7 +99,7 @@ def test_continuation_trivial_path(disk_01, euclid2):
     assert np.max(np.abs(state.u.values)) < 1e-12
     taus = [step.tau for step in state.history]
     assert all(b > a for a, b in zip(taus, taus[1:]))
-    assert all(step.residual_norm <= 1e-10 for step in state.history)
+    assert all(step.report.residual_norm <= 1e-10 for step in state.history)
 
 
 def test_continuation_respects_height_bound(disk_01, euclid2):
@@ -115,7 +130,7 @@ def test_continuation_stalls_on_incompatible_data(euclid2):
     first = state.attempts[1]
     assert (first.tau, first.dtau, first.accepted) == (1.0, 1.0, False)
     assert first.cause.startswith("SingularJacobian: linear solve")
-    assert first.newton_iterations == 0
+    assert first.report.iterations == 0
     rejected = state.attempts[1:]
     assert [a.dtau for a in rejected] == [0.5**k for k in range(len(rejected))]
     assert not any(a.accepted for a in rejected)
@@ -131,8 +146,8 @@ def test_continuation_determinism(euclid1, interval_64):
     prob = make(1, "1 + s", "0.25")
     s1 = continuation_solve(prob, euclid1, interval_64)
     s2 = continuation_solve(prob, euclid1, interval_64)
-    assert [(h.tau, h.newton_iterations, h.residual_norm) for h in s1.history] == \
-           [(h.tau, h.newton_iterations, h.residual_norm) for h in s2.history]
+    assert [(h.tau, h.report.iterations, h.report.residual_norm) for h in s1.history] == \
+           [(h.tau, h.report.iterations, h.report.residual_norm) for h in s2.history]
     np.testing.assert_array_equal(s1.u.values, s2.u.values)
 
 
@@ -183,8 +198,8 @@ def test_full_step_converges_on_random_admissible_data(seed, dim, warp, level):
     ladder = continuation_solve(prob, metric, mesh,
                                 ContinuationConfig(dtau=0.1, dtau_max=0.25), unsafe=True)
     assert ladder.status == "converged"
-    assert (sum(a.newton_iterations for a in full.attempts)
-            <= sum(a.newton_iterations for a in ladder.attempts))
+    assert (sum(a.report.iterations for a in full.attempts)
+            <= sum(a.report.iterations for a in ladder.attempts))
 
 
 def test_continuation_config_validation(disk_01, euclid2):
@@ -253,7 +268,7 @@ def test_one_factorization_per_jacobian(monkeypatch, disk_01, euclid2):
     _count_calls(monkeypatch, counts, solver, "jacobian")
     state = continuation_solve(make(2, "1 + s", "0.3 - 0.1*tanh(s)"), euclid2, disk_01)
     assert state.status == "converged"
-    assert counts["jacobian"] == sum(h.newton_iterations for h in state.history) > 0
+    assert counts["jacobian"] == sum(h.report.iterations for h in state.history) > 0
     assert counts["splu"] == counts["jacobian"]
 
 
