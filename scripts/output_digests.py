@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of everything the shipped configs make the CLI write.
+
+Runs `capgraph solve` on every `scripts/configs/*.cfg` with a `[problem]`
+section, `capgraph mms` on `cap_mms.cfg` and `capgraph oracle1d` on
+`interval_oracle.cfg`, each into its own directory under a temporary
+directory.  Prints one `sha256  <command>/<config>/<file>` line per output
+file, and the same for the run's stdout, stderr (log records included) and
+exit code.  Diff the output of two checkouts to check that a change keeps
+the outputs byte-identical:
+
+    PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import logging
+import tempfile
+from pathlib import Path
+
+from capgraph.cli import run_command
+
+CONFIGS = Path(__file__).resolve().parent / "configs"
+
+
+def runs():
+    """(command, config path) pairs, in a fixed order."""
+    out = []
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        if "[problem]" in (line.strip() for line in path.read_text().splitlines()):
+            out.append(("solve", path))
+    out.append(("mms", CONFIGS / "cap_mms.cfg"))
+    out.append(("oracle1d", CONFIGS / "interval_oracle.cfg"))
+    return out
+
+
+def capture(argv):
+    """Run one CLI invocation; returns (exit code, stdout, stderr) with log
+    records formatted as `capgraph.cli.main` formats them."""
+    out, err = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(err)
+    handler.setFormatter(logging.Formatter("%(name)s %(message)s"))
+    root = logging.getLogger()
+    root.addHandler(handler)
+    level = root.level
+    root.setLevel(logging.INFO)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None):
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter
+                            ).parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, cfg in runs():
+            name = f"{command}/{cfg.stem}"
+            outdir = Path(tmp) / name
+            code, out, err = capture([command, "--config", str(cfg),
+                                      "--output-dir", str(outdir)])
+            for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+                print(f"{digest(path.read_bytes())}  {name}/{path.relative_to(outdir)}")
+            print(f"{digest(out.encode())}  {name}/stdout")
+            print(f"{digest(err.encode())}  {name}/stderr")
+            print(f"exit {code}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -160,7 +160,9 @@ def _cmd_solve(args):
     metric.validate(mesh.vertices)
     state = continuation_solve(problem, metric, mesh, cfg.build_solver_cfg(),
                                unsafe=cfg.unsafe)
-    certs = _solution_certificates(state.u, problem, metric, mesh, state.tau)
+    # a stalled run's iterate does not solve the requested problem: no certificates
+    certs = (_solution_certificates(state.u, problem, metric, mesh, state.tau)
+             if state.status == "converged" else [])
     _write_outputs(cfg, mesh, metric, state.u, certs, cfg.formats, state.attempts)
     print(f"status={state.status} tau={state.tau:.6f} "
           f"steps={len(state.history)} max|u|={np.max(np.abs(state.u.values)):.6e}")

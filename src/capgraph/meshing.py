@@ -265,9 +265,16 @@ class Mesh:
         return self.vertices[self.boundary_facets].mean(axis=1)
 
     def sigma_edge_graph(self, metric=None):
-        """Sparse symmetric graph of sigma edge lengths (cached per metric)."""
-        key = ("graph", id(metric))
-        if key not in self._cache:
+        """Sparse symmetric graph of sigma edge lengths (chart lengths without
+        a metric).
+
+        The chart graph and the last metric's graph are cached: the strong
+        form uses the one and the writers the other on one mesh, and a caller
+        that builds a fresh metric per solve would otherwise pile up graphs.
+        """
+        key = "chart_graph" if metric is None else "sigma_graph"
+        cached = self._cache.get(key)
+        if cached is None or cached[1] is not metric:
             p, q = self.edges[:, 0], self.edges[:, 1]
             t = self.vertices[q] - self.vertices[p]
             if metric is None:
@@ -279,8 +286,8 @@ class Mesh:
             g = coo_matrix((np.concatenate([w, w]),
                             (np.concatenate([p, q]), np.concatenate([q, p]))),
                            shape=(n, n)).tocsr()
-            self._cache[key] = (g, metric)               # pin metric so id stays valid
-        return self._cache[key][0]
+            cached = self._cache[key] = (g, metric)
+        return cached[0]
 
 
 @dataclass

@@ -6,6 +6,12 @@ psi| <= C_psi, non-increasing angle data d phi / d s <= 0, uniform
 non-degeneracy 1 - phi^2 >= beta_prime > 0 and |phi| <= C_phi.  Declared
 constants are cross-checked against sampled ones and the safer value wins
 (smaller beta, larger mu).
+
+Heights are sampled at 21 evenly spaced values, or only at the two ends of
+the interval when psi and phi are both affine in s (``affine_in_s``).  The
+endpoints are exact then: d psi / d s and d phi / d s do not depend on s,
+|psi| + |grad psi| and |phi| are convex in s and 1 - phi^2 is concave, so
+every extreme over the interval sits at an end.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import parse_expression, symbolic_s_derivative
+from .expressions import DerivativeError, parse_expression, symbolic_s_derivative
 
 __all__ = [
     "CapillaryProblem",
@@ -33,6 +39,10 @@ def _expr_callable(expr, dim):
     return fn
 
 
+# heights sampled per s-interval for data that are not affine in s
+_NUM_S = 21
+
+
 def _zero(x, s):
     x = np.asarray(x, dtype=float)
     return np.zeros(len(x.reshape(-1, x.shape[-1] if x.ndim > 1 else 1)))
@@ -45,6 +55,8 @@ class CapillaryProblem:
     psi / dpsi_ds / phi / dphi_ds are vectorized callables of (points, s).
     Declared constants are optional; `validate_conditions` reconciles them
     with sampled values.  ``u_exact`` is set by manufactured problems.
+    ``affine_in_s`` declares psi and phi affine in s, so that validation
+    samples the ends of the s-interval only.
     """
 
     dim: int
@@ -60,23 +72,34 @@ class CapillaryProblem:
     psi_source: str | None = None
     phi_source: str | None = None
     u_exact: object = None
+    affine_in_s: bool = False
 
     @classmethod
     def from_expressions(cls, dim, psi, phi="0", dpsi_ds=None, dphi_ds=None,
                          **constants):
-        """Build from expression strings; s-derivatives are symbolic unless given."""
+        """Build from expression strings; s-derivatives are symbolic unless given.
+
+        The data count as affine in s when no s-derivative they use (the
+        symbolic ones of psi and phi and any declared ones) contains s.
+        """
         psi_expr = parse_expression(psi)
         phi_expr = parse_expression(phi)
         dpsi_expr = (parse_expression(dpsi_ds) if dpsi_ds is not None
                      else symbolic_s_derivative(psi_expr))
         dphi_expr = (parse_expression(dphi_ds) if dphi_ds is not None
                      else symbolic_s_derivative(phi_expr))
+        try:
+            slopes = [symbolic_s_derivative(psi_expr), symbolic_s_derivative(phi_expr),
+                      dpsi_expr, dphi_expr]
+            affine = not any(d.depends_on("s") for d in slopes)
+        except DerivativeError:      # abs/min/max of s, let through by a declared derivative
+            affine = False
         return cls(dim=dim,
                    psi=_expr_callable(psi_expr, dim),
                    dpsi_ds=_expr_callable(dpsi_expr, dim),
                    phi=_expr_callable(phi_expr, dim),
                    dphi_ds=_expr_callable(dphi_expr, dim),
-                   psi_source=psi, phi_source=phi, **constants)
+                   psi_source=psi, phi_source=phi, affine_in_s=affine, **constants)
 
     @classmethod
     def from_callables(cls, dim, psi, dpsi_ds, phi=None, dphi_ds=None, **constants):
@@ -157,12 +180,24 @@ def _difference_points(x):
     return out
 
 
-def validate_conditions(problem, mesh, metric, s_range, num_s=21):
-    """Sampled admissibility report; never raises on a violated condition."""
+def _s_grid(problem, lo, hi, num):
+    """``num`` evenly spaced heights in [lo, hi], or just lo and hi when the
+    data are affine in s: every sampled extreme then sits at an end."""
+    return np.linspace(lo, hi, 2 if problem.affine_in_s else num)
+
+
+def validate_conditions(problem, mesh, metric, s_range):
+    """Sampled admissibility report; never raises on a violated condition.
+
+    Heights are sampled at `_NUM_S` points of ``s_range``, or at its two ends
+    when ``problem.affine_in_s``: the s-derivatives are then constant in s,
+    |psi| + |grad psi| and |phi| convex and 1 - phi^2 concave, so the report
+    is the same.
+    """
     report = ValidationReport(s_range=tuple(map(float, s_range)))
     xs = _interior_sample_points(mesh)
     xb = _boundary_sample_points(mesh)
-    s_grid = np.linspace(s_range[0], s_range[1], num_s)
+    s_grid = _s_grid(problem, s_range[0], s_range[1], _NUM_S)
 
     # positive gravity (ii) and magnitude bound (i) over interior x times s
     dpsi_min, cpsi_max, fd_err = np.inf, 0.0, 0.0
@@ -227,7 +262,8 @@ def effective_constants(problem, metric, mesh, s_range=None):
 
     Without an explicit s_range, beta is sampled over a window bootstrapped
     from the implied bound itself (twice, which stabilizes for data whose
-    s-slope is monotone in s).
+    s-slope is monotone in s).  Each window is sampled at 15 heights, or at
+    its two ends for data affine in s, whose s-slope does not depend on s.
     """
     xs = _interior_sample_points(mesh)
     gam = metric.gamma(xs)
@@ -235,20 +271,17 @@ def effective_constants(problem, metric, mesh, s_range=None):
     mu_hat = float(np.max(problem.psi(xs, np.zeros(len(xs)))))
     mu = mu_hat if problem.mu is None else max(problem.mu, mu_hat)
 
-    def sampled_beta(bound):
-        s_grid = np.linspace(-bound, bound, 15)
+    def sampled_beta(lo, hi):
         return min(float(np.min(problem.dpsi_ds(xs, np.full(len(xs), s0))))
-                   for s0 in s_grid)
+                   for s0 in _s_grid(problem, lo, hi, 15))
 
     if s_range is not None:
-        lo, hi = s_range
-        beta_hat = min(float(np.min(problem.dpsi_ds(xs, np.full(len(xs), s0))))
-                       for s0 in np.linspace(lo, hi, 15))
+        beta_hat = sampled_beta(*s_range)
     else:
-        beta_hat = sampled_beta(1.0)
+        beta_hat = sampled_beta(-1.0, 1.0)
         if beta_hat > 0:
-            b0 = ratio * max(mu, 0.0) / beta_hat
-            beta_hat = sampled_beta(2.0 * max(1.0, b0))
+            bound = 2.0 * max(1.0, ratio * max(mu, 0.0) / beta_hat)
+            beta_hat = sampled_beta(-bound, bound)
     beta = beta_hat if problem.beta is None else min(problem.beta, beta_hat)
     return beta, mu, ratio
 

@@ -380,8 +380,9 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
 
     psi(x, s) = nH[u_exact](x) + kappa0 (s - u_exact(x)) adds positive
     gravity without moving the solution; phi is the exact contact angle of
-    u_exact against the inward conormal.  Raises `ManufactureError` when the
-    manufactured angle leaves (-1, 1).
+    u_exact against the inward conormal.  Both are affine in s, and the
+    problem says so.  Raises `ManufactureError` when the manufactured angle
+    leaves (-1, 1).
     """
     if kappa0 <= 0:
         raise ManufactureError("kappa0 must be positive to keep positive gravity")
@@ -444,7 +445,7 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
         dim=dim, psi=psi, dpsi_ds=dpsi_ds, phi=phi, dphi_ds=dphi_ds,
         beta=kappa0, beta_prime=float(np.min(1.0 - phib**2)),
         psi_source=f"manufactured from u_exact = {source}",
-        phi_source="manufactured contact angle", u_exact=u_ex)
+        phi_source="manufactured contact angle", u_exact=u_ex, affine_in_s=True)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,10 @@ def test_solve_stall_names_its_cause(tmp_path, capsys):
     attempts = _attempts(tmp_path / "out")
     assert attempts[1]["tau"] == 1.0 and not attempts[1]["accepted"]
     assert all(a["cause"].startswith("SingularJacobian: ") for a in attempts[1:])
+    # u = 0 at tau = 0 solves nothing that was asked for: it gets no certificate
+    assert not [line for line in captured.out.splitlines()
+                if line.startswith("certificate ")]
+    assert read_report(tmp_path / "out" / "report.jsonl") == []
 
 
 def test_oracle1d_stall_names_its_cause(tmp_path, capsys):

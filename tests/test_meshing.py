@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
+from scipy.sparse import issparse
 
 import capgraph as cg
 from capgraph.meshing import (
@@ -108,6 +112,23 @@ def test_boundary_distance(disk_01, euclid2, euclid1):
     interval = cg.generate_interval_mesh(0.0, 1.0, 4)
     d1 = cg.boundary_distance_field(interval, euclid1).values
     assert d1[2] == pytest.approx(0.5)
+
+
+def test_one_sigma_graph_per_mesh():
+    # a fresh metric per call replaces the cached sigma graph instead of adding
+    # one; the chart graph keeps its own slot
+    mesh = cg.generate_disk_mesh(1.0, 0.3)
+    chart = mesh.sigma_edge_graph()
+    refs = []
+    for _ in range(4):
+        metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
+        cg.boundary_distance_field(mesh, metric)
+        refs.append(weakref.ref(metric))
+    gc.collect()
+    graphs = [v for v in mesh._cache.values() if isinstance(v, tuple) and issparse(v[0])]
+    assert len(graphs) <= 2
+    assert [r() is not None for r in refs] == [False, False, False, True]
+    assert mesh.sigma_edge_graph() is chart
 
 
 def test_scalar_field_validation(disk_01):

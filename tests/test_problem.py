@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capgraph as cg
 from capgraph.problem import (
@@ -7,6 +11,7 @@ from capgraph.problem import (
     random_positive_gravity_problem,
     validate_conditions,
 )
+from capgraph.verify import mms_manufacture
 
 
 def make(dim, psi, phi="0", **kw):
@@ -121,3 +126,83 @@ def test_problem_from_callables_defaults():
     x = np.array([[0.2], [0.8]])
     np.testing.assert_array_equal(prob.phi(x, np.zeros(2)), 0.0)
     np.testing.assert_array_equal(prob.dphi_ds(x, np.zeros(2)), 0.0)
+    assert not prob.affine_in_s
+
+
+# ---------------------------------------------------------------------------
+# Endpoint sampling of data affine in s
+
+
+def assert_same_report(fast, full):
+    """Reports equal to the bit, except the finite-difference roundoff figure
+    of dpsi-consistency (its pass/fail must agree)."""
+    for name in ("beta", "mu", "beta_prime", "c_psi", "c_phi", "passed"):
+        assert getattr(fast, name) == getattr(full, name), name
+    assert fast.conditions.keys() == full.conditions.keys()
+    for name, cond in fast.conditions.items():
+        assert cond.passed == full.conditions[name].passed, name
+        if name != "dpsi-consistency":
+            assert cond.worst == full.conditions[name].worst, name
+
+
+@pytest.mark.parametrize("psi,phi,kw,affine", [
+    ("1 + s", "0.3", {}, True),
+    ("2 + x1*s - r^2", "0.2 - 0.1*s + 0.05*x2", {}, True),
+    ("1 + s", "0.1*tanh(s)", {}, False),
+    ("1 + s + 0.1*s^3", "0", {}, False),
+    ("1 + s", "0", {"dpsi_ds": "1 + 0.1*s^2"}, False),
+    ("1 + s + abs(s)", "0", {"dpsi_ds": "1"}, False),
+])
+def test_affine_in_s_detection(psi, phi, kw, affine):
+    # abs(s) has no symbolic s-derivative: detection says "not affine"
+    # instead of raising
+    assert make(2, psi, phi, **kw).affine_in_s is affine
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
+       warp=st.booleans(), phi_slope=st.sampled_from([0.0, 0.05]),
+       lo=st.sampled_from([-4.0, -1.5, 0.0]), width=st.sampled_from([0.5, 3.0, 7.0]))
+def test_endpoint_report_equals_full_grid(seed, dim, warp, phi_slope, lo, width):
+    prob, metric = random_positive_gravity_problem(np.random.default_rng(seed), dim,
+                                                   warp=warp)
+    if phi_slope:
+        prob = make(dim, prob.psi_source, f"{prob.phi_source} - {phi_slope!r}*s",
+                    beta=prob.beta, mu=prob.mu, beta_prime=prob.beta_prime)
+    assert prob.affine_in_s
+    full = dataclasses.replace(prob, affine_in_s=False)
+    mesh = (cg.generate_interval_mesh(0, 1, 16) if dim == 1
+            else cg.generate_disk_mesh(1.0, 0.3))
+    s_range = (lo, lo + width)
+    assert_same_report(validate_conditions(prob, mesh, metric, s_range),
+                       validate_conditions(full, mesh, metric, s_range))
+    assert (effective_constants(prob, metric, mesh)
+            == effective_constants(full, metric, mesh))
+    assert (effective_constants(prob, metric, mesh, s_range)
+            == effective_constants(full, metric, mesh, s_range))
+
+
+def test_manufactured_data_are_affine_in_s():
+    mesh = cg.generate_disk_mesh(1.0, 0.3)
+    metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
+    prob = mms_manufacture(metric, mesh, "sqrt(4 - r^2)")
+    assert prob.affine_in_s
+    full = dataclasses.replace(prob, affine_in_s=False)
+    assert_same_report(validate_conditions(prob, mesh, metric, (-3, 3)),
+                       validate_conditions(full, mesh, metric, (-3, 3)))
+
+
+@pytest.mark.parametrize("psi,heights", [("1 + s + 0.1*s^3", 21), ("1 + s", 2)])
+def test_validation_samples_heights_by_s_structure(disk_01, euclid2, psi, heights):
+    prob = make(2, psi)
+    calls = []
+
+    def counted(x, s):
+        calls.append(s)
+        return prob.psi(x, s)
+
+    validate_conditions(dataclasses.replace(prob, psi=counted), disk_01, euclid2,
+                        (-1, 1))
+    # per height: psi itself, two x-differences per coordinate and two
+    # s-differences; plus one call at s = 0 for mu
+    assert len(calls) == heights * (1 + 2 * 2 + 2) + 1
