@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
 """SHA-256 digests of everything the shipped configs make the CLI write.
 
-Runs `capgraph solve` on every `scripts/configs/*.cfg` with a `[problem]`
-section, `capgraph mms` on `cap_mms.cfg` and `capgraph oracle1d` on
-`interval_oracle.cfg`, each into its own directory under a temporary
-directory.  Prints one `sha256  <command>/<config>/<file>` line per output
-file, and the same for the run's stdout, stderr (log records included) and
-exit code.  Diff the output of two checkouts to check that a change keeps
-the outputs byte-identical:
+Runs, in this order, each into its own directory under a temporary
+directory:
+
+- `capgraph solve` on every `scripts/configs/*.cfg` with a `[problem]`
+  section,
+- `capgraph mms` on `cap_mms.cfg` and `capgraph oracle1d` on
+  `interval_oracle.cfg`,
+- `capgraph verify` and `capgraph export --format {vtk,csv,mesh}` on each
+  solve's `solution.csv`,
+- `capgraph convergence` on `disk_capillary.cfg` and `hyperbolic_warp.cfg`.
+
+Prints one `sha256  <command>/<config>/<file>` line per output file, and the
+same for the run's stdout, stderr (log records included) and exit code.
+Diff the output of two checkouts to check that a change keeps the outputs
+byte-identical:
 
     PYTHONPATH=src python3 scripts/output_digests.py > digests.txt
 """
@@ -25,14 +33,24 @@ from capgraph.cli import run_command
 CONFIGS = Path(__file__).resolve().parent / "configs"
 
 
-def runs():
-    """(command, config path) pairs, in a fixed order."""
-    out = []
-    for path in sorted(CONFIGS.glob("*.cfg")):
-        if "[problem]" in (line.strip() for line in path.read_text().splitlines()):
-            out.append(("solve", path))
-    out.append(("mms", CONFIGS / "cap_mms.cfg"))
-    out.append(("oracle1d", CONFIGS / "interval_oracle.cfg"))
+def runs(tmp):
+    """(name, argv) pairs in a fixed order; run ``name`` writes to ``tmp/name``
+    and the verify and export runs read the solve runs' solutions."""
+    solved = [path for path in sorted(CONFIGS.glob("*.cfg"))
+              if "[problem]" in (line.strip() for line in path.read_text().splitlines())]
+    out = [(f"solve/{path.stem}", ["solve", "--config", str(path)]) for path in solved]
+    out.append(("mms/cap_mms", ["mms", "--config", str(CONFIGS / "cap_mms.cfg")]))
+    out.append(("oracle1d/interval_oracle",
+                ["oracle1d", "--config", str(CONFIGS / "interval_oracle.cfg")]))
+    for path in solved:
+        stored = ["--config", str(path),
+                  "--solution", str(Path(tmp) / "solve" / path.stem / "solution.csv")]
+        out.append((f"verify/{path.stem}", ["verify", *stored]))
+        for fmt in ("vtk", "csv", "mesh"):
+            out.append((f"export-{fmt}/{path.stem}", ["export", *stored, "--format", fmt]))
+    for stem in ("disk_capillary", "hyperbolic_warp"):
+        out.append((f"convergence/{stem}",
+                    ["convergence", "--config", str(CONFIGS / f"{stem}.cfg")]))
     return out
 
 
@@ -64,11 +82,9 @@ def main(argv=None):
                             formatter_class=argparse.RawDescriptionHelpFormatter
                             ).parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        for command, cfg in runs():
-            name = f"{command}/{cfg.stem}"
+        for name, argv in runs(tmp):
             outdir = Path(tmp) / name
-            code, out, err = capture([command, "--config", str(cfg),
-                                      "--output-dir", str(outdir)])
+            code, out, err = capture([*argv, "--output-dir", str(outdir)])
             for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
                 print(f"{digest(path.read_bytes())}  {name}/{path.relative_to(outdir)}")
             print(f"{digest(out.encode())}  {name}/stdout")

@@ -1,7 +1,8 @@
 """Command dispatch and result export.
 
 Subcommands: solve, verify, mms, convergence, oracle1d, export.  Exit codes:
-0 success, 1 solver failure, 2 configuration error.  All runs are
+0 success, 1 solver failure, 2 configuration error (including a domain that
+cannot be built or a mesh file that cannot be read).  All runs are
 reproducible from the config; output files carry no timestamps.
 """
 
@@ -18,8 +19,8 @@ import numpy as np
 from .config import ConfigError, load_config
 from .expressions import parse_expression, symbolic_s_derivative  # noqa: F401 (public surface)
 from .geometry import vertex_slope_factors
-from .meshing import (ScalarField, boundary_distance_field, format_rows, write_mesh,
-                      write_vtk)
+from .meshing import (MeshError, ScalarField, boundary_distance_field, format_rows,
+                      write_mesh, write_vtk)
 from .problem import validate_conditions
 from .solver import SolverError, continuation_solve, default_s_range
 from . import verify as vf
@@ -302,7 +303,7 @@ def run_command(argv):
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, vf.OracleFailed, vf.ManufactureError) as exc:

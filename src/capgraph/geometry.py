@@ -45,19 +45,19 @@ class MetricField:
 
     All callables are vectorized: for points of shape (m, dim) they return
     sigma (m, dim, dim), sigma_inv (m, dim, dim), sqrt_det_sigma (m,),
-    gamma (m,) and grad_gamma (m, dim).  Presets: "euclidean", "product",
-    "radial-warp", "custom-expression".
+    gamma (m,) and grad_gamma (m, dim).  `euclidean` is the flat metric with
+    hard-coded evaluators; `from_expressions` (and `radial_warp`, the same
+    constructor) builds a conformal leaf metric and a warping from
+    expressions.
     """
 
-    def __init__(self, dim, sigma, sigma_inv, sqrt_det_sigma, gamma, grad_gamma,
-                 preset="custom-expression"):
+    def __init__(self, dim, sigma, sigma_inv, sqrt_det_sigma, gamma, grad_gamma):
         self.dim = dim
         self.sigma = sigma
         self.sigma_inv = sigma_inv
         self.sqrt_det_sigma = sqrt_det_sigma
         self.gamma = gamma
         self.grad_gamma = grad_gamma
-        self.preset = preset
 
     # -- constructors ---------------------------------------------------------
 
@@ -81,10 +81,10 @@ class MetricField:
             pts, _ = _as_points(x, dim)
             return np.zeros((len(pts), dim))
 
-        return cls(dim, sigma, sigma, sqrt_det, gamma, grad_gamma, preset="euclidean")
+        return cls(dim, sigma, sigma, sqrt_det, gamma, grad_gamma)
 
     @classmethod
-    def from_expressions(cls, dim, gamma="1", sigma_conformal="1", preset=None):
+    def from_expressions(cls, dim, gamma="1", sigma_conformal="1"):
         """Conformal leaf metric sigma = c(x)^2 I with warping gamma(x).
 
         Both data are expression strings in x1[, x2, r]; gradients of gamma
@@ -94,13 +94,6 @@ class MetricField:
         conf_expr = (parse_expression(sigma_conformal)
                      if isinstance(sigma_conformal, str) else sigma_conformal)
         dgam = [gamma_expr.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]]
-        if preset is None:
-            if str(conf_expr) == "1" and str(gamma_expr) == "1":
-                preset = "euclidean"
-            elif str(gamma_expr) == "1":
-                preset = "product"
-            else:
-                preset = "custom-expression"
 
         def conf(x):
             pts, _ = _as_points(x, dim)
@@ -143,12 +136,11 @@ class MetricField:
                 out[:, i] = d.at_points(pts)
             return out
 
-        return cls(dim, sigma, sigma_inv, sqrt_det, gamma_fn, grad_gamma, preset=preset)
+        return cls(dim, sigma, sigma_inv, sqrt_det, gamma_fn, grad_gamma)
 
     @classmethod
     def radial_warp(cls, dim, gamma, sigma_conformal="1"):
-        return cls.from_expressions(dim, gamma=gamma, sigma_conformal=sigma_conformal,
-                                    preset="radial-warp")
+        return cls.from_expressions(dim, gamma=gamma, sigma_conformal=sigma_conformal)
 
     # -- validation -----------------------------------------------------------
 

@@ -227,11 +227,6 @@ class Mesh:
         return self._boundary_cells
 
     @property
-    def conormals(self):
-        """Inward unit conormals in the euclidean chart; see sigma_conormals."""
-        return self.inward_normals
-
-    @property
     def boundary_vertices(self):
         return np.unique(self.boundary_facets.ravel())
 
@@ -245,15 +240,12 @@ class Mesh:
             self._cache["vertex_neighbors"] = [sorted(s) for s in nbr]
         return self._cache["vertex_neighbors"]
 
-    def sigma_conormals(self, metric=None):
+    def sigma_conormals(self, metric):
         """Inward unit conormals of the boundary facets in the sigma metric.
 
         The conormal annihilates the facet tangent (sigma-orthogonality) and
-        has unit sigma length.  With ``metric=None`` the euclidean inward
-        normals are returned.
+        has unit sigma length.
         """
-        if metric is None:
-            return self.inward_normals.copy()
         mids = self.facet_midpoints()
         n_cov = self.inward_normals                      # euclidean normal covector
         inv_sigma = metric.sigma_inv(mids)               # (nb, d, d)
@@ -512,9 +504,14 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
-    """Read the plain-text mesh format written by `write_mesh`."""
+    """Read the plain-text mesh format written by `write_mesh`; a file that
+    cannot be read or parsed raises `MeshFormatError`."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshFormatError(f"cannot read mesh file {path}: {exc}") from exc
     tokens = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             tokens.append(line.split())
@@ -526,17 +523,22 @@ def read_mesh(path):
             raise MeshFormatError(f"expected {keyword} section")
         return row
 
-    dim = int(expect("DIM")[1])
-    nv = int(expect("VERTICES")[1])
-    vertices = np.array([[float(x) for x in next(it)] for _ in range(nv)])
-    nc = int(expect("CELLS")[1])
-    cells = np.array([[int(x) for x in next(it)] for _ in range(nc)])
-    nb = int(expect("BOUNDARY")[1])
-    facets, tags = [], []
-    for _ in range(nb):
-        row = next(it)
-        facets.append([int(x) for x in row[:dim]])
-        tags.append(row[dim] if len(row) > dim else "boundary")
+    try:
+        dim = int(expect("DIM")[1])
+        nv = int(expect("VERTICES")[1])
+        vertices = np.array([[float(x) for x in next(it)] for _ in range(nv)])
+        nc = int(expect("CELLS")[1])
+        cells = np.array([[int(x) for x in next(it)] for _ in range(nc)])
+        nb = int(expect("BOUNDARY")[1])
+        facets, tags = [], []
+        for _ in range(nb):
+            row = next(it)
+            facets.append([int(x) for x in row[:dim]])
+            tags.append(row[dim] if len(row) > dim else "boundary")
+    except MeshFormatError:
+        raise
+    except (ValueError, IndexError, StopIteration) as exc:
+        raise MeshFormatError(f"malformed mesh file {path}: {exc!r}") from exc
     return Mesh(dim, vertices, cells, np.array(facets, dtype=np.int64), tags)
 
 

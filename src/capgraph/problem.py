@@ -257,13 +257,13 @@ def validate_conditions(problem, mesh, metric, s_range):
     return report
 
 
-def effective_constants(problem, metric, mesh, s_range=None):
+def effective_constants(problem, metric, mesh):
     """(beta, mu, warp ratio sup|Y|/inf|Y|) with declared/sampled reconciliation.
 
-    Without an explicit s_range, beta is sampled over a window bootstrapped
-    from the implied bound itself (twice, which stabilizes for data whose
-    s-slope is monotone in s).  Each window is sampled at 15 heights, or at
-    its two ends for data affine in s, whose s-slope does not depend on s.
+    beta is sampled over a window bootstrapped from the implied bound itself
+    (twice, which stabilizes for data whose s-slope is monotone in s).  Each
+    window is sampled at 15 heights, or at its two ends for data affine in
+    s, whose s-slope does not depend on s.
     """
     xs = _interior_sample_points(mesh)
     gam = metric.gamma(xs)
@@ -275,24 +275,21 @@ def effective_constants(problem, metric, mesh, s_range=None):
         return min(float(np.min(problem.dpsi_ds(xs, np.full(len(xs), s0))))
                    for s0 in _s_grid(problem, lo, hi, 15))
 
-    if s_range is not None:
-        beta_hat = sampled_beta(*s_range)
-    else:
-        beta_hat = sampled_beta(-1.0, 1.0)
-        if beta_hat > 0:
-            bound = 2.0 * max(1.0, ratio * max(mu, 0.0) / beta_hat)
-            beta_hat = sampled_beta(-bound, bound)
+    beta_hat = sampled_beta(-1.0, 1.0)
+    if beta_hat > 0:
+        bound = 2.0 * max(1.0, ratio * max(mu, 0.0) / beta_hat)
+        beta_hat = sampled_beta(-bound, bound)
     beta = beta_hat if problem.beta is None else min(problem.beta, beta_hat)
     return beta, mu, ratio
 
 
-def height_bound(problem, metric, mesh, s_range=None):
+def height_bound(problem, metric, mesh):
     """The a-priori bound (sup|Y|/inf|Y|) mu/beta on |u|; requires beta > 0.
 
     For mu <= 0 the displayed bound is not two-sided; max(0, B) is returned
     and the certificate layer marks it not-applicable.
     """
-    beta, mu, ratio = effective_constants(problem, metric, mesh, s_range=s_range)
+    beta, mu, ratio = effective_constants(problem, metric, mesh)
     if beta <= 0:
         raise ValueError(f"positive gravity fails: beta = {beta:.4g} <= 0")
     return max(0.0, ratio * mu / beta)

@@ -86,7 +86,8 @@ class ContinuationConfig:
     """Newton tolerance and the tau-step schedule.
 
     The first step is ``dtau``; left unset, it is ``dtau_max``, so the
-    default is the full step to tau = 1.
+    default is the full step to tau = 1.  Construction raises `ValueError`
+    unless 0 < dtau <= dtau_max <= 1.
     """
 
     tol: float = 1e-10
@@ -98,6 +99,10 @@ class ContinuationConfig:
     def __post_init__(self):
         if self.dtau is None:
             self.dtau = self.dtau_max
+        if self.dtau > self.dtau_max:
+            raise ValueError("dtau must not exceed dtau_max")
+        if not (0 < self.dtau and self.dtau_max <= 1.0):
+            raise ValueError("need 0 < dtau <= dtau_max <= 1")
 
 
 @dataclass
@@ -262,7 +267,7 @@ def default_s_range(problem, metric, mesh):
     return (-2.0 * max(1.0, b), 2.0 * max(1.0, b))
 
 
-def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=None):
+def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
     """Advance tau from 0 to 1 starting at the trivial solution.
 
     The first attempt is ``cfg.dtau``: by default the full step to tau = 1,
@@ -274,12 +279,9 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False, s_range=No
     Validation of the structural conditions runs first unless ``unsafe``.
     """
     cfg = cfg or ContinuationConfig()
-    if not 0 < cfg.dtau <= cfg.dtau_max <= 1.0:
-        raise ValueError("need 0 < dtau <= dtau_max <= 1")
     if not unsafe:
-        if s_range is None:
-            s_range = default_s_range(problem, metric, mesh)
-        report = validate_conditions(problem, mesh, metric, s_range)
+        report = validate_conditions(problem, mesh, metric,
+                                     default_s_range(problem, metric, mesh))
         if not report.passed:
             raise ValueError(
                 "structural conditions fail (pass unsafe=True to proceed):\n"

@@ -583,12 +583,11 @@ def mms_convergence_study(metric, domain, u_exact, levels=(0, 1, 2), kappa0=1.0,
 
 
 def run_refinement_suite(problem, metric, domain, levels=(0, 1, 2), cfg=None,
-                         interior_ball=None, problem_factory=None):
+                         interior_ball=None):
     """Solve across refinement levels and merge all certificates with traces.
 
     ``interior_ball`` is an optional (point, radius) for the interior
-    gradient certificate; ``problem_factory(mesh)`` may rebuild mesh-bound
-    problems (manufactured data).  Returns (certificates, finest state).
+    gradient certificate.  Returns (certificates, finest state).
     """
     from .solver import continuation_solve
     per_level = {"interior": [], "boundary": [], "angle": [], "strong": [],
@@ -596,15 +595,14 @@ def run_refinement_suite(problem, metric, domain, levels=(0, 1, 2), cfg=None,
     state = None
     for level in levels:
         mesh = domain.build(level)
-        prob = problem_factory(mesh) if problem_factory is not None else problem
-        state = continuation_solve(prob, metric, mesh, cfg)
+        state = continuation_solve(problem, metric, mesh, cfg)
         if state.status != "converged":
             raise OracleFailed(f"suite solve at level {level}: {state.stall_reason()}")
         u = state.u
-        per_level["height"].append(check_height(u, prob, metric, mesh))
+        per_level["height"].append(check_height(u, problem, metric, mesh))
         per_level["boundary"].append(boundary_gradient_certificate(u, metric, mesh))
-        per_level["angle"].append(contact_angle_residual(u, 1.0, prob, metric, mesh))
-        per_level["strong"].append(strong_form_residual(u, 1.0, prob, metric, mesh))
+        per_level["angle"].append(contact_angle_residual(u, 1.0, problem, metric, mesh))
+        per_level["strong"].append(strong_form_residual(u, 1.0, problem, metric, mesh))
         if interior_ball is not None:
             point, radius = interior_ball
             per_level["interior"].append(interior_gradient_certificate(

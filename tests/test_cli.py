@@ -125,6 +125,178 @@ def test_config_errors_exit_2(tmp_path, capsys, mutation, message):
     assert message in capsys.readouterr().err
 
 
+# One row per config rule: (command, sections replaced in RULE_BASE, message).
+# A section given as None is dropped.  "{tmp}" in a value is the test's tmp_path.
+RULE_BASE = {
+    "metric": {"preset": "euclidean"},
+    "domain": {"shape": "disk", "radius": "1.0", "h": "0.2"},
+    "problem": {"psi": "1 + s", "phi": "0.3"},
+    "solver": {"tol": "1e-10"},
+    "mms": {"u_exact": "sqrt(4 - r^2)", "levels": "0,1"},
+    "oracle": {"m_dense": "64"},
+}
+ANNULUS = {"shape": "annulus", "radius": "1.0", "inner_radius": "0.5", "h": "0.2"}
+INTERVAL = {"shape": "interval", "a": "0", "b": "1", "m": "8"}
+
+
+def _without(section, key):
+    return {k: v for k, v in section.items() if k != key}
+
+
+def _rule(rule_id, sections, message, command="solve"):
+    return pytest.param(command, sections, message, id=rule_id)
+
+
+CONFIG_RULES = [
+    # ranges: each bound
+    _rule("solver.tol-min", {"solver": {"tol": "0"}},
+          "[solver] tol = 0.0 below allowed minimum 1e-16"),
+    _rule("solver.tol-max", {"solver": {"tol": "2"}},
+          "[solver] tol = 2.0 above allowed maximum 1.0"),
+    _rule("solver.max_newton-min", {"solver": {"max_newton": "0"}},
+          "[solver] max_newton = 0 below allowed minimum 1"),
+    _rule("solver.dtau-min", {"solver": {"dtau": "0"}},
+          "[solver] dtau = 0.0 below allowed minimum 1e-06"),
+    _rule("solver.dtau-max", {"solver": {"dtau": "2"}},
+          "[solver] dtau = 2.0 above allowed maximum 1.0"),
+    _rule("solver.dtau_min-min", {"solver": {"dtau_min": "0"}},
+          "[solver] dtau_min = 0.0 below allowed minimum 1e-12"),
+    _rule("solver.dtau_min-max", {"solver": {"dtau_min": "2"}},
+          "[solver] dtau_min = 2.0 above allowed maximum 1.0"),
+    _rule("solver.dtau_max-min", {"solver": {"dtau_max": "0"}},
+          "[solver] dtau_max = 0.0 below allowed minimum 1e-06"),
+    _rule("solver.dtau_max-max", {"solver": {"dtau_max": "2"}},
+          "[solver] dtau_max = 2.0 above allowed maximum 1.0"),
+    _rule("domain.radius-min", {"domain": {**RULE_BASE["domain"], "radius": "0"}},
+          "[domain] radius = 0.0 below allowed minimum 1e-12"),
+    _rule("domain.h-min", {"domain": {**RULE_BASE["domain"], "h": "0"}},
+          "[domain] h = 0.0 below allowed minimum 1e-12"),
+    _rule("domain.inner_radius-min", {"domain": {**ANNULUS, "inner_radius": "0"}},
+          "[domain] inner_radius = 0.0 below allowed minimum 1e-12"),
+    _rule("domain.m-min", {"domain": {**INTERVAL, "m": "1"}},
+          "[domain] m = 1 below allowed minimum 2"),
+    _rule("mms.kappa0-min", {"mms": {"u_exact": "1", "kappa0": "0"}},
+          "[mms] kappa0 = 0.0 below allowed minimum 1e-12"),
+    _rule("oracle.m_dense-min", {"oracle": {"m_dense": "8"}},
+          "[oracle] m_dense = 8 below allowed minimum 16"),
+    # numbers, integers, booleans and expressions that do not parse
+    _rule("solver.tol-number", {"solver": {"tol": "small"}},
+          "[solver] tol = 'small' is not a number"),
+    *[_rule(f"problem.{key}-number", {"problem": {"psi": "1 + s", key: "abc"}},
+            f"[problem] {key} = 'abc' is not a number")
+      for key in ("beta", "mu", "beta_prime", "c_psi", "c_phi")],
+    _rule("domain.a-number", {"domain": {**INTERVAL, "a": "left"}},
+          "[domain] a = 'left' is not a number"),
+    _rule("solver.max_newton-integer", {"solver": {"max_newton": "2.5"}},
+          "[solver] max_newton = '2.5' is not a number"),
+    _rule("domain.m-integer", {"domain": {**INTERVAL, "m": "eight"}},
+          "[domain] m = 'eight' is not a number"),
+    _rule("oracle.m_dense-integer", {"oracle": {"m_dense": "1e3"}},
+          "[oracle] m_dense = '1e3' is not a number"),
+    _rule("solver.unsafe-boolean", {"solver": {"unsafe": "maybe"}},
+          "[solver] unsafe = 'maybe' is not a boolean"),
+    *[_rule(f"{section}.{key}-expression", {section: {**RULE_BASE[section], key: "1 +"}},
+            f"[{section}] {key}: ")
+      for section, key in (("problem", "psi"), ("problem", "phi"),
+                           ("problem", "dpsi_ds"), ("problem", "dphi_ds"),
+                           ("mms", "u_exact"))],
+    *[_rule(f"metric.{key}-expression",
+            {"metric": {"preset": "custom-expression", key: "1 +"}}, f"[metric] {key}: ")
+      for key in ("gamma", "sigma_conformal")],
+    # [mms] levels and [output] formats
+    _rule("mms.levels-integers", {"mms": {"u_exact": "1", "levels": "0,one"}},
+          "[mms] levels must be comma-separated integers"),
+    _rule("mms.levels-two", {"mms": {"u_exact": "1", "levels": "0"}},
+          "[mms] levels needs at least two nonnegative entries"),
+    _rule("mms.levels-nonnegative", {"mms": {"u_exact": "1", "levels": "0,-1"}},
+          "[mms] levels needs at least two nonnegative entries"),
+    _rule("output.formats", {"output": {"formats": "csv,xls"}},
+          "[output] unknown formats ['xls']"),
+    # [metric] presets
+    _rule("metric.preset", {"metric": {"preset": "spherical"}},
+          "[metric] preset must be one of"),
+    _rule("metric.euclidean-gamma", {"metric": {"preset": "euclidean", "gamma": "1 + r^2"}},
+          "[metric] euclidean preset admits no gamma/sigma data"),
+    _rule("metric.euclidean-sigma",
+          {"metric": {"preset": "euclidean", "sigma_conformal": "2"}},
+          "[metric] euclidean preset admits no gamma/sigma data"),
+    _rule("metric.default-euclidean-gamma", {"metric": {"gamma": "1 + r^2"}},
+          "[metric] euclidean preset admits no gamma/sigma data"),
+    _rule("metric.product-gamma", {"metric": {"preset": "product", "gamma": "1 + r^2"}},
+          "[metric] the product preset fixes gamma = 1"),
+    # [domain]: the section, the shape, each shape's required keys, a < b
+    _rule("domain.section", {"domain": None}, "a [domain] section is required"),
+    _rule("domain.shape", {"domain": {"shape": "square"}}, "[domain] shape must be"),
+    _rule("domain.shape-missing", {"domain": _without(RULE_BASE["domain"], "shape")},
+          "[domain] shape must be"),
+    *[_rule(f"domain.{domain['shape']}-requires-{key}", {"domain": _without(domain, key)},
+            f"[domain] {key} = '' is not a number")
+      for domain in (RULE_BASE["domain"], ANNULUS, INTERVAL) for key in domain
+      if key != "shape"],
+    _rule("domain.mesh-file-requires-path", {"domain": {"shape": "mesh-file"}},
+          "[domain] mesh-file requires path"),
+    _rule("domain.a-below-b", {"domain": {**INTERVAL, "a": "1"}},
+          "[domain] requires a < b"),
+    # [solver] step schedule
+    _rule("solver.dtau-dtau_max", {"solver": {"dtau": "0.5", "dtau_max": "0.25"}},
+          "[solver] dtau must not exceed dtau_max"),
+    # unknown names and unreadable files
+    _rule("unknown-key", {"solver": {"granularity": "1"}},
+          "unknown key 'granularity' in section [solver]"),
+    _rule("unknown-section", {"run": {"seed": "3"}}, "unknown section [run]"),
+    # what a command needs from the config
+    _rule("command.psi", {"problem": None}, "[problem] psi is required for this command"),
+    _rule("command.mms-u_exact", {"mms": None},
+          "[mms] u_exact is required for the mms command", command="mms"),
+    _rule("command.oracle1d-interval", {}, "oracle1d requires an interval domain",
+          command="oracle1d"),
+    # every [domain] key present is parsed, and none the shape does not use
+    _rule("domain.disk-parses-inner_radius", {"domain": {**RULE_BASE["domain"],
+                                                         "inner_radius": "abc"}},
+          "[domain] inner_radius = 'abc' is not a number"),
+    _rule("domain.disk-rejects-inner_radius", {"domain": {**RULE_BASE["domain"],
+                                                          "inner_radius": "0.5"}},
+          "[domain] inner_radius does not apply to shape disk"),
+    _rule("domain.disk-rejects-m", {"domain": {**RULE_BASE["domain"], "m": "3"}},
+          "[domain] m does not apply to shape disk"),
+    _rule("domain.interval-rejects-h", {"domain": {**INTERVAL, "h": "0.1"}},
+          "[domain] h does not apply to shape interval"),
+    # errors building the configured domain
+    _rule("domain.h-at-least-radius", {"domain": {**RULE_BASE["domain"], "h": "1.5"}},
+          "config error: need radius > 0 and 0 < h < radius"),
+    _rule("domain.inner_radius-at-least-radius",
+          {"domain": {**ANNULUS, "inner_radius": "1.5"}},
+          "config error: need 0 < inner_radius < radius"),
+    _rule("domain.vertex-budget", {"domain": {**RULE_BASE["domain"], "h": "0.001"}},
+          "config error: edge length 0.001 needs"),
+    _rule("domain.mesh-file-missing",
+          {"domain": {"shape": "mesh-file", "path": "{tmp}/absent.txt"}},
+          "config error: cannot read mesh file"),
+    _rule("domain.mesh-file-malformed",
+          {"domain": {"shape": "mesh-file", "path": "{tmp}/garbage.txt"}},
+          "config error: expected DIM section"),
+    _rule("domain.mesh-file-truncated",
+          {"domain": {"shape": "mesh-file", "path": "{tmp}/truncated.txt"}},
+          "config error: malformed mesh file"),
+]
+
+
+@pytest.mark.parametrize("command,sections,message", CONFIG_RULES)
+def test_config_rule_exits_2(tmp_path, capsys, command, sections, message):
+    (tmp_path / "garbage.txt").write_text("hello mesh\n")
+    (tmp_path / "truncated.txt").write_text("DIM 2\nVERTICES 3\n0 0\n1 0\n")
+    config = {**RULE_BASE, **sections, "output": {"dir": str(tmp_path / "out"),
+                                                  **sections.get("output", {})}}
+    lines = []
+    for name, body in config.items():
+        if body is not None:
+            lines.append(f"[{name}]")
+            lines += [f"{key} = {value.format(tmp=tmp_path)}" for key, value in body.items()]
+    path = write_cfg(tmp_path, "rule.cfg", "\n".join(lines) + "\n")
+    assert run_command([command, "--config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
 def test_shipped_config_loads(path):
     load_config(path)

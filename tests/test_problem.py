@@ -178,8 +178,6 @@ def test_endpoint_report_equals_full_grid(seed, dim, warp, phi_slope, lo, width)
                        validate_conditions(full, mesh, metric, s_range))
     assert (effective_constants(prob, metric, mesh)
             == effective_constants(full, metric, mesh))
-    assert (effective_constants(prob, metric, mesh, s_range)
-            == effective_constants(full, metric, mesh, s_range))
 
 
 def test_manufactured_data_are_affine_in_s():
