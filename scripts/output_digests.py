@@ -10,7 +10,8 @@ directory:
   `interval_oracle.cfg`,
 - `capgraph verify` and `capgraph export --format {vtk,csv,mesh}` on each
   solve's `solution.csv`,
-- `capgraph convergence` on `disk_capillary.cfg` and `hyperbolic_warp.cfg`.
+- `capgraph convergence` on `disk_capillary.cfg`, `hyperbolic_warp.cfg` and
+  `interval_oracle.cfg` (disk and interval interior balls).
 
 Prints one `sha256  <command>/<config>/<file>` line per output file, and the
 same for the run's stdout, stderr (log records included) and exit code.
@@ -48,7 +49,7 @@ def runs(tmp):
         out.append((f"verify/{path.stem}", ["verify", *stored]))
         for fmt in ("vtk", "csv", "mesh"):
             out.append((f"export-{fmt}/{path.stem}", ["export", *stored, "--format", fmt]))
-    for stem in ("disk_capillary", "hyperbolic_warp"):
+    for stem in ("disk_capillary", "hyperbolic_warp", "interval_oracle"):
         out.append((f"convergence/{stem}",
                     ["convergence", "--config", str(CONFIGS / f"{stem}.cfg")]))
     return out

@@ -12,8 +12,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 import capgraph as cg
 from capgraph.cli import write_report
 from capgraph.meshing import DomainSpec
@@ -38,8 +36,7 @@ def main(argv=None):
     problem = cg.CapillaryProblem.from_expressions(2, "1 + s", str(args.phi))
     domain = DomainSpec("disk", {"radius": 1.0, "h": args.h})
 
-    certs, state = run_refinement_suite(problem, metric, domain, levels=(0, 1, 2),
-                                        interior_ball=(np.zeros(2), 0.45))
+    certs, state = run_refinement_suite(problem, metric, domain, levels=(0, 1, 2))
     spread = uniqueness_probe(problem, metric, domain.build(2), state=state,
                               trials=5, seed=0)
 

@@ -2,7 +2,8 @@
 
 Subcommands: solve, verify, mms, convergence, oracle1d, export.  Exit codes:
 0 success, 1 solver failure, 2 configuration error (including a domain that
-cannot be built or a mesh file that cannot be read).  All runs are
+cannot be built, a mesh file that cannot be read, and a stored solution
+that cannot be read or was written on another mesh).  All runs are
 reproducible from the config; output files carry no timestamps.
 """
 
@@ -17,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, load_config
-from .expressions import parse_expression, symbolic_s_derivative  # noqa: F401 (public surface)
 from .geometry import vertex_slope_factors
 from .meshing import (MeshError, ScalarField, boundary_distance_field, format_rows,
                       write_mesh, write_vtk)
@@ -46,14 +46,16 @@ def write_solution_csv(path, mesh, u, w, d_gamma):
 
 
 def read_solution_csv(path):
-    """Read a solution CSV back into a dict of arrays (bit-identical values)."""
-    lines = Path(path).read_text().strip().splitlines()
-    header = lines[0].split(",")
-    data = {name: [] for name in header}
-    for line in lines[1:]:
-        for name, tok in zip(header, line.split(",")):
-            data[name].append(float(tok))
-    return {name: np.array(vals) for name, vals in data.items()}
+    """Read a solution CSV back into a dict of arrays (bit-identical values).
+
+    Raises `ValueError` unless the file is a header and rows of numbers, each
+    row with one field per header column.
+    """
+    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()]
+    if not rows or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("not a table with one field per header column")
+    return {name: np.array([float(row[i]) for row in rows[1:]])
+            for i, name in enumerate(rows[0])}
 
 
 def write_report(path, records):
@@ -71,30 +73,24 @@ def read_report(path):
 # Shared run plumbing
 
 
-def _load(args):
-    cfg = load_config(args.config)
-    if args.output_dir:
-        cfg.output["dir"] = args.output_dir
-    return cfg
-
-
 def _stored_solution(args, cfg, mesh):
-    """The stored solution (``--solution`` or the output dir's CSV) on ``mesh``."""
-    data = read_solution_csv(args.solution or (cfg.output_dir / "solution.csv"))
-    if len(data["u"]) != mesh.num_vertices:
-        raise ConfigError("stored solution does not match the configured mesh")
-    return ScalarField(mesh, data["u"])
-
-
-def _interior_ball(mesh):
-    """Default (center, radius) for the interior gradient certificate, if one fits."""
-    shape = mesh.shape or (None,)
-    if shape[0] == "disk":
-        return np.zeros(2), 0.45 * shape[1]
-    if shape[0] == "interval":
-        a, b = shape[1], shape[2]
-        return np.array([0.5 * (a + b)]), 0.35 * (b - a)
-    return None
+    """The stored solution (``--solution`` or the output dir's CSV) on ``mesh``;
+    `ConfigError` unless it reads and its x1[, x2] are exactly ``mesh.vertices``
+    (safe to compare exactly: the writer's reprs round-trip)."""
+    path = args.solution or (cfg.output_dir / "solution.csv")
+    try:
+        data = read_solution_csv(path)
+        coords = np.column_stack([data[c] for c in ("x1", "x2")[:mesh.dim]])
+        u = data["u"]
+    except KeyError as exc:
+        raise ConfigError(f"stored solution {path} has no column {exc}") from exc
+    except (OSError, UnicodeDecodeError, ValueError) as exc:
+        raise ConfigError(f"cannot read stored solution {path}: {exc}") from exc
+    if not np.array_equal(coords, mesh.vertices):
+        raise ConfigError(f"stored solution {path} was not written on the configured mesh")
+    if not np.all(np.isfinite(u)):
+        raise ConfigError(f"stored solution {path} has non-finite u values")
+    return ScalarField(mesh, u)
 
 
 def _solution_certificates(u, problem, metric, mesh, tau):
@@ -108,10 +104,9 @@ def _solution_certificates(u, problem, metric, mesh, tau):
         "angle": lambda: vf.contact_angle_residual(u, tau, problem, metric, mesh),
         "strong": lambda: vf.strong_form_residual(u, tau, problem, metric, mesh),
     }
-    ball = _interior_ball(mesh)
+    ball = vf.interior_ball(mesh)
     if ball is not None:
-        jobs["interior"] = lambda: vf.interior_gradient_certificate(
-            u, metric, mesh, vf.nearest_vertex(mesh, ball[0]), ball[1])
+        jobs["interior"] = lambda: vf.interior_gradient_certificate(u, metric, mesh, *ball)
     jobs["separation-rate"] = lambda: vf.separation_rate_check(
         u, metric, mesh, vf.make_interior_bump(mesh, metric), [1e-2, 5e-3, 2.5e-3])
     certs = []
@@ -153,8 +148,7 @@ def _write_outputs(cfg, mesh, metric, u, certs, formats, attempts=None):
 # Subcommands
 
 
-def _cmd_solve(args):
-    cfg = _load(args)
+def _cmd_solve(args, cfg):
     mesh = cfg.build_domain().build()
     metric = cfg.build_metric(mesh.dim)
     problem = cfg.build_problem(mesh.dim)
@@ -174,8 +168,7 @@ def _cmd_solve(args):
     return 0
 
 
-def _cmd_verify(args):
-    cfg = _load(args)
+def _cmd_verify(args, cfg):
     mesh = cfg.build_domain().build()
     metric = cfg.build_metric(mesh.dim)
     problem = cfg.build_problem(mesh.dim)
@@ -191,8 +184,7 @@ def _cmd_verify(args):
     return 0
 
 
-def _cmd_mms(args):
-    cfg = _load(args)
+def _cmd_mms(args, cfg):
     if "u_exact" not in cfg.mms:
         raise ConfigError("[mms] u_exact is required for the mms command")
     domain = cfg.build_domain()
@@ -216,18 +208,13 @@ def _cmd_mms(args):
     return 0
 
 
-def _cmd_convergence(args):
-    cfg = _load(args)
+def _cmd_convergence(args, cfg):
     if "u_exact" in cfg.mms:
-        return _cmd_mms(args)
-    domain = cfg.build_domain()
-    metric = cfg.build_metric()
-    levels = cfg.mms.get("levels", (0, 1, 2))
-    problem = cfg.build_problem()
-    ball = _interior_ball(domain.build(0))
-    certs, state = vf.run_refinement_suite(problem, metric, domain, levels=levels,
-                                           cfg=cfg.build_solver_cfg(),
-                                           interior_ball=ball)
+        return _cmd_mms(args, cfg)
+    certs, _ = vf.run_refinement_suite(cfg.build_problem(), cfg.build_metric(),
+                                       cfg.build_domain(),
+                                       levels=cfg.mms.get("levels", (0, 1, 2)),
+                                       cfg=cfg.build_solver_cfg(), unsafe=cfg.unsafe)
     for c in certs:
         order = c.details.get("observed_order")
         extra = f" order={order:.3f}" if isinstance(order, float) else ""
@@ -239,8 +226,7 @@ def _cmd_convergence(args):
     return 0
 
 
-def _cmd_oracle1d(args):
-    cfg = _load(args)
+def _cmd_oracle1d(args, cfg):
     if cfg.domain["shape"] != "interval":
         raise ConfigError("oracle1d requires an interval domain")
     mesh = cfg.build_domain().build()
@@ -262,8 +248,7 @@ def _cmd_oracle1d(args):
     return 0 if diff <= tol else 1
 
 
-def _cmd_export(args):
-    cfg = _load(args)
+def _cmd_export(args, cfg):
     mesh = cfg.build_domain().build()
     metric = cfg.build_metric(mesh.dim)
     u = _stored_solution(args, cfg, mesh)
@@ -302,7 +287,10 @@ def run_command(argv):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        cfg = load_config(args.config)
+        if args.output_dir:
+            cfg.output["dir"] = args.output_dir
+        return args.fn(args, cfg)
     except (ConfigError, MeshError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,9 @@ Sections: [metric] [domain] [problem] [solver] [output] [mms] [oracle].
 the parser that checks its value at load time (a number within its range,
 an integer, a boolean, an expression, a choice, the output formats or the
 mms levels), and `_SHAPES` maps each [domain] shape to the keys it requires.
-Every key present is parsed; unknown sections and keys, and [domain] keys
-that the shape does not use, fail fast.
+Every key present is parsed; unknown sections and keys, [domain] keys that
+the shape does not use, and expressions that use x2 on an interval fail
+fast.
 
 The [metric] preset "euclidean" (the default) is the flat metric and admits
 no gamma or sigma_conformal; the other presets build the metric from those
@@ -21,7 +22,7 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError, _tokenize, parse_expression
 from .geometry import MetricField
 from .meshing import DomainSpec
 from .problem import CapillaryProblem
@@ -92,6 +93,8 @@ def _levels(section, key, raw):
         raise ConfigError(f"[{section}] levels must be comma-separated integers") from exc
     if len(levels) < 2 or any(l < 0 for l in levels):
         raise ConfigError(f"[{section}] levels needs at least two nonnegative entries")
+    if len(set(levels)) != len(levels):
+        raise ConfigError(f"[{section}] levels must be distinct")
     return levels
 
 
@@ -238,6 +241,12 @@ def load_config(path):
             raise ConfigError(f"[domain] {shape} requires {key}")
     if shape == "interval" and cfg.domain["a"] >= cfg.domain["b"]:
         raise ConfigError("[domain] requires a < b")
+    for section, keys in _SCHEMA.items():
+        for key, raw in getattr(cfg, section).items():
+            if (shape == "interval" and keys[key] is _expression
+                    and ("name", "x2") in (t[:2] for t in _tokenize(raw))):
+                raise ConfigError(f"[{section}] {key} uses x2, "
+                                  "but an interval domain has only x1")
 
     try:
         cfg.build_solver_cfg()

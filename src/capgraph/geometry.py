@@ -144,8 +144,8 @@ class MetricField:
 
     # -- validation -----------------------------------------------------------
 
-    def validate(self, points, rel_tol=1e-6):
-        """Check SPD sigma, positive gamma and grad_gamma/FD consistency."""
+    def validate(self, points):
+        """Check SPD sigma, positive gamma and grad_gamma/FD consistency to 1e-6."""
         pts, _ = _as_points(points, self.dim)
         sig = self.sigma(pts)
         eig = np.linalg.eigvalsh(sig)
@@ -154,15 +154,10 @@ class MetricField:
         if np.any(self.gamma(pts) <= 0):
             raise ValueError("gamma must be positive on the closed domain")
         gg = self.grad_gamma(pts)
-        fd = np.zeros_like(gg)
-        for i in range(self.dim):
-            step = 1e-6 * (1.0 + np.abs(pts[:, i]))
-            xp, xm = pts.copy(), pts.copy()
-            xp[:, i] += step
-            xm[:, i] -= step
-            fd[:, i] = (self.gamma(xp) - self.gamma(xm)) / (2 * step)
+        fd = np.stack([(self.gamma(xp) - self.gamma(xm)) / two_step
+                       for xp, xm, two_step in _difference_points(pts)], axis=1)
         scale = 1.0 + np.abs(fd)
-        if np.max(np.abs(gg - fd) / scale) > rel_tol:
+        if np.max(np.abs(gg - fd) / scale) > 1e-6:
             raise ValueError("grad_gamma is inconsistent with finite differences of gamma")
         return True
 
@@ -320,21 +315,27 @@ def quadratic_patch_fit(mesh, values, vertex):
     return grad[0], hess[0]
 
 
-def _metric_coefficient_derivatives(metric, pts):
-    """Central differences of sigma_inv and log sqrt(det sigma), batched."""
-    dim = metric.dim
-    m = len(pts)
-    d_inv = np.zeros((m, dim, dim, dim))
-    d_logsd = np.zeros((m, dim))
-    for i in range(dim):
-        step = 1e-6 * (1.0 + np.abs(pts[:, i]))
-        xp, xm = pts.copy(), pts.copy()
+def _difference_points(x):
+    """Central-difference stencil at the rows of ``x``: (x + h e_i, x - h e_i, 2 h)
+    per coordinate i, with h = 1e-6 (1 + |x_i|)."""
+    out = []
+    for i in range(x.shape[1]):
+        step = 1e-6 * (1.0 + np.abs(x[:, i]))
+        xp, xm = x.copy(), x.copy()
         xp[:, i] += step
         xm[:, i] -= step
-        d_inv[:, i] = (metric.sigma_inv(xp) - metric.sigma_inv(xm)) / (2 * step)[:, None, None]
-        d_logsd[:, i] = (np.log(metric.sqrt_det_sigma(xp))
-                         - np.log(metric.sqrt_det_sigma(xm))) / (2 * step)
-    return d_inv, d_logsd
+        out.append((xp, xm, 2 * step))
+    return out
+
+
+def _metric_coefficient_derivatives(metric, pts):
+    """Central differences of sigma_inv and log sqrt(det sigma), batched."""
+    d_inv, d_logsd = [], []
+    for xp, xm, two_step in _difference_points(pts):
+        d_inv.append((metric.sigma_inv(xp) - metric.sigma_inv(xm)) / two_step[:, None, None])
+        d_logsd.append((np.log(metric.sqrt_det_sigma(xp))
+                        - np.log(metric.sqrt_det_sigma(xm))) / two_step)
+    return np.stack(d_inv, axis=1), np.stack(d_logsd, axis=1)
 
 
 def mean_curvature_from_derivatives(metric, x, grad, hess):

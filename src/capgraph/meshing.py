@@ -296,9 +296,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("nodal values must be finite")
 
-    def with_values(self, values):
-        return ScalarField(self.mesh, values)
-
     @classmethod
     def zeros(cls, mesh):
         return cls(mesh, np.zeros(mesh.num_vertices))
@@ -464,14 +461,6 @@ class DomainSpec:
                 raise MeshError("a mesh file cannot be refined")
             return read_mesh(self.params["path"])
         raise MeshError(f"unknown domain kind {self.kind!r}")
-
-    def resolution(self, level=0):
-        """Nominal edge length at a refinement level."""
-        if self.kind in ("disk", "annulus"):
-            return self.params["h"] / 2 ** level
-        if self.kind == "interval":
-            return (self.params["b"] - self.params["a"]) / (self.params["m"] * 2 ** level)
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .expressions import DerivativeError, parse_expression, symbolic_s_derivative
+from .geometry import MetricField, _difference_points
 
 __all__ = [
     "CapillaryProblem",
@@ -160,24 +161,12 @@ def _ambient_gradient_norm(problem, s, dpsi, inv_sigma, gamma, shifted):
 
     ``dpsi`` is d_s psi at the sample points, ``inv_sigma`` and ``gamma`` the
     metric there and ``shifted`` their central-difference points from
-    `_difference_points`; only ``dpsi`` depends on s.
+    `geometry._difference_points`; only ``dpsi`` depends on s.
     """
     dxs = np.stack([(problem.psi(xp, s) - problem.psi(xm, s)) / two_step
                     for xp, xm, two_step in shifted], axis=1)
     grad_sq = np.einsum("ki,ki->k", dxs, np.einsum("kij,kj->ki", inv_sigma, dxs))
     return np.sqrt(grad_sq + gamma * dpsi ** 2)
-
-
-def _difference_points(x):
-    """(x + h e_i, x - h e_i, 2 h) per coordinate i, with h = 1e-6 (1 + |x_i|)."""
-    out = []
-    for i in range(x.shape[1]):
-        step = 1e-6 * (1.0 + np.abs(x[:, i]))
-        xp, xm = x.copy(), x.copy()
-        xp[:, i] += step
-        xm[:, i] -= step
-        out.append((xp, xm, 2 * step))
-    return out
 
 
 def _s_grid(problem, lo, hi, num):
@@ -339,7 +328,6 @@ def random_positive_gravity_problem(rng, dim, warp=False):
         g = float(rng.uniform(15.0, 30.0))
         metric_field = _radial_metric(dim, g)
     else:
-        from .geometry import MetricField
         metric_field = MetricField.euclidean(dim)
     problem = CapillaryProblem.from_expressions(
         dim, psi, phi, beta=beta, mu=mu0, beta_prime=1.0 - phi_amp**2)
@@ -347,5 +335,4 @@ def random_positive_gravity_problem(rng, dim, warp=False):
 
 
 def _radial_metric(dim, g):
-    from .geometry import MetricField
     return MetricField.radial_warp(dim, gamma=f"1 + {g!r}*r^2")

@@ -331,15 +331,15 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
     return state
 
 
-def uniqueness_probe(problem, metric, mesh, cfg=None, trials=5, state=None, seed=0):
+def uniqueness_probe(problem, metric, mesh, trials=5, state=None, seed=0):
     """Max pairwise sup-norm spread of Newton re-solves from perturbed starts.
 
     Perturbations are uniform noise of amplitude equal to the a-priori height
     bound (falling back to a fraction of the solution scale when that bound
     is zero or unavailable).  Trials that fail to converge are logged, not
-    fatal.  `trials=1` returns 0 by definition.
+    fatal.  `trials=1` returns 0 by definition.  Solves use the defaults.
     """
-    cfg = cfg or ContinuationConfig()
+    cfg = ContinuationConfig()
     if state is None:
         state = continuation_solve(problem, metric, mesh, cfg)
     if state.status != "converged":

@@ -6,6 +6,9 @@ the gradient bounds have nonconstructive constants, so their certificates
 extract the bounded quotient and assert refinement stability instead.
 Manufactured problems and a dense 1D finite-difference oracle provide
 ground truth independent of the finite-element path.
+
+The refinement studies (`mms_convergence_study`, `run_refinement_suite`)
+share one level loop; `interior_ball` places every interior certificate.
 """
 
 from __future__ import annotations
@@ -44,9 +47,9 @@ __all__ = [
     "mms_manufacture",
     "oracle_1d_solve",
     "observed_order",
+    "interior_ball",
     "mms_convergence_study",
     "run_refinement_suite",
-    "nearest_vertex",
 ]
 
 log = logging.getLogger("capgraph.verify")
@@ -117,10 +120,10 @@ class Certificate:
         }
 
 
-def observed_order(hs, errs, floor=1e-300):
-    """Least-squares slope of log(err) against log(h)."""
+def observed_order(hs, errs):
+    """Least-squares slope of log(err) against log(h); errors floored at 1e-300."""
     hs = np.asarray(hs, dtype=float)
-    errs = np.maximum(np.asarray(errs, dtype=float), floor)
+    errs = np.maximum(np.asarray(errs, dtype=float), 1e-300)
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
 
@@ -128,9 +131,22 @@ def _resolution(mesh):
     return mesh.target_h if mesh.target_h is not None else mesh.h_max
 
 
-def nearest_vertex(mesh, point):
-    point = np.asarray(point, dtype=float).reshape(1, mesh.dim)
-    return int(np.argmin(np.linalg.norm(mesh.vertices - point, axis=1)))
+def interior_ball(mesh):
+    """(center vertex, radius) for the interior gradient certificate, or None.
+
+    A disk of radius r gets radius 0.45 r about the vertex nearest the
+    origin, an interval (a, b) radius 0.35 (b - a) about the vertex nearest
+    its midpoint; other domains get none.
+    """
+    shape = mesh.shape or (None,)
+    if shape[0] == "disk":
+        center, radius = np.zeros(2), 0.45 * shape[1]
+    elif shape[0] == "interval":
+        a, b = shape[1], shape[2]
+        center, radius = np.array([0.5 * (a + b)]), 0.35 * (b - a)
+    else:
+        return None
+    return int(np.argmin(np.linalg.norm(mesh.vertices - center, axis=1))), radius
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +218,9 @@ def _stabilize(cert_list, name):
     trace = [entry for c in cert_list for entry in c.trace]
     values = np.array([v for _, v in trace])
     spread = float(np.max(values) / max(np.min(values), 1e-300) - 1.0)
-    merged = Certificate(name, float(values[-1]), tolerance=STABILITY_TOL,
-                         passed=spread <= STABILITY_TOL, trace=trace,
-                         details={**cert_list[-1].details, "relative_spread": spread})
-    return merged
+    return Certificate(name, float(values[-1]), tolerance=STABILITY_TOL,
+                       passed=spread <= STABILITY_TOL, trace=trace,
+                       details={**cert_list[-1].details, "relative_spread": spread})
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +283,14 @@ def strong_form_residual(u, tau, problem, metric, mesh):
 # Normal-displacement identity (vertical separation rate equals zeta W)
 
 
-def make_interior_bump(mesh, metric, margin=None):
+def make_interior_bump(mesh, metric):
     """Smooth nonnegative bump supported away from the boundary.
 
-    Zero within ``margin`` of the boundary (default twice the longest edge,
-    both measured in sigma), so every supporting vertex has a fully interior
-    patch.
+    Zero within twice the longest edge of the boundary (both measured in
+    sigma), so every supporting vertex has a fully interior patch.
     """
     d = boundary_distance_field(mesh, metric).values
-    if margin is None:
-        margin = 2.0 * mesh.sigma_edge_graph(metric).data.max()
+    margin = 2.0 * mesh.sigma_edge_graph(metric).data.max()
     top = float(np.max(d))
     if top <= margin:
         raise ValueError("mesh too coarse to support an interior bump")
@@ -452,13 +465,14 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
 # Dense 1D oracle (independent finite-volume discretization, own Newton)
 
 
-def oracle_1d_solve(problem, metric, a, b, m_dense, tau=1.0, tol=1e-11, max_iter=60):
+def oracle_1d_solve(problem, metric, a, b, m_dense, max_iter=60):
     """Two-point boundary solve of the capillary equation on a dense grid.
 
     Conservative second-order central differencing of
-    (gamma^{-1/2} sqrt(sigma) sigma^{-1} u' / W)' = tau psi gamma^{-1/2} sqrt(sigma)
-    with flux boundary conditions matching <N, nu> = tau phi, solved by a
-    self-contained damped Newton iteration.  Raises `OracleFailed` when the
+    (gamma^{-1/2} sqrt(sigma) sigma^{-1} u' / W)' = psi gamma^{-1/2} sqrt(sigma)
+    with flux boundary conditions matching <N, nu> = phi (the data at full
+    strength), solved by a self-contained damped Newton iteration to a
+    residual of 1e-11 or the roundoff floor.  Raises `OracleFailed` when the
     iteration does not converge; ground truth for n=1 acceptance tests.
     """
     if metric.dim != 1:
@@ -485,9 +499,9 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, tau=1.0, tol=1e-11, max_iter
 
     def res(u):
         f = fluxes(u)
-        f_a = -end_w[0] * tau * float(problem.phi(xc[:1], u[:1])[0])
-        f_b = end_w[1] * tau * float(problem.phi(xc[-1:], u[-1:])[0])
-        rho = tau * problem.psi(xc, u) * rho_w
+        f_a = -end_w[0] * float(problem.phi(xc[:1], u[:1])[0])
+        f_b = end_w[1] * float(problem.phi(xc[-1:], u[-1:])[0])
+        rho = problem.psi(xc, u) * rho_w
         out = np.empty_like(u)
         out[1:-1] = (f[1:] - f[:-1]) / hd - rho[1:-1]
         out[0] = (f[0] - f_a) / (0.5 * hd) - rho[0]
@@ -498,9 +512,9 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, tau=1.0, tol=1e-11, max_iter
         du = np.diff(u) / hd
         w = np.sqrt(gam_m + du**2 / sig_m)
         dfd = coef * gam_m / w**3 / hd          # d flux / d u_right
-        drho = tau * problem.dpsi_ds(xc, u) * rho_w
-        dfa = -end_w[0] * tau * float(problem.dphi_ds(xc[:1], u[:1])[0])
-        dfb = end_w[1] * tau * float(problem.dphi_ds(xc[-1:], u[-1:])[0])
+        drho = problem.dpsi_ds(xc, u) * rho_w
+        dfa = -end_w[0] * float(problem.dphi_ds(xc[:1], u[:1])[0])
+        dfb = end_w[1] * float(problem.dphi_ds(xc[-1:], u[-1:])[0])
         n = len(u)
         ab = np.zeros((3, n))
         ab[0, 2:] = dfd[1:] / hd                               # super
@@ -516,7 +530,7 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, tau=1.0, tol=1e-11, max_iter
     eps = np.finfo(float).eps
 
     def atol(u):
-        return max(tol, 4.0 * eps * (1.0 + np.max(np.abs(u))) / hd**2)
+        return max(1e-11, 4.0 * eps * (1.0 + np.max(np.abs(u))) / hd**2)
 
     u = np.zeros(m_dense + 1)
     r = res(u)
@@ -550,22 +564,37 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, tau=1.0, tol=1e-11, max_iter
 # Study drivers (shared by the CLI and the acceptance suite)
 
 
+def _level_solves(levels, build_problem, metric, domain, cfg, unsafe, what):
+    """(level, mesh, problem, state) per refinement level, solved at full strength.
+
+    Each level's mesh is ``domain.build(level)`` and its problem
+    ``build_problem(mesh)``.  Raises `ValueError` for repeated levels (an
+    order fitted through equal h measures no refinement) and `OracleFailed`
+    naming ``what``, the level and the stall cause when a solve stalls.
+    """
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"refinement levels must be distinct, got {tuple(levels)}")
+    from .solver import continuation_solve
+    for level in levels:
+        mesh = domain.build(level)
+        problem = build_problem(mesh)
+        state = continuation_solve(problem, metric, mesh, cfg, unsafe=unsafe)
+        if state.status != "converged":
+            raise OracleFailed(f"{what} at level {level}: {state.stall_reason()}")
+        yield level, mesh, problem, state
+
+
 def mms_convergence_study(metric, domain, u_exact, levels=(0, 1, 2), kappa0=1.0,
                           cfg=None, unsafe=False):
-    """Solve a manufactured problem at several resolutions.
+    """Solve a manufactured problem at several distinct refinement levels.
 
     Returns a list of rows {h, error, angle_residual, strong_residual} plus
     observed orders; error is the vertex max-norm against the exact field.
     """
-    from .solver import continuation_solve
     rows = []
-    for level in levels:
-        mesh = domain.build(level)
-        problem = mms_manufacture(metric, mesh, u_exact, kappa0=kappa0)
-        state = continuation_solve(problem, metric, mesh, cfg, unsafe=unsafe)
-        if state.status != "converged":
-            raise OracleFailed(f"manufactured solve at level {level}: "
-                               f"{state.stall_reason()}")
+    for level, mesh, problem, state in _level_solves(
+            levels, lambda mesh: mms_manufacture(metric, mesh, u_exact, kappa0=kappa0),
+            metric, domain, cfg, unsafe, "manufactured solve"):
         err = float(np.max(np.abs(state.u.values - problem.u_exact(mesh.vertices))))
         angle = contact_angle_residual(state.u, 1.0, problem, metric, mesh).observed
         strong = strong_form_residual(state.u, 1.0, problem, metric, mesh).observed
@@ -574,39 +603,31 @@ def mms_convergence_study(metric, domain, u_exact, levels=(0, 1, 2), kappa0=1.0,
         log.info("mms level=%d h=%.4g error=%.3e angle=%.3e", level,
                  rows[-1]["h"], err, angle)
     hs = [r["h"] for r in rows]
-    orders = {
-        "error": observed_order(hs, [r["error"] for r in rows]),
-        "angle_residual": observed_order(hs, [r["angle_residual"] for r in rows]),
-        "strong_residual": observed_order(hs, [r["strong_residual"] for r in rows]),
-    }
-    return rows, orders
+    return rows, {key: observed_order(hs, [r[key] for r in rows])
+                  for key in ("error", "angle_residual", "strong_residual")}
 
 
 def run_refinement_suite(problem, metric, domain, levels=(0, 1, 2), cfg=None,
-                         interior_ball=None):
-    """Solve across refinement levels and merge all certificates with traces.
+                         unsafe=False):
+    """Solve across distinct refinement levels and merge all certificates with traces.
 
-    ``interior_ball`` is an optional (point, radius) for the interior
-    gradient certificate.  Returns (certificates, finest state).
+    The interior gradient certificate is traced over the `interior_ball` of
+    each level's mesh, when the domain has one.  Returns (certificates,
+    finest state).
     """
-    from .solver import continuation_solve
     per_level = {"interior": [], "boundary": [], "angle": [], "strong": [],
                  "height": []}
-    state = None
-    for level in levels:
-        mesh = domain.build(level)
-        state = continuation_solve(problem, metric, mesh, cfg)
-        if state.status != "converged":
-            raise OracleFailed(f"suite solve at level {level}: {state.stall_reason()}")
+    for _, mesh, _, state in _level_solves(levels, lambda mesh: problem, metric, domain,
+                                           cfg, unsafe, "suite solve"):
         u = state.u
         per_level["height"].append(check_height(u, problem, metric, mesh))
         per_level["boundary"].append(boundary_gradient_certificate(u, metric, mesh))
         per_level["angle"].append(contact_angle_residual(u, 1.0, problem, metric, mesh))
         per_level["strong"].append(strong_form_residual(u, 1.0, problem, metric, mesh))
-        if interior_ball is not None:
-            point, radius = interior_ball
-            per_level["interior"].append(interior_gradient_certificate(
-                u, metric, mesh, nearest_vertex(mesh, point), radius))
+        ball = interior_ball(mesh)
+        if ball is not None:
+            per_level["interior"].append(
+                interior_gradient_certificate(u, metric, mesh, *ball))
 
     certs = []
     heights = per_level["height"]

@@ -248,17 +248,15 @@ def test_criterion_10_gradient_bound_surrogates():
     start = time.monotonic()
     suite = [
         (DomainSpec("disk", {"radius": 1.0, "h": 0.2}),
-         cg.MetricField.euclidean(2), make(2, "1 + s", "0.3"),
-         (np.zeros(2), 0.45)),
+         cg.MetricField.euclidean(2), make(2, "1 + s", "0.3")),
         (DomainSpec("interval", {"a": 0.0, "b": 1.0, "m": 16}),
          cg.MetricField.from_expressions(1, gamma="exp(x1)"),
-         make(1, "1 + s", "0.2"), (np.array([0.5]), 0.35)),
+         make(1, "1 + s", "0.2")),
     ]
     spreads = []
     ok = True
-    for domain, metric, prob, ball in suite:
-        certs, _ = run_refinement_suite(prob, metric, domain, levels=(0, 1, 2),
-                                        interior_ball=ball)
+    for domain, metric, prob in suite:
+        certs, _ = run_refinement_suite(prob, metric, domain, levels=(0, 1, 2))
         for cert in certs:
             if cert.name in ("interior-gradient", "boundary-gradient"):
                 spreads.append(cert.details["relative_spread"])

@@ -203,6 +203,17 @@ CONFIG_RULES = [
     *[_rule(f"metric.{key}-expression",
             {"metric": {"preset": "custom-expression", key: "1 +"}}, f"[metric] {key}: ")
       for key in ("gamma", "sigma_conformal")],
+    # an interval domain has x1 and r = |x1|, but no x2
+    *[_rule(f"{section}.{key}-x2-on-interval",
+            {"domain": INTERVAL, section: {**RULE_BASE[section], key: "1 + x2^2"}},
+            f"[{section}] {key} uses x2, but an interval domain has only x1")
+      for section, key in (("problem", "psi"), ("problem", "phi"),
+                           ("problem", "dpsi_ds"), ("problem", "dphi_ds"),
+                           ("mms", "u_exact"))],
+    *[_rule(f"metric.{key}-x2-on-interval",
+            {"domain": INTERVAL, "metric": {"preset": "custom-expression", key: "1 + x2^2"}},
+            f"[metric] {key} uses x2, but an interval domain has only x1")
+      for key in ("gamma", "sigma_conformal")],
     # [mms] levels and [output] formats
     _rule("mms.levels-integers", {"mms": {"u_exact": "1", "levels": "0,one"}},
           "[mms] levels must be comma-separated integers"),
@@ -210,6 +221,8 @@ CONFIG_RULES = [
           "[mms] levels needs at least two nonnegative entries"),
     _rule("mms.levels-nonnegative", {"mms": {"u_exact": "1", "levels": "0,-1"}},
           "[mms] levels needs at least two nonnegative entries"),
+    _rule("mms.levels-distinct", {"mms": {"u_exact": "1", "levels": "0,1,0"}},
+          "[mms] levels must be distinct"),
     _rule("output.formats", {"output": {"formats": "csv,xls"}},
           "[output] unknown formats ['xls']"),
     # [metric] presets
@@ -348,6 +361,55 @@ def test_convergence_command(tmp_path):
     names = {r["name"] for r in report}
     assert "contact-angle-residual" in names
     assert all(not r["provisional"] for r in report)
+
+
+def test_convergence_honours_unsafe(tmp_path, capsys):
+    # phi grows with s, so the structural conditions fail; unsafe runs anyway
+    text = DISK_CFG.format(psi="1 + s", phi="0.3 + 0.01*s", out=tmp_path / "out").replace(
+        "tol = 1e-10", "tol = 1e-10\nunsafe = true") + "\n[mms]\nlevels = 0,1\n"
+    cfg = write_cfg(tmp_path, "run.cfg", text)
+    assert run_command(["convergence", "--config", cfg]) == 0
+    assert "structural conditions" not in capsys.readouterr().err
+    names = {r["name"] for r in read_report(tmp_path / "out" / "report.jsonl")}
+    assert "interior-gradient" in names
+
+
+def test_interval_expressions_may_use_r(tmp_path):
+    text = INTERVAL_CFG.format(out=tmp_path / "out").replace("psi = 1 + s",
+                                                             "psi = 1 + s + 0.1*r")
+    assert load_config(write_cfg(tmp_path, "run.cfg", text)).problem["psi"].endswith("r")
+
+
+@pytest.mark.parametrize("cause,message", [
+    ("missing", "cannot read stored solution"),
+    ("not-numbers", "cannot read stored solution"),
+    ("no-u-column", "has no column 'u'"),
+    ("non-finite-u", "has non-finite u values"),
+    ("other-mesh", "was not written on the configured mesh"),
+])
+def test_stored_solution_errors_exit_2(tmp_path, capsys, cause, message):
+    text = INTERVAL_CFG.format(out=tmp_path / "out")
+    cfg = write_cfg(tmp_path, "run.cfg", text)
+    assert run_command(["solve", "--config", cfg]) == 0
+    path = tmp_path / "out" / "solution.csv"
+    if cause == "missing":
+        path.unlink()
+    elif cause == "not-numbers":
+        path.write_text("vertex_id,x1,u\n0,left,1\n")
+    elif cause == "no-u-column":
+        path.write_text(path.read_text().replace(",u,", ",v,", 1))
+    elif cause == "non-finite-u":
+        lines = path.read_text().splitlines()
+        row = lines[1].split(",")
+        row[2] = "nan"                              # vertex_id,x1,u,...
+        path.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+    else:
+        # the same vertex count on (0, 2) instead of (0, 1)
+        cfg = write_cfg(tmp_path, "other.cfg", text.replace("b = 1", "b = 2"))
+    capsys.readouterr()
+    for command in ("verify", "export"):
+        assert run_command([command, "--config", cfg, "--solution", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_export_vtk(tmp_path):

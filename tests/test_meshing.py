@@ -173,10 +173,8 @@ def test_vtk_export(tmp_path, disk_01):
 def test_domain_spec_levels():
     disk = DomainSpec("disk", {"radius": 1.0, "h": 0.2})
     assert disk.build(1).target_h == pytest.approx(0.1)
-    assert disk.resolution(2) == pytest.approx(0.05)
     interval = DomainSpec("interval", {"a": 0.0, "b": 1.0, "m": 16})
     assert interval.build(1).num_cells == 32
-    assert interval.resolution(0) == pytest.approx(1 / 16)
 
 
 def test_generators_deterministic():

@@ -21,6 +21,7 @@ from capgraph.verify import (
     boundary_gradient_certificate,
     check_height,
     contact_angle_residual,
+    interior_ball,
     interior_gradient_certificate,
     separation_rate_check,
     make_interior_bump,
@@ -147,7 +148,7 @@ def test_separation_rate_exact_for_vertical_displacements(disk_01, euclid2):
     u = cg.ScalarField(disk_01, np.full(disk_01.num_vertices, -0.4))
     cert = separation_rate_check(u, euclid2, disk_01, zeta, [1e-2, 5e-3])
     assert cert.details["exact"] and cert.passed
-    zero = zeta.with_values(np.zeros(disk_01.num_vertices))
+    zero = cg.ScalarField(disk_01, np.zeros(disk_01.num_vertices))
     cert = separation_rate_check(u, euclid2, disk_01, zero, [1e-2])
     assert cert.details["exact"]
 
@@ -249,8 +250,7 @@ def test_oracle_reports_failure(euclid1):
 def test_refinement_suite_merges_traces(euclid2):
     domain = DomainSpec("disk", {"radius": 1.0, "h": 0.3})
     certs, state = run_refinement_suite(make(2, "1 + s", "0.3"), euclid2, domain,
-                                        levels=(0, 1, 2),
-                                        interior_ball=(np.zeros(2), 0.45))
+                                        levels=(0, 1, 2))
     assert state.status == "converged"
     by_name = {c.name: c for c in certs}
     for name in ("height-bound", "boundary-gradient", "interior-gradient",
@@ -258,6 +258,24 @@ def test_refinement_suite_merges_traces(euclid2):
         assert name in by_name
         assert not by_name[name].provisional
         assert by_name[name].passed
+
+
+def test_refinement_studies_reject_repeated_levels(euclid2):
+    # an order fitted through equal h would measure no refinement
+    domain = DomainSpec("disk", {"radius": 1.0, "h": 0.3})
+    with pytest.raises(ValueError, match="levels must be distinct"):
+        mms_convergence_study(euclid2, domain, "0.5 - 0.2*r^2", levels=(0, 0))
+    with pytest.raises(ValueError, match="levels must be distinct"):
+        run_refinement_suite(make(2, "1 + s", "0.3"), euclid2, domain, levels=(0, 1, 0))
+
+
+def test_interior_ball_per_shape(disk_01):
+    vertex, radius = interior_ball(disk_01)
+    assert radius == pytest.approx(0.45)
+    assert np.linalg.norm(disk_01.vertices[vertex]) == pytest.approx(0.0, abs=1e-12)
+    vertex, radius = interior_ball(cg.generate_interval_mesh(1.0, 3.0, 8))
+    assert (vertex, radius) == (4, pytest.approx(0.7))
+    assert interior_ball(cg.generate_disk_mesh(1.0, 0.3, inner_radius=0.5)) is None
 
 
 def test_separation_rate_on_disk_capillary_solution(euclid2, disk_01):
