@@ -11,7 +11,9 @@ directory:
 - `capgraph verify` and `capgraph export --format {vtk,csv,mesh}` on each
   solve's `solution.csv`,
 - `capgraph convergence` on `disk_capillary.cfg`, `hyperbolic_warp.cfg` and
-  `interval_oracle.cfg` (disk and interval interior balls).
+  `interval_oracle.cfg` (disk and interval interior balls), and on
+  `cap_mms.cfg` (its hand-off to `mms`),
+- `capgraph mms` on `cap_mms_warped.cfg` (a warped leaf).
 
 Prints one `sha256  <command>/<config>/<file>` line per output file, and the
 same for the run's stdout, stderr (log records included) and exit code.
@@ -52,6 +54,10 @@ def runs(tmp):
     for stem in ("disk_capillary", "hyperbolic_warp", "interval_oracle"):
         out.append((f"convergence/{stem}",
                     ["convergence", "--config", str(CONFIGS / f"{stem}.cfg")]))
+    out.append(("convergence/cap_mms",
+                ["convergence", "--config", str(CONFIGS / "cap_mms.cfg")]))
+    out.append(("mms/cap_mms_warped",
+                ["mms", "--config", str(CONFIGS / "cap_mms_warped.cfg")]))
     return out
 
 

@@ -7,7 +7,8 @@ an integer, a boolean, an expression, a choice, the output formats or the
 mms levels), and `_SHAPES` maps each [domain] shape to the keys it requires.
 Every key present is parsed; unknown sections and keys, [domain] keys that
 the shape does not use, and expressions that use x2 on an interval fail
-fast.
+fast.  A mesh file's dimension is known only once it is read, so
+`build_metric` and `build_problem` apply the x2 rule to a 1D mesh.
 
 The [metric] preset "euclidean" (the default) is the flat metric and admits
 no gamma or sigma_conformal; the other presets build the metric from those
@@ -146,6 +147,17 @@ _SCHEMA = {
 }
 
 
+def _reject_x2(cfg, sections, domain):
+    """`ConfigError` if an expression of ``sections`` names x2: ``domain`` is
+    1D and has only x1 (and r = |x1|)."""
+    for section in sections:
+        for key, raw in getattr(cfg, section).items():
+            if (_SCHEMA[section][key] is _expression
+                    and ("name", "x2") in (t[:2] for t in _tokenize(raw))):
+                raise ConfigError(f"[{section}] {key} uses x2, "
+                                  f"but {domain} has only x1")
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration: one dict of parsed values per section,
@@ -169,6 +181,8 @@ class RunConfig:
 
     def build_metric(self, dim=None):
         dim = self.dim if dim is None else dim
+        if dim == 1:
+            _reject_x2(self, ("metric",), "a 1D domain")
         if self.metric.get("preset", "euclidean") == "euclidean":
             return MetricField.euclidean(dim)
         data = {k: v for k, v in self.metric.items() if k != "preset"}
@@ -178,6 +192,8 @@ class RunConfig:
         if "psi" not in self.problem:
             raise ConfigError("[problem] psi is required for this command")
         dim = self.dim if dim is None else dim
+        if dim == 1:
+            _reject_x2(self, ("problem",), "a 1D domain")
         try:
             return CapillaryProblem.from_expressions(dim, **self.problem)
         except ExpressionError as exc:
@@ -241,12 +257,8 @@ def load_config(path):
             raise ConfigError(f"[domain] {shape} requires {key}")
     if shape == "interval" and cfg.domain["a"] >= cfg.domain["b"]:
         raise ConfigError("[domain] requires a < b")
-    for section, keys in _SCHEMA.items():
-        for key, raw in getattr(cfg, section).items():
-            if (shape == "interval" and keys[key] is _expression
-                    and ("name", "x2") in (t[:2] for t in _tokenize(raw))):
-                raise ConfigError(f"[{section}] {key} uses x2, "
-                                  "but an interval domain has only x1")
+    if shape == "interval":
+        _reject_x2(cfg, _SCHEMA, "an interval domain")
 
     try:
         cfg.build_solver_cfg()

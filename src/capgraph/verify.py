@@ -388,13 +388,50 @@ def _shape_conormal(mesh, metric):
     return direction
 
 
+# Distinct point sets whose s-independent data one manufactured problem keeps.
+# One level calls psi on at most 3 + 2 dim of them (validation's samples and
+# their 2 dim difference shifts, the assembly quadrature points, the
+# strong-form vertices) and phi on at most 3 (validation's boundary samples,
+# the facet quadrature points of assembly and of the angle certificate), so
+# 8 keeps them all and validation's sweep over the shifts evicts nothing.
+_POINT_SETS = 8
+
+
+def _per_point_set(fn):
+    """``fn(x)`` on float point arrays, kept for the last `_POINT_SETS`
+    distinct point sets.
+
+    A point set matches a kept one when shape and bit pattern agree
+    (`np.array_equal` of the int64 views, so 0.0 and -0.0 differ), never by
+    identity; a copy of each key is kept, so a caller that edits its array
+    in place afterwards misses.  The kept values are returned as they are:
+    callers must not modify them or hand them on.
+    """
+    memo = []      # (key bits, value), oldest first
+
+    def lookup(x):
+        bits = x.view(np.int64)
+        for key, value in memo:
+            if key.shape == bits.shape and np.array_equal(key, bits):
+                return value
+        value = fn(x)
+        memo.append((bits.copy(), value))
+        if len(memo) > _POINT_SETS:
+            memo.pop(0)
+        return value
+    return lookup
+
+
 def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
     """Data (psi, phi) whose exact solution is ``u_exact`` at full strength.
 
     psi(x, s) = nH[u_exact](x) + kappa0 (s - u_exact(x)) adds positive
     gravity without moving the solution; phi is the exact contact angle of
     u_exact against the inward conormal.  Both are affine in s, and the
-    problem says so.  Raises `ManufactureError` when the manufactured angle
+    problem says so.  The parts that do not depend on s (nH[u_exact] and
+    u_exact for psi, all of phi) are computed once per point set and kept
+    for the life of the problem (`_per_point_set`); each call still returns
+    a fresh array.  Raises `ManufactureError` when the manufactured angle
     leaves (-1, 1).
     """
     if kappa0 <= 0:
@@ -423,23 +460,29 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
         return 0.5 * (out + out.transpose(0, 2, 1))
     conormal = _shape_conormal(mesh, metric)
 
+    psi_x = _per_point_set(lambda x: (
+        mean_curvature_from_derivatives(metric, x, du_ex(x), hess_ex(x)), u_ex(x)))
+
     def psi(x, s):
         x = np.asarray(x, dtype=float).reshape(-1, dim)
         s = np.broadcast_to(np.asarray(s, dtype=float), (len(x),))
-        nh = mean_curvature_from_derivatives(metric, x, du_ex(x), hess_ex(x))
-        return nh + kappa0 * (s - u_ex(x))
+        nh, u_x = psi_x(x)
+        return nh + kappa0 * (s - u_x)
 
     def dpsi_ds(x, s):
         x = np.asarray(x, dtype=float).reshape(-1, dim)
         return np.full(len(x), kappa0)
 
-    def phi(x, s):
-        x = np.asarray(x, dtype=float).reshape(-1, dim)
+    @_per_point_set
+    def phi_x(x):
         du = du_ex(x)
         nu = conormal(x)
         inv_sigma = metric.sigma_inv(x)
         w = np.sqrt(metric.gamma(x) + np.einsum("ki,kij,kj->k", du, inv_sigma, du))
         return -np.einsum("ki,ki->k", du, nu) / w
+
+    def phi(x, s):
+        return phi_x(np.asarray(x, dtype=float).reshape(-1, dim)).copy()
 
     def dphi_ds(x, s):
         x = np.asarray(x, dtype=float).reshape(-1, dim)

@@ -7,6 +7,7 @@ import pytest
 
 from capgraph.cli import read_report, read_solution_csv, run_command
 from capgraph.config import load_config
+from capgraph.meshing import generate_interval_mesh, write_mesh
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg"))
 
@@ -137,6 +138,7 @@ RULE_BASE = {
 }
 ANNULUS = {"shape": "annulus", "radius": "1.0", "inner_radius": "0.5", "h": "0.2"}
 INTERVAL = {"shape": "interval", "a": "0", "b": "1", "m": "8"}
+MESH_1D = {"shape": "mesh-file", "path": "{tmp}/interval.txt"}   # INTERVAL's mesh
 
 
 def _without(section, key):
@@ -213,6 +215,15 @@ CONFIG_RULES = [
     *[_rule(f"metric.{key}-x2-on-interval",
             {"domain": INTERVAL, "metric": {"preset": "custom-expression", key: "1 + x2^2"}},
             f"[metric] {key} uses x2, but an interval domain has only x1")
+      for key in ("gamma", "sigma_conformal")],
+    # a mesh file's dimension is known once it is read: the same rule for a 1D mesh
+    *[_rule(f"problem.{key}-x2-on-1d-mesh-file",
+            {"domain": MESH_1D, "problem": {**RULE_BASE["problem"], key: "1 + x2^2"}},
+            f"[problem] {key} uses x2, but a 1D domain has only x1")
+      for key in ("psi", "phi", "dpsi_ds", "dphi_ds")],
+    *[_rule(f"metric.{key}-x2-on-1d-mesh-file",
+            {"domain": MESH_1D, "metric": {"preset": "custom-expression", key: "1 + x2^2"}},
+            f"[metric] {key} uses x2, but a 1D domain has only x1")
       for key in ("gamma", "sigma_conformal")],
     # [mms] levels and [output] formats
     _rule("mms.levels-integers", {"mms": {"u_exact": "1", "levels": "0,one"}},
@@ -298,6 +309,7 @@ CONFIG_RULES = [
 def test_config_rule_exits_2(tmp_path, capsys, command, sections, message):
     (tmp_path / "garbage.txt").write_text("hello mesh\n")
     (tmp_path / "truncated.txt").write_text("DIM 2\nVERTICES 3\n0 0\n1 0\n")
+    write_mesh(generate_interval_mesh(0.0, 1.0, 8), tmp_path / "interval.txt")
     config = {**RULE_BASE, **sections, "output": {"dir": str(tmp_path / "out"),
                                                   **sections.get("output", {})}}
     lines = []

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import capgraph as cg
 from capgraph.config import load_config
@@ -11,6 +12,7 @@ from capgraph.geometry import (
     _patch_derivatives,
     mean_curvature_from_derivatives,
 )
+from capgraph import verify as vf
 from capgraph.meshing import DomainSpec
 from capgraph.solver import continuation_solve
 from capgraph.verify import (
@@ -222,6 +224,120 @@ def test_mms_rejects_degenerate_angle(euclid1):
         mms_manufacture(euclid1, mesh, "100000*x1")
     with pytest.raises(ManufactureError):
         mms_manufacture(euclid1, mesh, "x1", kappa0=0.0)
+
+
+def _memo_free_data(metric, mesh, u_exact, kappa0):
+    """mms_manufacture's psi and phi, written out with no memo."""
+    expr = cg.parse_expression(u_exact)
+    names = ("x1", "x2")[:mesh.dim]
+    dus = [expr.derivative(v, dim=mesh.dim) for v in names]
+    d2us = [[du.derivative(v, dim=mesh.dim) for v in names] for du in dus]
+    tree = cKDTree(mesh.facet_midpoints())
+    nus = mesh.sigma_conormals(metric)
+
+    def grad(x):
+        return np.column_stack([du.at_points(x) for du in dus])
+
+    def psi(x, s):
+        hess = np.stack([np.column_stack([d.at_points(x) for d in row]) for row in d2us],
+                        axis=1)
+        nh = mean_curvature_from_derivatives(metric, x, grad(x),
+                                             0.5 * (hess + hess.transpose(0, 2, 1)))
+        return nh + kappa0 * (s - expr.at_points(x))
+
+    def phi(x):
+        du, nu = grad(x), nus[tree.query(x)[1]]
+        w = np.sqrt(metric.gamma(x)
+                    + np.einsum("ki,kij,kj->k", du, metric.sigma_inv(x), du))
+        return -np.einsum("ki,ki->k", du, nu) / w
+
+    return psi, phi
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+MEMO_CASES = {
+    "1d": (lambda: cg.MetricField.euclidean(1),
+           lambda: cg.generate_interval_mesh(0.0, 1.0, 16), "0.3*x1 + 0.1*x1^2"),
+    "2d": (lambda: cg.MetricField.euclidean(2),
+           lambda: cg.generate_disk_mesh(1.0, 0.3), "sqrt(4 - r^2)"),
+    "2d-warped": (lambda: cg.MetricField.from_expressions(
+                      2, sigma_conformal="1 + 0.3*r^2", gamma="1 + 0.5*r^2"),
+                  lambda: cg.generate_disk_mesh(1.0, 0.3), "0.3*x1 + 0.5 - 0.2*r^2"),
+}
+
+
+@pytest.mark.parametrize("case", MEMO_CASES)
+def test_manufactured_memo_is_exact(case):
+    # more point sets than the memo keeps, visited in a shuffled interleaving
+    make_metric, make_mesh, u_exact = MEMO_CASES[case]
+    metric, mesh = make_metric(), make_mesh()
+    prob = mms_manufacture(metric, mesh, u_exact, kappa0=1.5)
+    psi_ref, phi_ref = _memo_free_data(metric, mesh, u_exact, 1.5)
+    rng = np.random.default_rng(7)
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    sets = [0.7 * rng.uniform(lo, hi, size=(5 + i % 3, mesh.dim))
+            for i in range(vf._POINT_SETS + 4)]
+
+    def check(x):
+        s = rng.normal(size=len(x))
+        assert _same_bits(prob.psi(x, s), psi_ref(x, s))
+        assert _same_bits(prob.phi(x, s), phi_ref(x))
+
+    for i in rng.permutation(np.repeat(np.arange(len(sets)), 3)):
+        check(sets[i])
+    # an input edited in place after a call is a new point set
+    x = sets[0]
+    check(x)
+    x[0] += 0.01
+    check(x)
+    # a caller that edits what it got back edits its own copy
+    got = prob.phi(x, 0.0)
+    got[:] = 7.0
+    check(x)
+    got = prob.psi(x, np.zeros(len(x)))
+    got[:] = 7.0
+    check(x)
+    # point sets match by bit pattern, so 0.0 and -0.0 are kept apart
+    signs = vf._per_point_set(np.signbit)
+    assert not signs(np.zeros((1, 1)))[0, 0] and signs(-np.zeros((1, 1)))[0, 0]
+
+
+def test_manufactured_psi_computes_curvature_once_per_point_set(monkeypatch):
+    # one mms level: validation, continuation and both certificates on one mesh
+    metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
+    mesh = cg.generate_disk_mesh(1.0, 0.2)
+    prob = mms_manufacture(metric, mesh, "0.5 - 0.2*r^2")
+    calls, psi_sets, phi_sets, in_psi = [], [], [], []
+    curvature = vf.mean_curvature_from_derivatives
+
+    def counted(*args):
+        calls.extend(in_psi[-1:])
+        return curvature(*args)
+
+    def recorded(fn, sets, flag):
+        def wrapper(x, s):
+            x = np.asarray(x, dtype=float)
+            if not any(x.shape == y.shape and np.array_equal(x, y) for y in sets):
+                sets.append(x.copy())
+            in_psi.append(flag)
+            try:
+                return fn(x, s)
+            finally:
+                in_psi.pop()
+        return wrapper
+
+    monkeypatch.setattr(vf, "mean_curvature_from_derivatives", counted)
+    prob.psi = recorded(prob.psi, psi_sets, True)
+    prob.phi = recorded(prob.phi, phi_sets, False)
+    state = continuation_solve(prob, metric, mesh)
+    assert state.status == "converged"
+    contact_angle_residual(state.u, 1.0, prob, metric, mesh)
+    strong_form_residual(state.u, 1.0, prob, metric, mesh)
+    assert 0 < sum(calls) <= len(psi_sets)
+    assert len(psi_sets) <= vf._POINT_SETS and len(phi_sets) <= vf._POINT_SETS
 
 
 def test_oracle_trivial(euclid1):
