@@ -184,13 +184,24 @@ def _cmd_verify(args, cfg):
     return 0
 
 
+def _refined_domain(cfg, command):
+    """(domain, levels, dim) of a refinement study: `ConfigError` for a mesh
+    file, which cannot be refined; the dimension is that of the coarsest
+    level's mesh."""
+    if cfg.domain["shape"] == "mesh-file":
+        raise ConfigError(f"{command} refines its domain, and a mesh-file domain "
+                          f"cannot be refined")
+    domain = cfg.build_domain()
+    levels = cfg.mms.get("levels", (0, 1, 2))
+    return domain, levels, domain.build(min(levels)).dim
+
+
 def _cmd_mms(args, cfg):
     if "u_exact" not in cfg.mms:
         raise ConfigError("[mms] u_exact is required for the mms command")
-    domain = cfg.build_domain()
-    metric = cfg.build_metric()
+    domain, levels, dim = _refined_domain(cfg, "mms")
     rows, orders = vf.mms_convergence_study(
-        metric, domain, cfg.mms["u_exact"], levels=cfg.mms.get("levels", (0, 1, 2)),
+        cfg.build_metric(dim), domain, cfg.mms["u_exact"], levels=levels,
         kappa0=cfg.mms.get("kappa0", 1.0), cfg=cfg.build_solver_cfg(),
         unsafe=cfg.unsafe)
     print(f"{'h':>10} {'Linf_error':>14} {'angle_residual':>16} {'strong_residual':>16}")
@@ -211,9 +222,9 @@ def _cmd_mms(args, cfg):
 def _cmd_convergence(args, cfg):
     if "u_exact" in cfg.mms:
         return _cmd_mms(args, cfg)
-    certs, _ = vf.run_refinement_suite(cfg.build_problem(), cfg.build_metric(),
-                                       cfg.build_domain(),
-                                       levels=cfg.mms.get("levels", (0, 1, 2)),
+    domain, levels, dim = _refined_domain(cfg, "convergence")
+    certs, _ = vf.run_refinement_suite(cfg.build_problem(dim), cfg.build_metric(dim),
+                                       domain, levels=levels,
                                        cfg=cfg.build_solver_cfg(), unsafe=cfg.unsafe)
     for c in certs:
         order = c.details.get("observed_order")

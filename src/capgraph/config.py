@@ -8,7 +8,8 @@ mms levels), and `_SHAPES` maps each [domain] shape to the keys it requires.
 Every key present is parsed; unknown sections and keys, [domain] keys that
 the shape does not use, and expressions that use x2 on an interval fail
 fast.  A mesh file's dimension is known only once it is read, so
-`build_metric` and `build_problem` apply the x2 rule to a 1D mesh.
+`build_metric` and `build_problem` take the dimension of the built mesh and
+apply the x2 rule to a 1D mesh.  Numbers must be finite.
 
 The [metric] preset "euclidean" (the default) is the flat metric and admits
 no gamma or sigma_conformal; the other presets build the metric from those
@@ -20,6 +21,7 @@ documented in `capgraph.expressions`.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +44,8 @@ def _number(lo=None, hi=None, integer=False):
             value = int(raw) if integer else float(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not a finite number")
         if lo is not None and value < lo:
             raise ConfigError(f"[{section}] {key} = {value} below allowed minimum {lo}")
         if hi is not None and value > hi:
@@ -171,16 +175,11 @@ class RunConfig:
     mms: dict = field(default_factory=dict)
     oracle: dict = field(default_factory=dict)
 
-    @property
-    def dim(self):
-        return 1 if self.domain["shape"] == "interval" else 2
-
     def build_domain(self):
         params = {k: v for k, v in self.domain.items() if k != "shape"}
         return DomainSpec(self.domain["shape"], params)
 
-    def build_metric(self, dim=None):
-        dim = self.dim if dim is None else dim
+    def build_metric(self, dim):
         if dim == 1:
             _reject_x2(self, ("metric",), "a 1D domain")
         if self.metric.get("preset", "euclidean") == "euclidean":
@@ -188,10 +187,9 @@ class RunConfig:
         data = {k: v for k, v in self.metric.items() if k != "preset"}
         return MetricField.from_expressions(dim, **data)
 
-    def build_problem(self, dim=None):
+    def build_problem(self, dim):
         if "psi" not in self.problem:
             raise ConfigError("[problem] psi is required for this command")
-        dim = self.dim if dim is None else dim
         if dim == 1:
             _reject_x2(self, ("problem",), "a 1D domain")
         try:

@@ -240,17 +240,22 @@ def contact_angle(metric, x, grad_u, nu):
 # Nodal recovery
 
 
+def _average_cell_gradients(cells, measure, grads_lambda, values):
+    """Measure-weighted average of the adjacent cells' P1 gradients of
+    ``values`` (one per vertex), for any cell geometry over one topology."""
+    cell_grad = np.einsum("ca,cad->cd", values[cells], grads_lambda)
+    num = np.zeros((len(values), grads_lambda.shape[2]))
+    den = np.zeros(len(values))
+    for a in range(cells.shape[1]):
+        np.add.at(num, cells[:, a], measure[:, None] * cell_grad)
+        np.add.at(den, cells[:, a], measure)
+    return num / den[:, None]
+
+
 def recover_vertex_gradients(mesh, values):
     """Measure-weighted average of adjacent cell P1 gradients, per vertex."""
-    values = np.asarray(values, dtype=float)
-    cell_grad = np.einsum("ca,cad->cd", values[mesh.cells], mesh.grads_lambda)
-    num = np.zeros((mesh.num_vertices, mesh.dim))
-    den = np.zeros(mesh.num_vertices)
-    w = mesh.cell_measure
-    for a in range(mesh.dim + 1):
-        np.add.at(num, mesh.cells[:, a], w[:, None] * cell_grad)
-        np.add.at(den, mesh.cells[:, a], w)
-    return num / den[:, None]
+    return _average_cell_gradients(mesh.cells, mesh.cell_measure, mesh.grads_lambda,
+                                   np.asarray(values, dtype=float))
 
 
 def vertex_slope_factors(metric, u):

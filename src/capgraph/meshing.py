@@ -24,6 +24,7 @@ __all__ = [
     "MeshBudgetError",
     "MeshFormatError",
     "UnreachableVertexError",
+    "cell_geometry",
     "generate_disk_mesh",
     "generate_interval_mesh",
     "geodesic_distance_field",
@@ -63,6 +64,36 @@ _SEG_QP = np.array([[0.5 + _G, 0.5 - _G], [0.5 - _G, 0.5 + _G]])
 _SEG_QW = np.array([0.5, 0.5])
 _PT_QP = np.array([[1.0]])
 _PT_QW = np.array([1.0])
+
+
+def cell_geometry(vertices, cells):
+    """P1 geometry of ``cells`` over ``vertices``: (measure, grads_lambda).
+
+    measure (nc,) is the signed euclidean cell measure, positive when a
+    segment runs left to right or a triangle is counter-clockwise;
+    grads_lambda (nc, d+1, d) holds the gradients of the barycentric
+    coordinates.  A cell of zero measure gets non-finite gradients, so
+    callers check the measure.
+    """
+    p = vertices[cells]                        # (nc, d+1, d)
+    if cells.shape[1] == 2:
+        length = (p[:, 1, 0] - p[:, 0, 0])
+        with np.errstate(divide="ignore"):
+            g = 1.0 / length
+        return length, np.stack([-g, g], axis=1)[:, :, None]
+    b = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)  # cols = edges
+    det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
+    inv = np.empty_like(b)
+    gl = np.empty((len(cells), 3, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv[:, 0, 0] = b[:, 1, 1] / det
+        inv[:, 0, 1] = -b[:, 0, 1] / det
+        inv[:, 1, 0] = -b[:, 1, 0] / det
+        inv[:, 1, 1] = b[:, 0, 0] / det
+        gl[:, 1] = inv[:, 0]                   # rows of B^{-1} are grad lambda_1,2
+        gl[:, 2] = inv[:, 1]
+        gl[:, 0] = -gl[:, 1] - gl[:, 2]
+    return 0.5 * det, gl
 
 
 class Mesh:
@@ -148,30 +179,11 @@ class Mesh:
 
     def _build_geometry(self):
         verts, cells = self.vertices, self.cells
-        p = verts[cells]                       # (nc, d+1, d)
-        if self.dim == 1:
-            length = (p[:, 1, 0] - p[:, 0, 0])
-            if np.any(length <= 0):
-                raise MeshFormatError("degenerate segment cell")
-            self.cell_measure = length
-            g = 1.0 / length
-            self.grads_lambda = np.stack([-g, g], axis=1)[:, :, None]
-        else:
-            b = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)  # cols = edges
-            det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-            if np.any(np.abs(det) < 1e-300) or np.any(det <= 0):
-                raise MeshFormatError("degenerate or inverted triangle cell")
-            self.cell_measure = 0.5 * det
-            inv = np.empty_like(b)
-            inv[:, 0, 0] = b[:, 1, 1] / det
-            inv[:, 0, 1] = -b[:, 0, 1] / det
-            inv[:, 1, 0] = -b[:, 1, 0] / det
-            inv[:, 1, 1] = b[:, 0, 0] / det
-            gl = np.empty((len(cells), 3, 2))
-            gl[:, 1] = inv[:, 0]               # rows of B^{-1} are grad lambda_1,2
-            gl[:, 2] = inv[:, 1]
-            gl[:, 0] = -gl[:, 1] - gl[:, 2]
-            self.grads_lambda = gl
+        self.cell_measure, self.grads_lambda = cell_geometry(verts, cells)
+        if self.dim == 1 and np.any(self.cell_measure <= 0):
+            raise MeshFormatError("degenerate segment cell")
+        if self.dim == 2 and np.any(self.cell_measure < 0.5e-300):   # det < 1e-300
+            raise MeshFormatError("degenerate or inverted triangle cell")
 
         # boundary facet geometry: euclidean measure and inward unit normal
         nb = len(self.boundary_facets)

@@ -17,19 +17,20 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CloughTocher2DInterpolator, CubicSpline
 from scipy.linalg import solve_banded
 from scipy.spatial import cKDTree
 
 from .expressions import parse_expression
 from .geometry import (
+    _average_cell_gradients,
     _patch_derivatives,
     mean_curvature_from_derivatives,
     mean_curvature_strong,  # noqa: F401 (capbench counts calls through this name)
     recover_vertex_gradients,
     vertex_slope_factors,
 )
-from .meshing import ScalarField, boundary_distance_field, geodesic_distance_field
+from .meshing import (ScalarField, boundary_distance_field, cell_geometry,
+                      geodesic_distance_field)
 from .problem import CapillaryProblem, effective_constants
 
 __all__ = [
@@ -58,7 +59,7 @@ STABILITY_TOL = 0.25          # allowed relative spread of extracted quotients
 
 
 class FoldDetected(RuntimeError):
-    """Displaced point cloud is no longer graph-like (tau too large)."""
+    """A cell of the displaced graph folds over (tau too large)."""
 
 
 class OracleFailed(RuntimeError):
@@ -298,37 +299,39 @@ def make_interior_bump(mesh, metric):
     return ScalarField(mesh, z)
 
 
-def _interpolate_cloud(mesh, xs, ss):
-    """Graph re-interpolation of a displaced vertex cloud at the original vertices."""
-    if mesh.dim == 1:
-        x = xs[:, 0]
-        order = np.argsort(mesh.vertices[:, 0], kind="stable")
-        xo = x[order]
-        if np.any(np.diff(xo) <= 0):
-            raise FoldDetected("displaced 1d cloud is not monotone; tau too large")
-        spline = CubicSpline(xo, ss[order])
-        return spline(mesh.vertices[:, 0])
-    p = xs[mesh.cells]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(area2 <= 0):
+def _displaced_gradients(mesh, xs, values):
+    """`recover_vertex_gradients` of ``values`` on the mesh's cells over the
+    displaced vertices ``xs``; `FoldDetected` when a displaced cell folds."""
+    measure, grads_lambda = cell_geometry(xs, mesh.cells)
+    if np.any(measure <= 0):
         raise FoldDetected("displaced cells fold over; tau too large")
-    interp = CloughTocher2DInterpolator(xs, ss)
-    out = interp(mesh.vertices)
-    if np.any(~np.isfinite(out)):
-        raise FoldDetected("displaced cloud no longer covers the domain")
-    return out
+    return _average_cell_gradients(mesh.cells, measure, grads_lambda, values)
 
 
 def separation_rate_check(u, metric, mesh, zeta, taus):
     """Finite-displacement check of the first-variation identity ds/dtau = zeta W.
 
     Vertices of the graph are displaced by tau zeta N in the ambient chart
-    (s += tau zeta gamma / W, x -= tau zeta sigma^{-1} du / W), the displaced
-    cloud is re-interpolated over the original vertices, and the vertical
-    separation rate s(x, tau)/tau is compared against zeta(x) W(x).  The
-    error is O(tau) + O(h^2); the certificate records the observed order in
-    tau (exactly vertical displacements give zero error, reported as exact).
+    (s += tau zeta gamma / W, x -= tau zeta sigma^{-1} g / W, where g is the
+    recovered vertex gradient of u and W its slope factor).  The displaced
+    graph keeps the mesh's cells, which stay a triangulation unless one folds
+    (`FoldDetected`), and zeta vanishes near the boundary, so the boundary
+    does not move.  The displaced graph is read at each original vertex by
+    one first-order step, s(x_i) = s_i + G_i . (x_i - x_i(tau)), where G is
+    the same gradient recovery run on the displaced cells, and the vertical
+    separation rate (s(x_i) - u_i)/tau is compared with zeta W.
+
+    Error model: the defect is exactly (g - G) . dx/dtau, and G - g is
+    O(tau), so the error is O(tau) with no floor in h; the certificate
+    passes when the order in tau is within [0.8, 1.2].  A displacement that
+    moves no vertex sideways (zeta = 0, or a graph of constant height) gives
+    zero error and is reported as exact.  What it catches: an error in the
+    normal's direction or in W (a sign or factor in the x-part, gamma in the
+    s-part, zeta W in the target) leaves a defect that does not shrink with
+    tau.  What it cannot catch: a defect of the gradient recovery itself,
+    which the normal and the read-back share; gamma dropped where gamma = 1;
+    and anything about the PDE, since the identity holds for every graph,
+    not only for solutions.
     """
     taus = sorted(float(t) for t in taus)
     if not taus or taus[0] <= 0:
@@ -354,7 +357,8 @@ def separation_rate_check(u, metric, mesh, zeta, taus):
     for t in taus:
         xs = pts + t * dx_dir
         ss = u.values + t * ds_dir
-        sep = _interpolate_cloud(mesh, xs, ss) - u.values
+        slope = _displaced_gradients(mesh, xs, ss)
+        sep = ss + np.einsum("mi,mi->m", slope, pts - xs) - u.values
         errors.append(float(np.max(np.abs(sep / t - target))))
     exact = max(errors) <= 1e-12 * scale
     order = None if exact else observed_order(taus, errors)

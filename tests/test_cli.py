@@ -7,7 +7,7 @@ import pytest
 
 from capgraph.cli import read_report, read_solution_csv, run_command
 from capgraph.config import load_config
-from capgraph.meshing import generate_interval_mesh, write_mesh
+from capgraph.meshing import generate_disk_mesh, generate_interval_mesh, write_mesh
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg"))
 
@@ -139,6 +139,7 @@ RULE_BASE = {
 ANNULUS = {"shape": "annulus", "radius": "1.0", "inner_radius": "0.5", "h": "0.2"}
 INTERVAL = {"shape": "interval", "a": "0", "b": "1", "m": "8"}
 MESH_1D = {"shape": "mesh-file", "path": "{tmp}/interval.txt"}   # INTERVAL's mesh
+MESH_2D = {"shape": "mesh-file", "path": "{tmp}/disk.txt"}       # RULE_BASE's mesh
 
 
 def _without(section, key):
@@ -181,6 +182,17 @@ CONFIG_RULES = [
           "[mms] kappa0 = 0.0 below allowed minimum 1e-12"),
     _rule("oracle.m_dense-min", {"oracle": {"m_dense": "8"}},
           "[oracle] m_dense = 8 below allowed minimum 16"),
+    # numbers must be finite: the range checks cannot order nan, most have no top
+    _rule("solver.tol-nan", {"solver": {"tol": "nan"}},
+          "[solver] tol = 'nan' is not a finite number"),
+    _rule("domain.radius-inf", {"domain": {**RULE_BASE["domain"], "radius": "inf"}},
+          "[domain] radius = 'inf' is not a finite number"),
+    _rule("mms.kappa0-inf", {"mms": {**RULE_BASE["mms"], "kappa0": "inf"}},
+          "[mms] kappa0 = 'inf' is not a finite number", command="mms"),
+    _rule("problem.beta-nan", {"problem": {**RULE_BASE["problem"], "beta": "nan"}},
+          "[problem] beta = 'nan' is not a finite number"),
+    _rule("problem.mu-minus-inf", {"problem": {**RULE_BASE["problem"], "mu": "-inf"}},
+          "[problem] mu = '-inf' is not a finite number"),
     # numbers, integers, booleans and expressions that do not parse
     _rule("solver.tol-number", {"solver": {"tol": "small"}},
           "[solver] tol = 'small' is not a number"),
@@ -274,6 +286,13 @@ CONFIG_RULES = [
           "[mms] u_exact is required for the mms command", command="mms"),
     _rule("command.oracle1d-interval", {}, "oracle1d requires an interval domain",
           command="oracle1d"),
+    # a refinement study cannot refine a mesh file, whatever its dimension
+    *[_rule(f"command.{command}-mesh-file-{name}",
+            {"domain": domain, "mms": mms},
+            f"config error: {command} refines its domain, and a mesh-file domain "
+            f"cannot be refined", command=command)
+      for name, domain in (("1d", MESH_1D), ("2d", MESH_2D))
+      for command, mms in (("mms", RULE_BASE["mms"]), ("convergence", {"levels": "0,1"}))],
     # every [domain] key present is parsed, and none the shape does not use
     _rule("domain.disk-parses-inner_radius", {"domain": {**RULE_BASE["domain"],
                                                          "inner_radius": "abc"}},
@@ -310,6 +329,7 @@ def test_config_rule_exits_2(tmp_path, capsys, command, sections, message):
     (tmp_path / "garbage.txt").write_text("hello mesh\n")
     (tmp_path / "truncated.txt").write_text("DIM 2\nVERTICES 3\n0 0\n1 0\n")
     write_mesh(generate_interval_mesh(0.0, 1.0, 8), tmp_path / "interval.txt")
+    write_mesh(generate_disk_mesh(1.0, 0.2), tmp_path / "disk.txt")
     config = {**RULE_BASE, **sections, "output": {"dir": str(tmp_path / "out"),
                                                   **sections.get("output", {})}}
     lines = []

@@ -180,6 +180,52 @@ def test_separation_rate_fold_detection(euclid1):
         separation_rate_check(u, euclid1, mesh, zeta, [0.8])
 
 
+def test_separation_rate_fold_detection_2d(euclid2, disk_01):
+    zeta = make_interior_bump(disk_01, euclid2)
+    u = cg.ScalarField(disk_01, 3.0 * disk_01.vertices[:, 0])
+    with pytest.raises(FoldDetected):
+        separation_rate_check(u, euclid2, disk_01, zeta, [0.8])
+
+
+@pytest.mark.parametrize("mesh", [cg.generate_interval_mesh(0.0, 1.0, 9),
+                                  cg.generate_disk_mesh(1.0, 0.2)],
+                         ids=["interval", "disk"])
+def test_separation_rate_recovery_at_zero_displacement_is_the_mesh_recovery(mesh):
+    # one cell-geometry formula serves the mesh and the displaced graph
+    measure, grads_lambda = cg.meshing.cell_geometry(mesh.vertices, mesh.cells)
+    assert np.array_equal(measure, mesh.cell_measure)
+    assert np.array_equal(grads_lambda, mesh.grads_lambda)
+    values = np.sin(3.0 * mesh.vertices).sum(axis=1)
+    assert np.array_equal(vf._displaced_gradients(mesh, mesh.vertices.copy(), values),
+                          cg.geometry.recover_vertex_gradients(mesh, values))
+
+
+def test_separation_rate_steep_warp_passes():
+    # the shipped steep-warp disk; a re-interpolated read-back reported order 0.730
+    metric = cg.MetricField.radial_warp(2, gamma="1 + 20*r^2")
+    mesh = cg.generate_disk_mesh(1.0, 0.025)
+    state = continuation_solve(make(2, "2 + 1.2*s", "0.3"), metric, mesh)
+    cert = separation_rate_check(state.u, metric, mesh, make_interior_bump(mesh, metric),
+                                 [1e-2, 5e-3, 2.5e-3])
+    assert cert.passed and not cert.details["exact"]
+    assert cert.details["order_in_tau"] == pytest.approx(1.0, abs=0.02)
+
+
+def test_separation_rate_passes_on_warped_random_draws():
+    # draws 1 and 21 of this sequence failed a re-interpolated read-back at h = 0.05
+    rng = np.random.default_rng(123)
+    draws = [cg.problem.random_positive_gravity_problem(rng, 2, warp=i % 2 == 1)
+             for i in range(22)]
+    mesh = cg.generate_disk_mesh(1.0, 0.05)
+    for i in (1, 3, 21):
+        prob, metric = draws[i]
+        state = continuation_solve(prob, metric, mesh)
+        cert = separation_rate_check(state.u, metric, mesh,
+                                     make_interior_bump(mesh, metric), [1e-2, 5e-3, 2.5e-3])
+        assert cert.passed, (i, cert.trace)
+        assert cert.details["order_in_tau"] == pytest.approx(1.0, abs=0.02)
+
+
 def test_mms_cap_data(euclid2, disk_01):
     prob = mms_manufacture(euclid2, disk_01, "sqrt(4 - r^2)")
     pts = np.array([[0.3, 0.1], [0.0, 0.0], [0.5, -0.5]])
