@@ -9,14 +9,7 @@ and gradient behaviour of the computed solutions.
 __version__ = "0.1.0"
 
 from .expressions import Expression, parse_expression, symbolic_s_derivative
-from .geometry import (
-    MetricField,
-    GraphPointFrame,
-    slope_factor,
-    graph_normal,
-    contact_angle,
-    mean_curvature_strong,
-)
+from .geometry import MetricField, slope_factor, mean_curvature_strong
 from .meshing import (
     Mesh,
     ScalarField,
@@ -56,10 +49,7 @@ __all__ = [
     "parse_expression",
     "symbolic_s_derivative",
     "MetricField",
-    "GraphPointFrame",
     "slope_factor",
-    "graph_normal",
-    "contact_angle",
     "mean_curvature_strong",
     "Mesh",
     "ScalarField",

@@ -186,14 +186,13 @@ def _cmd_verify(args, cfg):
 
 def _refined_domain(cfg, command):
     """(domain, levels, dim) of a refinement study: `ConfigError` for a mesh
-    file, which cannot be refined; the dimension is that of the coarsest
-    level's mesh."""
-    if cfg.domain["shape"] == "mesh-file":
+    file, which cannot be refined; an interval is 1D, every other shape 2D."""
+    shape = cfg.domain["shape"]
+    if shape == "mesh-file":
         raise ConfigError(f"{command} refines its domain, and a mesh-file domain "
                           f"cannot be refined")
-    domain = cfg.build_domain()
-    levels = cfg.mms.get("levels", (0, 1, 2))
-    return domain, levels, domain.build(min(levels)).dim
+    return (cfg.build_domain(), cfg.mms.get("levels", (0, 1, 2)),
+            1 if shape == "interval" else 2)
 
 
 def _cmd_mms(args, cfg):

@@ -11,11 +11,12 @@ fast.  A mesh file's dimension is known only once it is read, so
 `build_metric` and `build_problem` take the dimension of the built mesh and
 apply the x2 rule to a 1D mesh.  Numbers must be finite.
 
-The [metric] preset "euclidean" (the default) is the flat metric and admits
-no gamma or sigma_conformal; the other presets build the metric from those
-expressions, and "product" also requires gamma = 1.  Expressions (gamma,
-sigma_conformal, psi, phi, dpsi_ds, dphi_ds, u_exact) use the grammar
-documented in `capgraph.expressions`.
+Every [metric] preset builds the metric from the expressions gamma and
+sigma_conformal (both 1 by default); a preset only checks them:
+"euclidean" (the default, the flat metric) admits no value but 1, and
+"product" requires gamma = 1.  Expressions (gamma, sigma_conformal, psi,
+phi, dpsi_ds, dphi_ds, u_exact) use the grammar documented in
+`capgraph.expressions`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from .expressions import ExpressionError, _tokenize, parse_expression
 from .geometry import MetricField
-from .meshing import DomainSpec
+from .meshing import MAX_VERTICES, DomainSpec
 from .problem import CapillaryProblem
 from .solver import ContinuationConfig
 
@@ -147,7 +148,8 @@ _SCHEMA = {
     },
     "output": {"dir": _text, "formats": _formats},
     "mms": {"u_exact": _expression, "kappa0": _number(lo=1e-12), "levels": _levels},
-    "oracle": {"m_dense": _number(lo=16, integer=True)},
+    # m_dense is bounded by the mesh generators' vertex budget
+    "oracle": {"m_dense": _number(lo=16, hi=MAX_VERTICES, integer=True)},
 }
 
 
@@ -182,8 +184,6 @@ class RunConfig:
     def build_metric(self, dim):
         if dim == 1:
             _reject_x2(self, ("metric",), "a 1D domain")
-        if self.metric.get("preset", "euclidean") == "euclidean":
-            return MetricField.euclidean(dim)
         data = {k: v for k, v in self.metric.items() if k != "preset"}
         return MetricField.from_expressions(dim, **data)
 

@@ -551,7 +551,9 @@ class Expression:
             env["x2"] = pts[:, 1]
         if s is not None:
             env["s"] = np.broadcast_to(np.asarray(s, dtype=float), (n,))
-        return np.broadcast_to(np.asarray(self.evaluate(**env), dtype=float), (n,)).copy()
+        out = np.empty(n)
+        out[...] = np.asarray(self.evaluate(**env), dtype=float)
+        return out
 
     def derivative(self, var, dim=None):
         """Symbolic partial derivative with respect to ``var`` in {x1, x2, s}.

@@ -1,13 +1,14 @@
 """Warped-product geometry of Killing graphs over a leaf domain.
 
 The ambient metric is sigma + (1/gamma) ds^2 with Killing field Y = d/ds,
-|Y|^2 = 1/gamma.  All evaluators are pure functions of their inputs and
-vectorize over batches of points; nothing here mutates shared state.
+|Y|^2 = 1/gamma; the flat leaf is the case sigma = I, gamma = 1 of the same
+formulas.  The module holds the metric, the slope factor W, nodal gradient
+recovery and the strong-form curvature operator.  All evaluators are pure
+functions of their inputs and vectorize over batches of points; nothing
+here mutates shared state.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, diags
@@ -16,11 +17,8 @@ from .expressions import parse_expression
 
 __all__ = [
     "MetricField",
-    "GraphPointFrame",
     "DegenerateStencilError",
     "slope_factor",
-    "graph_normal",
-    "contact_angle",
     "mean_curvature_strong",
     "mean_curvature_from_derivatives",
     "recover_vertex_gradients",
@@ -45,10 +43,10 @@ class MetricField:
 
     All callables are vectorized: for points of shape (m, dim) they return
     sigma (m, dim, dim), sigma_inv (m, dim, dim), sqrt_det_sigma (m,),
-    gamma (m,) and grad_gamma (m, dim).  `euclidean` is the flat metric with
-    hard-coded evaluators; `from_expressions` (and `radial_warp`, the same
-    constructor) builds a conformal leaf metric and a warping from
-    expressions.
+    gamma (m,) and grad_gamma (m, dim).  `from_expressions` builds a
+    conformal leaf metric and a warping from expressions; `euclidean`
+    (gamma = 1, sigma = I) and `radial_warp` are that constructor with
+    fixed or named data.  The constructor itself takes any callables.
     """
 
     def __init__(self, dim, sigma, sigma_inv, sqrt_det_sigma, gamma, grad_gamma):
@@ -63,25 +61,8 @@ class MetricField:
 
     @classmethod
     def euclidean(cls, dim):
-        eye = np.eye(dim)
-
-        def sigma(x):
-            pts, _ = _as_points(x, dim)
-            return np.broadcast_to(eye, (len(pts), dim, dim)).copy()
-
-        def sqrt_det(x):
-            pts, _ = _as_points(x, dim)
-            return np.ones(len(pts))
-
-        def gamma(x):
-            pts, _ = _as_points(x, dim)
-            return np.ones(len(pts))
-
-        def grad_gamma(x):
-            pts, _ = _as_points(x, dim)
-            return np.zeros((len(pts), dim))
-
-        return cls(dim, sigma, sigma, sqrt_det, gamma, grad_gamma)
+        """The flat metric: sigma = I, gamma = 1."""
+        return cls.from_expressions(dim)
 
     @classmethod
     def from_expressions(cls, dim, gamma="1", sigma_conformal="1"):
@@ -163,77 +144,22 @@ class MetricField:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise graph geometry
-
-
-@dataclass
-class GraphPointFrame:
-    """Normal frame of the graph at one leaf point.
-
-    N_components holds the ambient components ordered (s, x1[, x2]); the
-    normal satisfies <N, Y> = 1/W > 0.
-    """
-
-    x: np.ndarray
-    grad_u: np.ndarray
-    W: float
-    N_components: np.ndarray
-    gamma: float
-    sigma: np.ndarray
-
-    def angle_with(self, nu):
-        """<N, nu> for a sigma-unit vector nu tangent to the leaf."""
-        return float(-(self.grad_u @ np.asarray(nu, dtype=float)) / self.W)
-
-    def ambient_norm(self):
-        n_s, n_x = self.N_components[0], self.N_components[1:]
-        return float(np.sqrt(n_s**2 / self.gamma + n_x @ self.sigma @ n_x))
-
-    def inner_with_killing(self):
-        """<N, Y>; equals 1/W."""
-        return float(self.N_components[0] / self.gamma)
-
-
-def _check_finite(*arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(np.asarray(a, dtype=float))):
-            raise ValueError("non-finite input")
+# Slope factor
 
 
 def slope_factor(metric, x, grad_u):
-    """W = sqrt(gamma + |grad u|^2_sigma); equals 1/<N, Y>, bounded below by sqrt(gamma)."""
-    _check_finite(x, grad_u)
+    """W = sqrt(gamma + |grad u|^2_sigma); equals 1/<N, Y>, bounded below by sqrt(gamma).
+
+    Vectorized over points; one point of shape (dim,) gives a float.  Raises
+    `ValueError` on non-finite input.
+    """
     pts, squeeze = _as_points(x, metric.dim)
     du = np.asarray(grad_u, dtype=float).reshape(len(pts), metric.dim)
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(du))):
+        raise ValueError("non-finite input")
     inv_sigma = metric.sigma_inv(pts)
     w = np.sqrt(metric.gamma(pts) + np.einsum("ki,kij,kj->k", du, inv_sigma, du))
     return float(w[0]) if squeeze else w
-
-
-def graph_normal(metric, x, grad_u):
-    """Unit normal frame N = (1/W)(gamma Y - sigma^{ij} d_j u d_i) at one point."""
-    _check_finite(x, grad_u)
-    pts, _ = _as_points(x, metric.dim)
-    du = np.asarray(grad_u, dtype=float).reshape(metric.dim)
-    inv_sigma = metric.sigma_inv(pts)[0]
-    gamma = float(metric.gamma(pts)[0])
-    w = float(np.sqrt(gamma + du @ inv_sigma @ du))
-    comps = np.concatenate([[gamma], -inv_sigma @ du]) / w
-    return GraphPointFrame(x=pts[0], grad_u=du, W=w, N_components=comps,
-                           gamma=gamma, sigma=metric.sigma(pts)[0])
-
-
-def contact_angle(metric, x, grad_u, nu):
-    """<N, nu> along the boundary: -<grad u, nu>_sigma / W for inward sigma-unit nu."""
-    _check_finite(x, grad_u, nu)
-    pts, _ = _as_points(x, metric.dim)
-    du = np.asarray(grad_u, dtype=float).reshape(metric.dim)
-    nu = np.asarray(nu, dtype=float).reshape(metric.dim)
-    sig = metric.sigma(pts)[0]
-    if abs(nu @ sig @ nu - 1.0) > 1e-8:
-        raise ValueError("nu must be a sigma-unit vector")
-    w = slope_factor(metric, pts[0], du)
-    return float(-(du @ nu) / w)
 
 
 # ---------------------------------------------------------------------------

@@ -242,16 +242,6 @@ class Mesh:
     def boundary_vertices(self):
         return np.unique(self.boundary_facets.ravel())
 
-    def vertex_neighbors(self):
-        """List of adjacent vertex indices per vertex (cached)."""
-        if "vertex_neighbors" not in self._cache:
-            nbr = [set() for _ in range(self.num_vertices)]
-            for a, b in self.edges:
-                nbr[a].add(b)
-                nbr[b].add(a)
-            self._cache["vertex_neighbors"] = [sorted(s) for s in nbr]
-        return self._cache["vertex_neighbors"]
-
     def sigma_conormals(self, metric):
         """Inward unit conormals of the boundary facets in the sigma metric.
 

@@ -44,11 +44,6 @@ def _expr_callable(expr, dim):
 _NUM_S = 21
 
 
-def _zero(x, s):
-    x = np.asarray(x, dtype=float)
-    return np.zeros(len(x.reshape(-1, x.shape[-1] if x.ndim > 1 else 1)))
-
-
 @dataclass
 class CapillaryProblem:
     """Prescribed curvature psi(x, s), angle cosine phi(x, s) and constants.
@@ -101,13 +96,6 @@ class CapillaryProblem:
                    phi=_expr_callable(phi_expr, dim),
                    dphi_ds=_expr_callable(dphi_expr, dim),
                    psi_source=psi, phi_source=phi, affine_in_s=affine, **constants)
-
-    @classmethod
-    def from_callables(cls, dim, psi, dpsi_ds, phi=None, dphi_ds=None, **constants):
-        return cls(dim=dim, psi=psi, dpsi_ds=dpsi_ds,
-                   phi=phi if phi is not None else _zero,
-                   dphi_ds=dphi_ds if dphi_ds is not None else _zero,
-                   **constants)
 
 
 @dataclass

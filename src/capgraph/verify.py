@@ -27,6 +27,7 @@ from .geometry import (
     mean_curvature_from_derivatives,
     mean_curvature_strong,  # noqa: F401 (capbench counts calls through this name)
     recover_vertex_gradients,
+    slope_factor,
     vertex_slope_factors,
 )
 from .meshing import (ScalarField, boundary_distance_field, cell_geometry,
@@ -244,9 +245,7 @@ def contact_angle_residual(u, tau, problem, metric, mesh):
     uq = np.einsum("qa,fa->fq", bary, vals[bf])
     nb, nq = uq.shape
     flat = xq.reshape(-1, mesh.dim)
-    inv_sigma = metric.sigma_inv(flat).reshape(nb, nq, mesh.dim, mesh.dim)
-    gamma = metric.gamma(flat).reshape(nb, nq)
-    w = np.sqrt(gamma + np.einsum("fi,fqij,fj->fq", grads, inv_sigma, grads))
+    w = slope_factor(metric, flat, np.repeat(grads, nq, axis=0)).reshape(nb, nq)
     angle = -np.einsum("fi,fi->f", grads, nu)[:, None] / w
     target = tau * problem.phi(flat, uq.ravel()).reshape(nb, nq)
     obs = float(np.max(np.abs(angle - target))) if nb else 0.0
@@ -480,10 +479,7 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
     @_per_point_set
     def phi_x(x):
         du = du_ex(x)
-        nu = conormal(x)
-        inv_sigma = metric.sigma_inv(x)
-        w = np.sqrt(metric.gamma(x) + np.einsum("ki,kij,kj->k", du, inv_sigma, du))
-        return -np.einsum("ki,ki->k", du, nu) / w
+        return -np.einsum("ki,ki->k", du, conormal(x)) / slope_factor(metric, x, du)
 
     def phi(x, s):
         return phi_x(np.asarray(x, dtype=float).reshape(-1, dim)).copy()
@@ -539,9 +535,13 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, max_iter=60):
         float(metric.sqrt_det_sigma(xc[-1:])[0]
               / np.sqrt(metric.gamma(xc[-1:])[0] * metric.sigma(xc[-1:])[0, 0, 0]))])
 
-    def fluxes(u):
+    def slopes(u):
+        """(u', W) at the cell midpoints."""
         du = np.diff(u) / hd
-        w = np.sqrt(gam_m + du**2 / sig_m)
+        return du, np.sqrt(gam_m + du**2 / sig_m)
+
+    def fluxes(u):
+        du, w = slopes(u)
         return coef * du / w
 
     def res(u):
@@ -556,8 +556,7 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, max_iter=60):
         return out
 
     def jac_banded(u):
-        du = np.diff(u) / hd
-        w = np.sqrt(gam_m + du**2 / sig_m)
+        _, w = slopes(u)
         dfd = coef * gam_m / w**3 / hd          # d flux / d u_right
         drho = problem.dpsi_ds(xc, u) * rho_w
         dfa = -end_w[0] * float(problem.dphi_ds(xc[:1], u[:1])[0])

@@ -24,6 +24,11 @@ def interval_64():
     return cg.generate_interval_mesh(0.0, 1.0, 64)
 
 
+def zero_data(x, s):
+    """phi = d phi / ds = 0 at the rows of ``x`` (shape (n, dim))."""
+    return np.zeros(len(x))
+
+
 def cap_values(points, radius=2.0):
     """Nodal values of the spherical cap of the given radius."""
     points = np.asarray(points, dtype=float)

@@ -7,7 +7,8 @@ import pytest
 
 from capgraph.cli import read_report, read_solution_csv, run_command
 from capgraph.config import load_config
-from capgraph.meshing import generate_disk_mesh, generate_interval_mesh, write_mesh
+from capgraph.meshing import (DomainSpec, generate_disk_mesh, generate_interval_mesh,
+                              write_mesh)
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg"))
 
@@ -182,6 +183,8 @@ CONFIG_RULES = [
           "[mms] kappa0 = 0.0 below allowed minimum 1e-12"),
     _rule("oracle.m_dense-min", {"oracle": {"m_dense": "8"}},
           "[oracle] m_dense = 8 below allowed minimum 16"),
+    _rule("oracle.m_dense-max", {"oracle": {"m_dense": "200001"}},
+          "[oracle] m_dense = 200001 above allowed maximum 200000"),
     # numbers must be finite: the range checks cannot order nan, most have no top
     _rule("solver.tol-nan", {"solver": {"tol": "nan"}},
           "[solver] tol = 'nan' is not a finite number"),
@@ -322,6 +325,25 @@ CONFIG_RULES = [
           {"domain": {"shape": "mesh-file", "path": "{tmp}/truncated.txt"}},
           "config error: malformed mesh file"),
 ]
+
+
+@pytest.mark.parametrize("command,mms", [
+    ("mms", "u_exact = sqrt(4 - r^2)"),
+    ("convergence", ""),          # no u_exact: the certificate suite
+])
+def test_refinement_study_builds_each_level_once(tmp_path, monkeypatch, command, mms):
+    levels = []
+    build = DomainSpec.build
+
+    def counted(self, level=0):
+        levels.append(level)
+        return build(self, level)
+
+    monkeypatch.setattr(DomainSpec, "build", counted)
+    text = (DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out")
+            + f"\n[mms]\n{mms}\nlevels = 0,1,2\n")
+    assert run_command([command, "--config", write_cfg(tmp_path, "study.cfg", text)]) == 0
+    assert levels == [0, 1, 2]
 
 
 @pytest.mark.parametrize("command,sections,message", CONFIG_RULES)

@@ -46,56 +46,20 @@ def test_slope_factor_lower_bound(gx, gy, x1, x2):
     assert cg.slope_factor(metric, x, np.array([2 * gx, 2 * gy])) >= w - 1e-14
 
 
-def test_graph_normal_vertical(euclid2):
-    frame = cg.graph_normal(euclid2, [0.2, 0.1], [0.0, 0.0])
-    np.testing.assert_allclose(frame.N_components, [1.0, 0.0, 0.0])
-    warped = cg.MetricField.from_expressions(2, gamma="4")
-    frame = cg.graph_normal(warped, [0.0, 0.0], [0.0, 0.0])
-    assert frame.N_components[0] == pytest.approx(2.0)   # gamma / W = 4 / 2
-    assert frame.ambient_norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_graph_normal_cap(euclid2):
-    x = np.array([1.0, 0.0])
-    frame = cg.graph_normal(euclid2, x, cap_gradient(x[None])[0])
-    u = cap_values(x[None])[0]
-    np.testing.assert_allclose(frame.N_components, [u / 2.0, 0.5, 0.0], rtol=1e-14)
-    assert frame.ambient_norm() == pytest.approx(1.0, abs=1e-12)
-    assert frame.inner_with_killing() == pytest.approx(1.0 / frame.W, abs=1e-14)
-
-
-def test_contact_angle_examples(euclid1, euclid2):
-    assert cg.contact_angle(euclid2, [1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]) == 0.0
-    # cap over the disk of radius a: <N, nu> = -a/R
-    a = 1.0
-    x = np.array([a, 0.0])
-    angle = cg.contact_angle(euclid2, x, cap_gradient(x[None])[0], -x / a)
-    assert angle == pytest.approx(-a / 2.0, rel=1e-14)
-    # 1d linear graph at the left end
-    c = 1.7
-    angle = cg.contact_angle(euclid1, [0.0], [c], [1.0])
-    assert angle == pytest.approx(-c / np.sqrt(1 + c**2), rel=1e-14)
-
-
-def test_contact_angle_requires_unit_conormal(euclid2):
-    with pytest.raises(ValueError, match="unit"):
-        cg.contact_angle(euclid2, [1.0, 0.0], [0.1, 0.0], [-2.0, 0.0])
-
-
-@settings(max_examples=50, deadline=None, derandomize=True)
-@given(gx=st.floats(-4, 4), gy=st.floats(-4, 4), th=st.floats(0, 2 * np.pi))
-def test_contact_angle_slope_identity(gx, gy, th):
-    # <N, nu> W = -<grad u, nu> as an algebraic identity
-    metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
-    x = np.array([0.3, -0.2])
-    nu_dir = np.array([np.cos(th), np.sin(th)])
-    sig = metric.sigma(x)[0]
-    nu = nu_dir / np.sqrt(nu_dir @ sig @ nu_dir)
-    grad = np.array([gx, gy])
-    angle = cg.contact_angle(metric, x, grad, nu)
-    w = cg.slope_factor(metric, x, grad)
-    assert angle * w == pytest.approx(-(grad @ nu), abs=1e-12)
-    assert -1.0 < angle < 1.0
+@pytest.mark.parametrize("dim", [1, 2])
+def test_euclidean_metric_is_flat(dim):
+    # bit for bit, zeros included with their sign, at signed and zero points
+    metric = cg.MetricField.euclidean(dim)
+    pts = np.random.default_rng(dim).uniform(-1, 1, size=(7, dim))
+    pts[0] = -0.0
+    m = len(pts)
+    eye = np.broadcast_to(np.eye(dim), (m, dim, dim))
+    for got, want in ((metric.sigma(pts), eye), (metric.sigma_inv(pts), eye),
+                      (metric.sqrt_det_sigma(pts), np.ones(m)),
+                      (metric.gamma(pts), np.ones(m)),
+                      (metric.grad_gamma(pts), np.zeros((m, dim)))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_flat_preset_matches_hardcoded_evaluator(euclid2):

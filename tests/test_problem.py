@@ -118,17 +118,6 @@ def test_random_family_is_admissible(dim, warp):
     assert ratio >= 4.0 if warp else ratio == 1.0
 
 
-def test_problem_from_callables_defaults():
-    prob = cg.CapillaryProblem.from_callables(
-        1,
-        psi=lambda x, s: 1.0 + np.asarray(s),
-        dpsi_ds=lambda x, s: np.ones(len(np.atleast_2d(x))))
-    x = np.array([[0.2], [0.8]])
-    np.testing.assert_array_equal(prob.phi(x, np.zeros(2)), 0.0)
-    np.testing.assert_array_equal(prob.dphi_ds(x, np.zeros(2)), 0.0)
-    assert not prob.affine_in_s
-
-
 # ---------------------------------------------------------------------------
 # Endpoint sampling of data affine in s
 

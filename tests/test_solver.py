@@ -16,6 +16,7 @@ from capgraph.solver import (
     uniqueness_probe,
 )
 from capgraph.verify import check_height
+from conftest import zero_data
 
 
 def make(dim, psi, phi="0", **kw):
@@ -79,9 +80,10 @@ def test_max_iterations_carries_the_report(disk_01, euclid2):
 
 def test_newton_rejects_a_non_finite_start_residual(disk_01, euclid2):
     # exp(s) - exp(2s) overflows to inf - inf = nan at the start iterate
-    problem = cg.CapillaryProblem.from_callables(
-        2, lambda x, s: np.exp(s) - np.exp(2 * s),
-        lambda x, s: np.exp(s) - 2 * np.exp(2 * s))
+    problem = cg.CapillaryProblem(
+        2, psi=lambda x, s: np.exp(s) - np.exp(2 * s),
+        dpsi_ds=lambda x, s: np.exp(s) - 2 * np.exp(2 * s),
+        phi=zero_data, dphi_ds=zero_data)
     start = cg.ScalarField(disk_01, np.full(disk_01.num_vertices, 1e3))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SolverError, match="not finite") as err:

@@ -34,7 +34,7 @@ from capgraph.verify import (
     run_refinement_suite,
     strong_form_residual,
 )
-from conftest import cap_values
+from conftest import cap_values, zero_data
 
 SHIPPED = Path(__file__).parents[1] / "scripts" / "configs"
 
@@ -123,6 +123,22 @@ def test_contact_angle_residual_trivial(disk_01, euclid2):
     u = cg.ScalarField.zeros(disk_01)
     assert contact_angle_residual(u, 0.0, prob, euclid2, disk_01).observed == 0.0
     assert contact_angle_residual(u, 1.0, prob, euclid2, disk_01).observed == 0.0
+
+
+@pytest.mark.parametrize("gamma", ["1", "exp(2*x1)"])
+def test_contact_angle_residual_exact_for_linear_graph(gamma):
+    # u = c x1 on (0, 1): <N, nu> = -c nu / sqrt(gamma + c^2) with nu = +1 at
+    # x1 = 0 and -1 at x1 = 1; phi interpolates both ends
+    c = 0.7
+    mesh = cg.generate_interval_mesh(0.0, 1.0, 8)
+    metric = cg.MetricField.from_expressions(1, gamma=gamma)
+    prob = make(1, "1 + s", f"{c!r}*(2*x1 - 1)/sqrt({gamma} + {c!r}^2)")
+    u = cg.ScalarField(mesh, c * mesh.vertices[:, 0])
+    cert = contact_angle_residual(u, 1.0, prob, metric, mesh)
+    assert cert.observed <= 1e-14
+    # at tau = 0.5 the residual is half the angle, largest at x1 = 0
+    off = contact_angle_residual(u, 0.5, prob, metric, mesh).observed
+    assert off == pytest.approx(0.5 * c / np.sqrt(1 + c**2), rel=1e-12)
 
 
 def test_strong_form_residual_trivial(disk_01, euclid2):
@@ -495,11 +511,15 @@ def test_interior_bump_requires_resolution(euclid1):
 def _lstsq_patch_fit(mesh, values, vertex):
     """Reference: one least-squares quadratic over the vertex patch."""
     needed = 3 if mesh.dim == 1 else 6
-    nbrs = mesh.vertex_neighbors()
-    patch = {vertex, *nbrs[vertex]}
+    e = mesh.edges
+
+    def ring(v):
+        return {*e[e[:, 0] == v, 1], *e[e[:, 1] == v, 0]}
+
+    patch = {vertex, *ring(vertex)}
     if len(patch) < needed:
         for v in list(patch):
-            patch.update(nbrs[v])
+            patch.update(ring(v))
     if len(patch) < needed:
         raise DegenerateStencilError(f"patch of vertex {vertex} has {len(patch)} points")
     ids = np.array(sorted(patch))
@@ -595,8 +615,9 @@ def test_strong_form_residual_evaluates_psi_once(disk_01, euclid2):
         calls.append(np.shape(x))
         return 1.0 + np.asarray(s, dtype=float)
 
-    prob = cg.CapillaryProblem.from_callables(
-        2, psi, lambda x, s: np.ones(len(np.reshape(x, (-1, 2)))))
+    prob = cg.CapillaryProblem(
+        2, psi=psi, dpsi_ds=lambda x, s: np.ones(len(np.reshape(x, (-1, 2)))),
+        phi=zero_data, dphi_ds=zero_data)
     u = cg.ScalarField(disk_01, _smooth_field(disk_01))
     cert = strong_form_residual(u, 1.0, prob, euclid2, disk_01)
     assert calls == [(cert.details["interior_vertices"], 2)]
