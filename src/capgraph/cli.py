@@ -19,8 +19,8 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .geometry import vertex_slope_factors
-from .meshing import (MeshError, ScalarField, boundary_distance_field, format_rows,
-                      write_mesh, write_vtk)
+from .meshing import (MeshError, ScalarField, _mesh_text, _write_sections,
+                      boundary_distance_field, shared_text, write_mesh, write_vtk)
 from .problem import validate_conditions
 from .solver import SolverError, continuation_solve, default_s_range
 from . import verify as vf
@@ -39,10 +39,11 @@ def write_solution_csv(path, mesh, u, w, d_gamma):
     """CSV schema: vertex_id,x1[,x2],u,W,d_gamma_boundary (shortest round-trip reprs)."""
     cols = ["vertex_id", "x1"] + (["x2"] if mesh.dim == 2 else [])
     cols += ["u", "W", "d_gamma_boundary"]
-    lines = [",".join(cols)]
-    lines += format_rows(np.arange(mesh.num_vertices),
-                         np.column_stack([mesh.vertices, u, w, d_gamma]), sep=",")
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = _mesh_text(mesh)
+    coords = text.vertices().replace(" ", ",").split("\n")
+    values = [text.field(v).split("\n") for v in (u, w, d_gamma)]
+    rows = zip(map(str, range(mesh.num_vertices)), coords, *values)
+    _write_sections(path, [",".join(cols), "\n".join(map(",".join, rows))])
 
 
 def read_solution_csv(path):
@@ -131,17 +132,18 @@ def _write_outputs(cfg, mesh, metric, u, certs, formats, attempts=None):
     outdir.mkdir(parents=True, exist_ok=True)
     w = vertex_slope_factors(metric, u)
     d_gamma = boundary_distance_field(mesh, metric).values
-    if "csv" in formats:
-        write_solution_csv(outdir / "solution.csv", mesh, u.values, w, d_gamma)
-    if "report" in formats:
-        write_report(outdir / "report.jsonl", certs)
-        if attempts is not None:
-            write_report(outdir / "continuation.jsonl", attempts)
-    if "mesh" in formats:
-        write_mesh(mesh, outdir / "mesh.txt")
-    if "vtk" in formats:
-        write_vtk(mesh, outdir / "solution.vtk",
-                  point_data={"u": u.values, "W": w, "d_gamma_boundary": d_gamma})
+    with shared_text(mesh):                # each value is formatted once
+        if "csv" in formats:
+            write_solution_csv(outdir / "solution.csv", mesh, u.values, w, d_gamma)
+        if "report" in formats:
+            write_report(outdir / "report.jsonl", certs)
+            if attempts is not None:
+                write_report(outdir / "continuation.jsonl", attempts)
+        if "mesh" in formats:
+            write_mesh(mesh, outdir / "mesh.txt")
+        if "vtk" in formats:
+            write_vtk(mesh, outdir / "solution.vtk",
+                      point_data={"u": u.values, "W": w, "d_gamma_boundary": d_gamma})
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,13 @@ def _average_cell_gradients(cells, measure, grads_lambda, values):
     """Measure-weighted average of the adjacent cells' P1 gradients of
     ``values`` (one per vertex), for any cell geometry over one topology."""
     cell_grad = np.einsum("ca,cad->cd", values[cells], grads_lambda)
-    num = np.zeros((len(values), grads_lambda.shape[2]))
-    den = np.zeros(len(values))
-    for a in range(cells.shape[1]):
-        np.add.at(num, cells[:, a], measure[:, None] * cell_grad)
-        np.add.at(den, cells[:, a], measure)
+    # one pass over the cells per local vertex, in cell order: a vertex's sums
+    # run in the order of a loop of np.add.at over the local vertices
+    ids, k, n = cells.T.ravel(), cells.shape[1], len(values)
+    weighted = measure[:, None] * cell_grad
+    num = np.column_stack([np.bincount(ids, np.tile(col, k), minlength=n)
+                           for col in weighted.T])
+    den = np.bincount(ids, np.tile(measure, k), minlength=n)
     return num / den[:, None]
 
 

@@ -8,6 +8,7 @@ construction so refinement studies are reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ __all__ = [
     "geodesic_distance_field",
     "boundary_distance_field",
     "read_mesh",
-    "format_rows",
+    "shared_text",
     "write_mesh",
     "write_vtk",
 ]
@@ -126,8 +127,13 @@ class Mesh:
             raise MeshFormatError("one tag per boundary facet is required")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshFormatError("non-finite vertex coordinates")
+        nv = len(self.vertices)
+        for kind, ids in (("cell", self.cells), ("boundary facet", self.boundary_facets)):
+            bad = ids[(ids < 0) | (ids >= nv)]
+            if len(bad):
+                raise MeshFormatError(f"{kind} vertex id {bad[0]} outside [0, {nv})")
         self._fix_orientation()
-        self._boundary_cells = self._check_conformity()
+        self._boundary_cells, self.edges = self._check_conformity()
         self._build_geometry()
         self._cache = {}
 
@@ -145,18 +151,20 @@ class Mesh:
             self.cells[det < 0] = self.cells[det < 0][:, [0, 2, 1]]
 
     def _check_conformity(self):
-        # every interior facet in exactly two cells, boundary facets in one,
-        # and the declared boundary must be exactly the once-counted facets
+        """(owning cell of each boundary facet, unique edges); `MeshFormatError`
+        unless every interior facet lies in exactly two cells, a boundary
+        facet in one, and the declared boundary is the once-counted facets."""
         local = [[0, 1], [1, 2], [0, 2]] if self.dim == 2 else [[0], [1]]
         facets = np.sort(self.cells[:, local], axis=2).reshape(-1, self.dim)
         declared = np.sort(self.boundary_facets, axis=1)
-        lo = min(facets.min(initial=0), declared.min(initial=0))
-        base = max(facets.max(initial=0), declared.max(initial=0)) - lo + 1
+        base = self.num_vertices
 
         def keys(f):
-            out = f[:, 0] - lo
+            # vertex ids lie in [0, base): the key orders sorted facets
+            # lexicographically, so the unique keys decode to sorted facets
+            out = f[:, 0]
             for col in f[:, 1:].T:
-                out = out * base + (col - lo)
+                out = out * base + col
             return out
 
         unique, first, counts = np.unique(keys(facets), return_index=True,
@@ -175,7 +183,10 @@ class Mesh:
                 f"(missing {missing}, extraneous {extra})")
         # a boundary facet has one cell: the one whose facet list holds it
         owner = first[np.searchsorted(unique, declared_keys)] // len(local)
-        return owner.astype(np.int64)
+        # in 2D the facets are the edges; a 1D cell is its own edge
+        edges = (np.column_stack([unique // base, unique % base]) if self.dim == 2
+                 else self.cells.copy())
+        return owner.astype(np.int64), edges
 
     def _build_geometry(self):
         verts, cells = self.vertices, self.cells
@@ -209,15 +220,9 @@ class Mesh:
         self.cell_quad = (_SEG_QP, _SEG_QW) if self.dim == 1 else (_TRI_QP, _TRI_QW)
         self.facet_quad = (_PT_QP, _PT_QW) if self.dim == 1 else (_SEG_QP, _SEG_QW)
 
-        # edge list (unique, for graph distances) and max edge length
-        if self.dim == 1:
-            edges = cells.copy()
-        else:
-            e = np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [0, 2]]])
-            edges = np.unique(np.sort(e, axis=1), axis=0)
-        self.edges = edges
-        self.h_max = float(np.max(np.linalg.norm(
-            verts[edges[:, 1]] - verts[edges[:, 0]], axis=1)))
+        # longest edge
+        p, q = self.edges.T
+        self.h_max = float(np.max(np.linalg.norm(verts[q] - verts[p], axis=1)))
 
         mask = np.zeros(len(verts), dtype=bool)
         mask[self.boundary_facets.ravel()] = True
@@ -469,29 +474,89 @@ class DomainSpec:
 # Plain-text mesh format and legacy VTK export
 
 
-def format_rows(*blocks, sep=" "):
-    """Text rows of the arrays ``blocks`` (1D or 2D, equal lengths) side by side.
+# The writers compose their files from text sections: the rows of a block of
+# numbers joined by newlines, each entry its ``repr`` (the shortest round-trip
+# form of a float, the digits of an integer) and entries separated by spaces.
+# A float's repr holds no space or comma, so the one section of vertex rows
+# "x1 x2" also gives the CSV fields (spaces to commas) and the VTK points (zero
+# coordinates appended).
 
-    ``tolist`` turns the entries into Python numbers, whose ``repr`` is the
-    shortest round-trip form of a float and the digits of an integer.
-    """
-    columns = []
-    for block in blocks:
-        block = np.asarray(block)
-        columns += (block[:, None] if block.ndim == 1 else block).T.tolist()
-    return [sep.join(map(repr, row)) for row in zip(*columns)]
+
+def _format_section(block):
+    """The rows of the 1D or 2D array ``block`` as one text section ("" for none)."""
+    block = np.asarray(block)
+    if len(block) == 0:
+        return ""
+    rows = block.reshape(len(block), -1)
+    row = " ".join(["%r"] * rows.shape[1])
+    return "\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+
+
+class _MeshText:
+    """Text sections of one mesh and of nodal arrays on it, each built on first
+    use.  An array's section is kept under the array's identity, together with
+    the array, so the writers of one `shared_text` block format each value once."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        self._sections = {}
+
+    def _section(self, key, array, block):
+        if key not in self._sections:
+            self._sections[key] = (array, _format_section(block))
+        return self._sections[key][1]
+
+    def vertices(self):
+        return self._section("vertices", None, self.mesh.vertices)
+
+    def cells(self):
+        return self._section("cells", None, self.mesh.cells)
+
+    def field(self, values):
+        return self._section(id(values), values,
+                             np.asarray(values, dtype=float).ravel())
+
+
+def _mesh_text(mesh):
+    """The text sections of ``mesh``: those of the enclosing `shared_text`
+    block, else a fresh set."""
+    return mesh._cache.get("text") or _MeshText(mesh)
+
+
+@contextlib.contextmanager
+def shared_text(mesh):
+    """Inside the block, the writers share one set of text sections of ``mesh``
+    and of the nodal arrays they are given, so each value is formatted once;
+    the sections are dropped on exit."""
+    if "text" in mesh._cache:              # an enclosing block owns the sections
+        yield
+        return
+    mesh._cache["text"] = _MeshText(mesh)
+    try:
+        yield
+    finally:
+        del mesh._cache["text"]
+
+
+def _write_sections(path, sections):
+    """Write each non-empty text section of ``sections`` to ``path``, followed by
+    a newline; a lazy iterable lets each section go once it is written."""
+    with open(path, "w") as f:
+        for section in sections:
+            if section:
+                f.write(section)
+                f.write("\n")
 
 
 def write_mesh(mesh, path):
     """Write the VERTICES / CELLS / BOUNDARY plain-text format (0-based ids)."""
-    lines = [f"DIM {mesh.dim}", f"VERTICES {mesh.num_vertices}"]
-    lines += format_rows(mesh.vertices)
-    lines.append(f"CELLS {mesh.num_cells}")
-    lines += format_rows(mesh.cells)
-    lines.append(f"BOUNDARY {len(mesh.boundary_facets)}")
-    lines += [f"{row} {t}" for row, t in zip(format_rows(mesh.boundary_facets),
-                                              mesh.boundary_tags)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    text = _mesh_text(mesh)
+    boundary = _format_section(mesh.boundary_facets).split("\n")
+    _write_sections(path, [
+        f"DIM {mesh.dim}\nVERTICES {mesh.num_vertices}", text.vertices(),
+        f"CELLS {mesh.num_cells}", text.cells(),
+        f"BOUNDARY {len(mesh.boundary_facets)}",
+        "\n".join([f"{row} {tag}" for row, tag in zip(boundary, mesh.boundary_tags)])])
 
 
 def read_mesh(path):
@@ -535,20 +600,22 @@ def read_mesh(path):
 
 def write_vtk(mesh, path, point_data=None):
     """Legacy ASCII VTK unstructured grid with optional nodal scalar fields."""
-    pts = np.zeros((mesh.num_vertices, 3))
-    pts[:, :mesh.dim] = mesh.vertices
-    nc, npc = mesh.num_cells, mesh.dim + 1
-    out = ["# vtk DataFile Version 3.0", "capgraph export", "ASCII",
-           "DATASET UNSTRUCTURED_GRID", f"POINTS {mesh.num_vertices} double"]
-    out += format_rows(pts)
-    out.append(f"CELLS {nc} {nc * (npc + 1)}")
-    out += format_rows(np.full(nc, npc), mesh.cells)
-    out.append(f"CELL_TYPES {nc}")
-    out += [str(3 if mesh.dim == 1 else 5)] * nc
-    if point_data:
-        out.append(f"POINT_DATA {mesh.num_vertices}")
-        for name, values in point_data.items():
-            out.append(f"SCALARS {name} double 1")
-            out.append("LOOKUP_TABLE default")
-            out += format_rows(np.asarray(values, dtype=float).ravel())
-    Path(path).write_text("\n".join(out) + "\n")
+    text = _mesh_text(mesh)
+    nv, nc, npc = mesh.num_vertices, mesh.num_cells, mesh.dim + 1
+    pad = " 0.0" * (3 - mesh.dim)
+
+    def sections():
+        yield ("# vtk DataFile Version 3.0\ncapgraph export\nASCII\n"
+               f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double")
+        yield text.vertices().replace("\n", pad + "\n") + pad
+        yield f"CELLS {nc} {nc * (npc + 1)}"
+        yield f"{npc} " + text.cells().replace("\n", f"\n{npc} ")
+        yield f"CELL_TYPES {nc}"
+        yield "\n".join([str(3 if mesh.dim == 1 else 5)] * nc)
+        if point_data:
+            yield f"POINT_DATA {nv}"
+            for name, values in point_data.items():
+                yield f"SCALARS {name} double 1\nLOOKUP_TABLE default"
+                yield text.field(values)
+
+    _write_sections(path, sections())

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import logging
 from pathlib import Path
@@ -141,6 +142,9 @@ ANNULUS = {"shape": "annulus", "radius": "1.0", "inner_radius": "0.5", "h": "0.2
 INTERVAL = {"shape": "interval", "a": "0", "b": "1", "m": "8"}
 MESH_1D = {"shape": "mesh-file", "path": "{tmp}/interval.txt"}   # INTERVAL's mesh
 MESH_2D = {"shape": "mesh-file", "path": "{tmp}/disk.txt"}       # RULE_BASE's mesh
+# a unit square in two triangles, with one bad vertex id
+SQUARE_FILE = ("DIM 2\nVERTICES 4\n0 0\n1 0\n1 1\n0 1\nCELLS 2\n0 1 2\n0 2 {c}\n"
+               "BOUNDARY 4\n0 1\n1 2\n2 {c}\n{c} 0\n")
 
 
 def _without(section, key):
@@ -324,6 +328,13 @@ CONFIG_RULES = [
     _rule("domain.mesh-file-truncated",
           {"domain": {"shape": "mesh-file", "path": "{tmp}/truncated.txt"}},
           "config error: malformed mesh file"),
+    # a vertex id past the last vertex, and one that would index from the end
+    _rule("domain.mesh-file-vertex-id-7",
+          {"domain": {"shape": "mesh-file", "path": "{tmp}/square7.txt"}},
+          "config error: cell vertex id 7 outside [0, 4)"),
+    _rule("domain.mesh-file-vertex-id-negative",
+          {"domain": {"shape": "mesh-file", "path": "{tmp}/square-1.txt"}},
+          "config error: cell vertex id -1 outside [0, 4)"),
 ]
 
 
@@ -350,6 +361,8 @@ def test_refinement_study_builds_each_level_once(tmp_path, monkeypatch, command,
 def test_config_rule_exits_2(tmp_path, capsys, command, sections, message):
     (tmp_path / "garbage.txt").write_text("hello mesh\n")
     (tmp_path / "truncated.txt").write_text("DIM 2\nVERTICES 3\n0 0\n1 0\n")
+    for bad in ("7", "-1"):
+        (tmp_path / f"square{bad}.txt").write_text(SQUARE_FILE.format(c=bad))
     write_mesh(generate_interval_mesh(0.0, 1.0, 8), tmp_path / "interval.txt")
     write_mesh(generate_disk_mesh(1.0, 0.2), tmp_path / "disk.txt")
     config = {**RULE_BASE, **sections, "output": {"dir": str(tmp_path / "out"),
@@ -369,7 +382,8 @@ def test_shipped_config_loads(path):
     load_config(path)
 
 
-@pytest.mark.parametrize("name", ["disk_capillary", "forced_zero", "hyperbolic_warp"])
+@pytest.mark.parametrize("name", ["disk_capillary", "forced_zero", "hyperbolic_warp",
+                                  "annulus_capillary"])
 def test_shipped_solve_config_certifies_everything(name, tmp_path, caplog):
     path = SHIPPED_CONFIGS[0].parent / f"{name}.cfg"
     with caplog.at_level(logging.WARNING, logger="capgraph"):
@@ -655,19 +669,51 @@ def _old_vtk(mesh, point_data):
 def test_writers_match_the_per_value_loops(tmp_path, dim):
     import capgraph as cg
     from capgraph.cli import write_solution_csv
-    from capgraph.meshing import write_mesh, write_vtk
+    from capgraph.meshing import shared_text, write_mesh, write_vtk
 
-    mesh = (cg.generate_interval_mesh(-0.3, 1.7, 40) if dim == 1
-            else cg.generate_disk_mesh(1.0, 0.2, inner_radius=0.4))
-    rng = np.random.default_rng(dim)
-    u = rng.standard_normal(mesh.num_vertices) * 10.0 ** rng.integers(-20, 20, mesh.num_vertices)
-    u[:3] = [0.0, -0.0, 1e-300]
-    w = 1.0 + rng.uniform(size=mesh.num_vertices)
-    d_gamma = rng.uniform(size=mesh.num_vertices)
-    write_solution_csv(tmp_path / "s.csv", mesh, u, w, d_gamma)
-    assert (tmp_path / "s.csv").read_text() == _old_solution_csv(mesh, u, w, d_gamma)
-    write_mesh(mesh, tmp_path / "m.txt")
-    assert (tmp_path / "m.txt").read_text() == _old_mesh(mesh)
-    point_data = {"u": u, "W": w, "d_gamma_boundary": d_gamma}
-    write_vtk(mesh, tmp_path / "s.vtk", point_data=point_data)
-    assert (tmp_path / "s.vtk").read_text() == _old_vtk(mesh, point_data)
+    meshes = ([cg.generate_interval_mesh(-0.3, 1.7, 40)] if dim == 1
+              else [cg.generate_disk_mesh(1.0, 0.3),
+                    cg.generate_disk_mesh(1.0, 0.2, inner_radius=0.4)])
+    for k, mesh in enumerate(meshes):
+        rng = np.random.default_rng(10 * dim + k)
+        nv = mesh.num_vertices
+        u = rng.standard_normal(nv) * 10.0 ** rng.integers(-20, 20, nv)
+        u[:3] = [0.0, -0.0, 1e-300]
+        w = 1.0 + rng.uniform(size=nv)
+        d_gamma = rng.uniform(size=nv)
+        point_data = {"u": u, "W": w, "d_gamma_boundary": d_gamma}
+        expected = {"s.csv": _old_solution_csv(mesh, u, w, d_gamma),
+                    "m.txt": _old_mesh(mesh), "s.vtk": _old_vtk(mesh, point_data)}
+        # each writer alone, then all three sharing one set of text sections
+        for scope in (contextlib.nullcontext(), shared_text(mesh)):
+            with scope:
+                write_solution_csv(tmp_path / "s.csv", mesh, u, w, d_gamma)
+                write_mesh(mesh, tmp_path / "m.txt")
+                write_vtk(mesh, tmp_path / "s.vtk", point_data=point_data)
+            for name, text in expected.items():
+                assert (tmp_path / name).read_text() == text, (k, name)
+
+
+def test_solve_and_export_write_the_per_value_text(tmp_path):
+    # the text of every written value is its own repr, in each file, on two
+    # boundary components
+    cfg = write_cfg(tmp_path, "run.cfg", (
+        DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out")
+        .replace("shape = disk", "shape = annulus\ninner_radius = 0.4")))
+    assert run_command(["solve", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    mesh = load_config(cfg).build_domain().build()
+    data = read_solution_csv(out / "solution.csv")
+    fields = (data["u"], data["W"], data["d_gamma_boundary"])
+    assert (out / "solution.csv").read_text() == _old_solution_csv(mesh, *fields)
+    assert (out / "mesh.txt").read_text() == _old_mesh(mesh)
+    vtk = _old_vtk(mesh, dict(zip(("u", "W", "d_gamma_boundary"), fields)))
+    assert (out / "solution.vtk").read_text() == vtk
+    stored = tmp_path / "stored.csv"
+    stored.write_text((out / "solution.csv").read_text())
+    for fmt, name in (("vtk", "solution.vtk"), ("mesh", "mesh.txt"), ("csv", "solution.csv")):
+        before = (out / name).read_text()
+        (out / name).unlink()
+        assert run_command(["export", "--config", cfg, "--format", fmt,
+                            "--solution", str(stored)]) == 0
+        assert (out / name).read_text() == before

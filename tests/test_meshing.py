@@ -12,6 +12,7 @@ from capgraph.meshing import (
     MeshError,
     MeshFormatError,
     read_mesh,
+    shared_text,
     write_mesh,
     write_vtk,
 )
@@ -231,3 +232,121 @@ def test_dropped_boundary_facet_is_reported():
     with pytest.raises(MeshFormatError, match=r"\(missing 1, extraneous 0\)"):
         cg.Mesh(2, mesh.vertices, mesh.cells, mesh.boundary_facets[1:],
                 mesh.boundary_tags[1:])
+
+
+def _sorted_unique_edges(cells):
+    # the edge list before edges were decoded from the conformity keys
+    e = np.concatenate([cells[:, [0, 1]], cells[:, [1, 2]], cells[:, [0, 2]]])
+    return np.unique(np.sort(e, axis=1), axis=0)
+
+
+@pytest.mark.parametrize("inner_radius", [None, 0.4], ids=["disk", "annulus"])
+def test_edges_are_the_sorted_unique_cell_edges(inner_radius):
+    mesh = cg.generate_disk_mesh(1.0, 0.1, inner_radius=inner_radius)
+    np.testing.assert_array_equal(mesh.edges, _sorted_unique_edges(mesh.cells))
+    assert mesh.edges.dtype == np.int64
+
+
+def test_edges_of_a_permuted_mesh_file(tmp_path):
+    mesh = cg.generate_disk_mesh(1.0, 0.2, inner_radius=0.3)
+    rng = np.random.default_rng(5)
+    new_id = rng.permutation(mesh.num_vertices)          # old vertex i -> new_id[i]
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    cells = new_id[mesh.cells][rng.permutation(mesh.num_cells)]
+    cells = np.array([np.roll(c, k) for c, k in zip(cells, rng.integers(0, 3, len(cells)))])
+    permuted = cg.Mesh(2, vertices, cells, new_id[mesh.boundary_facets][:, ::-1],
+                       mesh.boundary_tags)
+    write_mesh(permuted, tmp_path / "permuted.txt")
+    back = read_mesh(tmp_path / "permuted.txt")
+    np.testing.assert_array_equal(back.edges, _sorted_unique_edges(back.cells))
+    assert len(back.edges) == len(mesh.edges)
+
+
+def test_interval_edges_are_its_cells():
+    mesh = cg.generate_interval_mesh(0.0, 1.0, 5)
+    np.testing.assert_array_equal(mesh.edges, mesh.cells)
+    assert mesh.edges is not mesh.cells
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+SQUARE_FACETS = [[0, 1], [1, 2], [2, 3], [3, 0]]
+
+
+@pytest.mark.parametrize("cells,facets,message", [
+    ([[0, 1, 2], [0, 2, 7]], SQUARE_FACETS, "cell vertex id 7 outside [0, 4)"),
+    # -1 would index the last vertex, and its cells agree with the boundary
+    ([[0, 1, 2], [0, 2, -1]], [[0, 1], [1, 2], [2, -1], [-1, 0]],
+     "cell vertex id -1 outside [0, 4)"),
+    ([[0, 1, 2], [0, 2, 3]], [[0, 1], [1, 2], [2, 3], [3, 4]],
+     "boundary facet vertex id 4 outside [0, 4)"),
+], ids=["cell-7", "cell-minus-1", "facet-4"])
+def test_vertex_ids_out_of_range_are_rejected(cells, facets, message):
+    with pytest.raises(MeshFormatError) as err:
+        cg.Mesh(2, SQUARE, cells, facets, ["outer"] * len(facets))
+    assert str(err.value) == message
+
+
+def _square():
+    return cg.Mesh(2, SQUARE, [[0, 1, 2], [0, 2, 3]], SQUARE_FACETS, ["outer"] * 4)
+
+
+def test_writers_text_on_a_square(tmp_path):
+    mesh = _square()
+    write_mesh(mesh, tmp_path / "m.txt")
+    assert (tmp_path / "m.txt").read_text() == (
+        "DIM 2\nVERTICES 4\n0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n"
+        "CELLS 2\n0 1 2\n0 2 3\n"
+        "BOUNDARY 4\n0 1 outer\n1 2 outer\n2 3 outer\n3 0 outer\n")
+    write_vtk(mesh, tmp_path / "s.vtk", point_data={"u": [0.1, -0.0, 1e-300, 2.5e16]})
+    assert (tmp_path / "s.vtk").read_text() == (
+        "# vtk DataFile Version 3.0\ncapgraph export\nASCII\n"
+        "DATASET UNSTRUCTURED_GRID\nPOINTS 4 double\n"
+        "0.0 0.0 0.0\n1.0 0.0 0.0\n1.0 1.0 0.0\n0.0 1.0 0.0\n"
+        "CELLS 2 8\n3 0 1 2\n3 0 2 3\nCELL_TYPES 2\n5\n5\n"
+        "POINT_DATA 4\nSCALARS u double 1\nLOOKUP_TABLE default\n"
+        "0.1\n-0.0\n1e-300\n2.5e+16\n")
+
+
+def test_writers_text_on_an_interval(tmp_path):
+    mesh = cg.generate_interval_mesh(-0.5, 0.5, 2)
+    write_mesh(mesh, tmp_path / "m.txt")
+    assert (tmp_path / "m.txt").read_text() == (
+        "DIM 1\nVERTICES 3\n-0.5\n0.0\n0.5\nCELLS 2\n0 1\n1 2\n"
+        "BOUNDARY 2\n0 left\n2 right\n")
+    write_vtk(mesh, tmp_path / "s.vtk")          # no point data: no POINT_DATA section
+    assert (tmp_path / "s.vtk").read_text() == (
+        "# vtk DataFile Version 3.0\ncapgraph export\nASCII\n"
+        "DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
+        "-0.5 0.0 0.0\n0.0 0.0 0.0\n0.5 0.0 0.0\n"
+        "CELLS 2 6\n2 0 1\n2 1 2\nCELL_TYPES 2\n3\n3\n")
+
+
+def test_shared_text_formats_each_array_once_and_drops_it(tmp_path, monkeypatch):
+    import capgraph.meshing as meshing
+
+    mesh, formatted = _square(), []
+    format_section = meshing._format_section
+
+    def counted(block):
+        formatted.append(np.asarray(block).shape)
+        return format_section(block)
+
+    monkeypatch.setattr(meshing, "_format_section", counted)
+    u, w = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 2.0, 3.0, 4.0])
+    alone = {}
+    for name, data in (("a", {"u": u}), ("b", {"u": u, "W": w})):
+        write_vtk(mesh, tmp_path / f"{name}.vtk", point_data=data)
+        alone[name] = (tmp_path / f"{name}.vtk").read_text()
+    formatted.clear()
+    with shared_text(mesh):
+        with shared_text(mesh):                  # a nested block shares the outer one
+            write_vtk(mesh, tmp_path / "a.vtk", point_data={"u": u})
+        write_mesh(mesh, tmp_path / "m.txt")
+        write_vtk(mesh, tmp_path / "b.vtk", point_data={"u": u, "W": w})
+    # vertices, cells and u once; w is another array with the same values;
+    # the boundary facets are formatted per mesh file
+    assert formatted == [(4, 2), (2, 3), (4,), (4, 2), (4,)]
+    assert "text" not in mesh._cache
+    for name in alone:
+        assert (tmp_path / f"{name}.vtk").read_text() == alone[name]
