@@ -13,7 +13,10 @@ directory:
 - `capgraph convergence` on `disk_capillary.cfg`, `hyperbolic_warp.cfg` and
   `interval_oracle.cfg` (disk and interval interior balls), and on
   `cap_mms.cfg` (its hand-off to `mms`),
-- `capgraph mms` on `cap_mms_warped.cfg` (a warped leaf).
+- `capgraph mms` on `cap_mms_warped.cfg` (a warped leaf),
+- `capgraph solve` on `annulus_capillary.cfg` with its `[domain]` replaced by
+  the `mesh.txt` that its `export --format mesh` run wrote (a mesh read back
+  from a file).
 
 Prints one `sha256  <command>/<config>/<file>` line per output file, and the
 same for the run's stdout, stderr (log records included) and exit code.
@@ -36,9 +39,26 @@ from capgraph.cli import run_command
 CONFIGS = Path(__file__).resolve().parent / "configs"
 
 
+def mesh_file_config(tmp, stem):
+    """Write to ``tmp`` a copy of ``stem``.cfg whose `[domain]` is the mesh file
+    that the `export-mesh/<stem>` run writes; returns the copy's path."""
+    lines, section = [], None
+    for line in (CONFIGS / f"{stem}.cfg").read_text().splitlines():
+        if line.startswith("["):
+            section = line.strip()
+        if section != "[domain]":
+            lines.append(line)
+    mesh = Path(tmp) / "export-mesh" / stem / "mesh.txt"
+    lines += ["[domain]", "shape = mesh-file", f"path = {mesh}"]
+    path = Path(tmp) / f"{stem}-mesh-file.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def runs(tmp):
-    """(name, argv) pairs in a fixed order; run ``name`` writes to ``tmp/name``
-    and the verify and export runs read the solve runs' solutions."""
+    """(name, argv) pairs in a fixed order; run ``name`` writes to ``tmp/name``,
+    the verify and export runs read the solve runs' solutions and the last run
+    reads a mesh that an export run wrote."""
     solved = [path for path in sorted(CONFIGS.glob("*.cfg"))
               if "[problem]" in (line.strip() for line in path.read_text().splitlines())]
     out = [(f"solve/{path.stem}", ["solve", "--config", str(path)]) for path in solved]
@@ -58,6 +78,8 @@ def runs(tmp):
                 ["convergence", "--config", str(CONFIGS / "cap_mms.cfg")]))
     out.append(("mms/cap_mms_warped",
                 ["mms", "--config", str(CONFIGS / "cap_mms_warped.cfg")]))
+    out.append(("solve-mesh-file/annulus_capillary",
+                ["solve", "--config", str(mesh_file_config(tmp, "annulus_capillary"))]))
     return out
 
 

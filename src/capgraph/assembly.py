@@ -35,7 +35,9 @@ class _Context:
     """
 
     def __init__(self, mesh, metric):
-        self.mesh = mesh
+        # the mesh caches this context, so the context keeps no reference
+        # to the mesh: a cycle would outlive the mesh until the next collection
+        self.boundary_facets = mesh.boundary_facets
         self.metric = metric
         d = mesh.dim
         bary, wref = mesh.cell_quad
@@ -135,8 +137,8 @@ def _cell_state(ctx, vals):
 
 def _boundary_values(ctx, vals, fn):
     """Traces of u and fn(x, u) at the boundary quadrature points, (nb, nqf)."""
-    uf = np.einsum("qa,fa->fq", ctx.facet_bary, vals[ctx.mesh.boundary_facets])
-    return fn(ctx.xf.reshape(-1, ctx.mesh.dim), uf.ravel()).reshape(uf.shape)
+    uf = np.einsum("qa,fa->fq", ctx.facet_bary, vals[ctx.boundary_facets])
+    return fn(ctx.xf.reshape(-1, ctx.xf.shape[-1]), uf.ravel()).reshape(uf.shape)
 
 
 def residual(u, tau, problem, metric, mesh):

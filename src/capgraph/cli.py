@@ -126,12 +126,14 @@ def _print_certificates(certs):
 
 
 def _write_outputs(cfg, mesh, metric, u, certs, formats, attempts=None):
-    """Write ``u`` (with W and d_gamma) in each of ``formats`` to the output dir;
-    the report format also writes the continuation ``attempts`` when given."""
+    """Write ``u`` (with W and d_gamma in the csv and vtk formats) in each of
+    ``formats`` to the output dir; the report format also writes the
+    continuation ``attempts`` when given."""
     outdir = cfg.output_dir
     outdir.mkdir(parents=True, exist_ok=True)
-    w = vertex_slope_factors(metric, u)
-    d_gamma = boundary_distance_field(mesh, metric).values
+    if "csv" in formats or "vtk" in formats:
+        w = vertex_slope_factors(metric, u)
+        d_gamma = boundary_distance_field(mesh, metric).values
     with shared_text(mesh):                # each value is formatted once
         if "csv" in formats:
             write_solution_csv(outdir / "solution.csv", mesh, u.values, w, d_gamma)

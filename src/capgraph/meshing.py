@@ -2,8 +2,8 @@
 
 Meshes are immutable after construction.  Supported cell types are segments
 (dim 1) and triangles (dim 2); boundary facets carry a component tag and an
-inward unit conormal.  The disk mesher uses a deterministic concentric-ring
-construction so refinement studies are reproducible.
+inward unit conormal.  The disk and annulus meshers share one deterministic
+concentric-ring construction so refinement studies are reproducible.
 """
 
 from __future__ import annotations
@@ -196,25 +196,20 @@ class Mesh:
         if self.dim == 2 and np.any(self.cell_measure < 0.5e-300):   # det < 1e-300
             raise MeshFormatError("degenerate or inverted triangle cell")
 
-        # boundary facet geometry: euclidean measure and inward unit normal
-        nb = len(self.boundary_facets)
-        self.facet_measure = np.ones(nb)
-        normals = np.zeros((nb, self.dim))
-        for k, f in enumerate(self.boundary_facets):
-            cell = self.cells[self._boundary_cells[k]]
-            opp = verts[[v for v in cell if v not in f][0]]
-            if self.dim == 1:
-                x = verts[f[0]]
-                n = np.sign(opp - x)
-            else:
-                a, b2 = verts[f[0]], verts[f[1]]
-                e = b2 - a
-                self.facet_measure[k] = np.hypot(*e)
-                n = np.array([e[1], -e[0]]) / self.facet_measure[k]
-                if n @ (opp - 0.5 * (a + b2)) < 0:
-                    n = -n
-            normals[k] = n
-        self.inward_normals = normals
+        # boundary facet geometry: euclidean measure and inward unit normal,
+        # pointing from the facet towards the owner cell's off-facet vertex
+        facets = self.boundary_facets
+        opp = verts[cells[self._boundary_cells].sum(axis=1) - facets.sum(axis=1)]
+        if self.dim == 1:
+            self.facet_measure = np.ones(len(facets))
+            self.inward_normals = np.sign(opp - verts[facets[:, 0]])
+        else:
+            a, b = verts[facets[:, 0]], verts[facets[:, 1]]
+            e = b - a
+            self.facet_measure = np.hypot(e[:, 0], e[:, 1])
+            n = np.column_stack([e[:, 1], -e[:, 0]]) / self.facet_measure[:, None]
+            outward = np.einsum("ki,ki->k", n, opp - 0.5 * (a + b)) < 0
+            self.inward_normals = np.where(outward[:, None], -n, n)
 
         # quadrature rules (reference barycentric points, weights sum to one)
         self.cell_quad = (_SEG_QP, _SEG_QW) if self.dim == 1 else (_TRI_QP, _TRI_QW)
@@ -312,87 +307,70 @@ class ScalarField:
 # Generators
 
 
-def _merge_rings(ids_a, ids_b):
-    """Triangulate the annular band between two concentric vertex rings.
-
-    Both rings are ordered by increasing angle starting at angle zero; the
-    band is tiled by walking both rings simultaneously, always advancing the
-    ring whose next vertex comes first in angle.  Deterministic.
-    """
-    na, nb = len(ids_a), len(ids_b)
-    tris = []
-    i = j = 0
-    while i < na or j < nb:
-        a_next = (i + 1) / na if i < na else np.inf
-        b_next = (j + 1) / nb if j < nb else np.inf
-        if a_next <= b_next:
-            tris.append((ids_a[i % na], ids_a[(i + 1) % na], ids_b[j % nb]))
-            i += 1
-        else:
-            tris.append((ids_b[j % nb], ids_b[(j + 1) % nb], ids_a[i % na]))
-            j += 1
-    return tris
-
-
-def _ring(radius, count):
-    th = 2.0 * np.pi * np.arange(count) / count
-    return np.column_stack([radius * np.cos(th), radius * np.sin(th)])
+def _check_budget(h, num_vertices):
+    """`MeshBudgetError` when edge length ``h`` needs more vertices than the budget."""
+    if num_vertices > MAX_VERTICES:
+        raise MeshBudgetError(f"edge length {h} needs ~{num_vertices} vertices "
+                              f"(budget {MAX_VERTICES})")
 
 
 def generate_disk_mesh(radius, h, inner_radius=None):
     """Triangulated disk (or annulus) centred at the origin.
 
     Concentric rings at spacing ~h; ring k of the disk carries 6k vertices so
-    triangles stay near-equilateral.  Boundary facets are tagged "outer" (and
-    "inner" for an annulus).  Deterministic for fixed inputs.
+    triangles stay near-equilateral, a ring of the annulus about 2 pi r / h.
+    Boundary facets are tagged "outer" (and "inner" for an annulus).
+    Deterministic for fixed inputs.
     """
     if not (radius > 0 and 0 < h < radius):
         raise MeshError("need radius > 0 and 0 < h < radius")
-    if inner_radius is None:
+    disk = inner_radius is None
+    if disk:
         k_rings = max(1, int(round(radius / h)))
-        approx_nv = 1 + 3 * k_rings * (k_rings + 1)
-        if approx_nv > MAX_VERTICES:
-            raise MeshBudgetError(
-                f"edge length {h} needs ~{approx_nv} vertices (budget {MAX_VERTICES})")
-        verts = [np.zeros((1, 2))]
-        ring_ids = [np.array([0])]
-        nxt = 1
-        for k in range(1, k_rings + 1):
-            n = 6 * k
-            verts.append(_ring(radius * k / k_rings, n))
-            ring_ids.append(np.arange(nxt, nxt + n))
-            nxt += n
-        vertices = np.vstack(verts)
-        cells = [(0, ring_ids[1][j], ring_ids[1][(j + 1) % 6]) for j in range(6)]
-        for k in range(1, k_rings):
-            cells.extend(_merge_rings(ring_ids[k], ring_ids[k + 1]))
-        outer = ring_ids[-1]
-        facets = [(outer[j], outer[(j + 1) % len(outer)]) for j in range(len(outer))]
-        tags = ["outer"] * len(facets)
-        shape = ("disk", radius)
+        _check_budget(h, 1 + 3 * k_rings * (k_rings + 1))
+        k = np.arange(1, k_rings + 1)
+        radii, counts = radius * k / k_rings, 6 * k
     else:
         if not 0 < inner_radius < radius:
             raise MeshError("need 0 < inner_radius < radius")
         k_rings = max(1, int(round((radius - inner_radius) / h)))
+        # ring k holds max(6, round(2 pi r_k / h)) vertices and the r_k average
+        # (inner_radius + radius) / 2, so this lower bound on the vertex count
+        # needs no array; the exact count is checked once the counts exist
+        _check_budget(h, (k_rings + 1) * max(
+            6, int(np.pi * (inner_radius + radius) / h - 0.5)))
         radii = inner_radius + (radius - inner_radius) * np.arange(k_rings + 1) / k_rings
-        counts = [max(6, int(round(2 * np.pi * r / h))) for r in radii]
-        if sum(counts) > MAX_VERTICES:
-            raise MeshBudgetError("edge length too small for the vertex budget")
-        verts, ring_ids, nxt = [], [], 0
-        for r, n in zip(radii, counts):
-            verts.append(_ring(r, n))
-            ring_ids.append(np.arange(nxt, nxt + n))
-            nxt += n
-        vertices = np.vstack(verts)
-        cells = []
-        for k in range(k_rings):
-            cells.extend(_merge_rings(ring_ids[k], ring_ids[k + 1]))
-        inner, outer = ring_ids[0], ring_ids[-1]
-        facets = [(outer[j], outer[(j + 1) % len(outer)]) for j in range(len(outer))]
-        tags = ["outer"] * len(facets)
-        facets += [(inner[j], inner[(j + 1) % len(inner)]) for j in range(len(inner))]
-        tags += ["inner"] * len(inner)
-        shape = ("annulus", inner_radius, radius)
+        counts = np.maximum(6, np.rint(2 * np.pi * radii / h).astype(np.int64))
+        _check_budget(h, int(counts.sum()))
+    # ring k: counts[k] vertices at radius radii[k] by increasing angle from
+    # angle zero, numbered on from the disk's centre vertex 0
+    starts = int(disk) + np.cumsum(counts) - counts
+    ring = np.repeat(np.arange(len(counts)), counts)
+    index = int(disk) + np.arange(counts.sum()) - starts[ring]    # position in ring
+    th = 2.0 * np.pi * index / counts[ring]
+    vertices = np.column_stack([radii[ring] * np.cos(th), radii[ring] * np.sin(th)])
+    # band b between rings b and b + 1 merges their angle keys (i+1)/n, ties to
+    # ring b: each key's vertex, its ring successor and the other ring's
+    # current vertex (rank in the band less the position) make one triangle
+    inner, outer = ring < len(counts) - 1, ring > 0
+    band = np.concatenate([ring[inner], ring[outer] - 1])
+    own = np.concatenate([ring[inner], ring[outer]])
+    pos = np.concatenate([index[inner], index[outer]])
+    order = np.lexsort((own - band, (pos + 1) / counts[own], band))
+    band, own, pos = band[order], own[order], pos[order]
+    other, sizes = 2 * band + 1 - own, counts[:-1] + counts[1:]
+    rank = np.arange(len(band)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cells = np.column_stack([starts[own] + pos, starts[own] + (pos + 1) % counts[own],
+                             starts[other] + (rank - pos) % counts[other]])
+    loops = [(len(counts) - 1, "outer")] + ([] if disk else [(0, "inner")])
+    ids = [starts[k] + np.arange(counts[k]) for k, _ in loops]
+    facets = np.vstack([np.column_stack([i, np.roll(i, -1)]) for i in ids])
+    tags = [tag for k, tag in loops for _ in range(counts[k])]
+    if disk:                                  # the centre and its 6-triangle fan
+        j = np.arange(6)
+        vertices = np.vstack([np.zeros((1, 2)), vertices])
+        cells = np.vstack([np.column_stack([0 * j, 1 + j, 1 + (j + 1) % 6]), cells])
+    shape = ("disk", radius) if disk else ("annulus", inner_radius, radius)
     return Mesh(2, vertices, cells, facets, tags, shape=shape, target_h=h)
 
 
@@ -579,18 +557,27 @@ def read_mesh(path):
             raise MeshFormatError(f"expected {keyword} section")
         return row
 
+    def rows(kind, count, widths):
+        """The next ``count`` rows, each of one of ``widths`` entries."""
+        out = [next(it) for _ in range(count)]
+        for k, row in enumerate(out):
+            if len(row) not in widths:
+                raise MeshFormatError(
+                    f"malformed mesh file {path}: {kind} row {k + 1} has {len(row)} "
+                    f"entries, DIM {dim} needs {' or '.join(map(str, widths))}")
+        return out
+
     try:
         dim = int(expect("DIM")[1])
         nv = int(expect("VERTICES")[1])
-        vertices = np.array([[float(x) for x in next(it)] for _ in range(nv)])
+        vertices = [[float(x) for x in row] for row in rows("vertex", nv, [dim])]
         nc = int(expect("CELLS")[1])
-        cells = np.array([[int(x) for x in next(it)] for _ in range(nc)])
+        cells = [[int(x) for x in row] for row in rows("cell", nc, [dim + 1])]
         nb = int(expect("BOUNDARY")[1])
-        facets, tags = [], []
-        for _ in range(nb):
-            row = next(it)
-            facets.append([int(x) for x in row[:dim]])
-            tags.append(row[dim] if len(row) > dim else "boundary")
+        # a boundary row is the facet's vertex ids and an optional tag
+        boundary = rows("boundary", nb, [dim, dim + 1])
+        facets = [[int(x) for x in row[:dim]] for row in boundary]
+        tags = [row[dim] if len(row) > dim else "boundary" for row in boundary]
     except MeshFormatError:
         raise
     except (ValueError, IndexError, StopIteration) as exc:

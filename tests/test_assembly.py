@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -294,7 +295,23 @@ def test_one_assembly_context_per_mesh():
         metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
         assert continuation_solve(make(2, "1 + s", "0.3"), metric, mesh).status == "converged"
     gc.collect()
-    contexts = [o for o in gc.get_objects()
-                if isinstance(o, assembly._Context) and o.mesh is mesh]
+    contexts = [o for o in gc.get_objects() if isinstance(o, assembly._Context)
+                and o.boundary_facets is mesh.boundary_facets]
     assert len(contexts) == 1
     assert contexts[0].metric is metric
+
+
+def test_a_solved_mesh_is_freed_without_the_cycle_collector():
+    # the mesh caches its assembly context: a context that referred back to
+    # the mesh would keep both alive until the next cyclic collection
+    from capgraph.solver import continuation_solve
+    mesh = cg.generate_disk_mesh(1.0, 0.3)
+    metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
+    assert continuation_solve(make(2, "1 + s", "0.3"), metric, mesh).status == "converged"
+    ref = weakref.ref(mesh)
+    gc.disable()
+    try:
+        del mesh
+        assert ref() is None
+    finally:
+        gc.enable()

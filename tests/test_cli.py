@@ -319,6 +319,8 @@ CONFIG_RULES = [
           "config error: need 0 < inner_radius < radius"),
     _rule("domain.vertex-budget", {"domain": {**RULE_BASE["domain"], "h": "0.001"}},
           "config error: edge length 0.001 needs"),
+    _rule("domain.annulus-vertex-budget", {"domain": {**ANNULUS, "h": "1e-9"}},
+          "config error: edge length 1e-09 needs"),
     _rule("domain.mesh-file-missing",
           {"domain": {"shape": "mesh-file", "path": "{tmp}/absent.txt"}},
           "config error: cannot read mesh file"),
@@ -335,6 +337,18 @@ CONFIG_RULES = [
     _rule("domain.mesh-file-vertex-id-negative",
           {"domain": {"shape": "mesh-file", "path": "{tmp}/square-1.txt"}},
           "config error: cell vertex id -1 outside [0, 4)"),
+    # rows of the wrong width: x y z vertex rows on an odd (53) and an even (44)
+    # vertex count, a cell row of four ids, a boundary row of one id
+    *[_rule(f"domain.mesh-file-xyz-{nv}",
+            {"domain": {"shape": "mesh-file", "path": f"{{tmp}}/xyz{nv}.txt"}},
+            "vertex row 1 has 3 entries, DIM 2 needs 2")
+      for nv in (53, 44)],
+    _rule("domain.mesh-file-cell-row",
+          {"domain": {"shape": "mesh-file", "path": "{tmp}/square-cell.txt"}},
+          "cell row 2 has 4 entries, DIM 2 needs 3"),
+    _rule("domain.mesh-file-boundary-row",
+          {"domain": {"shape": "mesh-file", "path": "{tmp}/square-boundary.txt"}},
+          "boundary row 3 has 1 entries, DIM 2 needs 2 or 3"),
 ]
 
 
@@ -365,6 +379,14 @@ def test_config_rule_exits_2(tmp_path, capsys, command, sections, message):
         (tmp_path / f"square{bad}.txt").write_text(SQUARE_FILE.format(c=bad))
     write_mesh(generate_interval_mesh(0.0, 1.0, 8), tmp_path / "interval.txt")
     write_mesh(generate_disk_mesh(1.0, 0.2), tmp_path / "disk.txt")
+    square = SQUARE_FILE.format(c=3)
+    (tmp_path / "square-cell.txt").write_text(square.replace("0 2 3\n", "0 2 3 1\n", 1))
+    (tmp_path / "square-boundary.txt").write_text(square.replace("2 3\n3 0", "2\n3 0"))
+    for h, nv in ((0.25, 53), (0.3, 44)):
+        write_mesh(generate_disk_mesh(1.0, h, inner_radius=0.4), tmp_path / "xyz.txt")
+        lines = (tmp_path / "xyz.txt").read_text().split("\n")
+        lines[2:2 + nv] = [f"{line} 0.0" for line in lines[2:2 + nv]]
+        (tmp_path / f"xyz{nv}.txt").write_text("\n".join(lines))
     config = {**RULE_BASE, **sections, "output": {"dir": str(tmp_path / "out"),
                                                   **sections.get("output", {})}}
     lines = []
@@ -548,6 +570,22 @@ def test_export_mesh_format(tmp_path):
     assert run_command(["solve", "--config", cfg]) == 0
     assert run_command(["export", "--config", cfg, "--format", "mesh"]) == 0
     assert (tmp_path / "out" / "mesh.txt").read_text().startswith("DIM 2")
+
+
+def test_export_mesh_computes_no_nodal_fields(tmp_path, monkeypatch):
+    import capgraph.cli as cli
+
+    cfg = write_cfg(tmp_path, "run.cfg",
+                    DISK_CFG.format(psi="s", phi="0", out=tmp_path / "out"))
+    assert run_command(["solve", "--config", cfg]) == 0
+    before = (tmp_path / "out" / "mesh.txt").read_bytes()
+    (tmp_path / "out" / "mesh.txt").unlink()
+    calls = []
+    for name in ("vertex_slope_factors", "boundary_distance_field"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    assert run_command(["export", "--config", cfg, "--format", "mesh"]) == 0
+    assert calls == []
+    assert (tmp_path / "out" / "mesh.txt").read_bytes() == before
 
 
 def _attempts(outdir):

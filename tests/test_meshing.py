@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -48,6 +49,103 @@ def test_annulus_two_boundary_components():
         assert (rad[k] > 0.75) == (tag == "outer")
 
 
+# sha256 of the vertices, cells, boundary facets, inward normals and tags of
+# generated meshes: refactoring the generators must not move a bit
+MESH_DIGESTS = {
+    (1.0, 0.3, None): "e322b4d7158ae1cf261b26224af38b1e1aab661526c5d200458478551d149aa5",
+    (1.0, 0.1, None): "68afde878557a880cb4b8dd8d69b32222dac5537a1dc0a2b22f792f7db02d016",
+    (1.0, 0.025, None): "ba1738ad9d9e161bcbf33848a7cf014cc3ab71d06b4eddc3a858dae34db3ac6e",
+    (1.0, 0.1, 0.4): "71a101d1c6f8b66ba6815a73085955bb520e6f442a5a1b32a66ae5429fc30799",
+    (1.0, 0.025, 0.4): "a6e45d9b8eae6d2619b7a1ceed74ec36b59dd6ff8cd60b3466f9d24c37abb478",
+    (2.0, 0.07, 0.5): "a94a689749fc95a18d3184d79d2487ddda3abb3d53ea97714b05ac32853fad08",
+}
+
+
+@pytest.mark.parametrize("radius,h,inner_radius", MESH_DIGESTS, ids=str)
+def test_generated_mesh_bits_are_pinned(radius, h, inner_radius):
+    mesh = cg.generate_disk_mesh(radius, h, inner_radius=inner_radius)
+    digest = hashlib.sha256()
+    for array in (mesh.vertices, mesh.cells, mesh.boundary_facets, mesh.inward_normals):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(" ".join(mesh.boundary_tags).encode())
+    assert digest.hexdigest() == MESH_DIGESTS[radius, h, inner_radius]
+
+
+def _ring_walk(ids_a, ids_b):
+    # the band triangulation as a walk over both rings, always advancing the
+    # ring whose next vertex comes first in angle (ties to ids_a)
+    na, nb = len(ids_a), len(ids_b)
+    tris, i, j = [], 0, 0
+    while i < na or j < nb:
+        if ((i + 1) / na if i < na else np.inf) <= ((j + 1) / nb if j < nb else np.inf):
+            tris.append((ids_a[i % na], ids_a[(i + 1) % na], ids_b[j % nb]))
+            i += 1
+        else:
+            tris.append((ids_b[j % nb], ids_b[(j + 1) % nb], ids_a[i % na]))
+            j += 1
+    return tris
+
+
+@pytest.mark.parametrize("h,inner_radius", [
+    (0.9, None), (0.5, None), (0.3, None), (0.2, None), (0.07, None),
+    (0.9, 0.01), (0.3, 0.4), (0.25, 0.4), (0.2, 0.5), (0.1, 0.4), (0.05, 0.1), (0.3, 0.7),
+])
+def test_generated_cells_match_the_ring_walk(h, inner_radius):
+    mesh = cg.generate_disk_mesh(1.0, h, inner_radius=inner_radius)
+    # rings are numbered outwards, the disk's centre first
+    _, counts = np.unique(np.round(np.hypot(*mesh.vertices.T), 9), return_counts=True)
+    rings = np.split(np.arange(mesh.num_vertices), np.cumsum(counts)[:-1])
+    cells = []
+    if inner_radius is None:
+        r1, rings = rings[1], rings[1:]
+        cells += [(0, r1[j], r1[(j + 1) % 6]) for j in range(6)]
+    for a, b in zip(rings, rings[1:]):
+        cells += _ring_walk(a, b)
+    cells = np.array(cells)
+    p = mesh.vertices[cells]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    clockwise = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    cells[clockwise] = cells[clockwise][:, [0, 2, 1]]
+    np.testing.assert_array_equal(mesh.cells, cells)
+    loops = [rings[-1]] + ([] if inner_radius is None else [rings[0]])
+    facets = [(ids[j], ids[(j + 1) % len(ids)]) for ids in loops for j in range(len(ids))]
+    np.testing.assert_array_equal(mesh.boundary_facets, facets)
+
+
+def _facet_geometry_reference(mesh):
+    # measure and inward normal facet by facet, towards the owner's third vertex
+    measure, normals = np.ones(len(mesh.boundary_facets)), []
+    for k, f in enumerate(mesh.boundary_facets):
+        cell = mesh.cells[mesh.boundary_cells[k]]
+        opp = mesh.vertices[[v for v in cell if v not in f][0]]
+        if mesh.dim == 1:
+            normals.append(np.sign(opp - mesh.vertices[f[0]]))
+            continue
+        a, b = mesh.vertices[f[0]], mesh.vertices[f[1]]
+        e = b - a
+        measure[k] = np.hypot(*e)
+        n = np.array([e[1], -e[0]]) / measure[k]
+        normals.append(-n if n @ (opp - 0.5 * (a + b)) < 0 else n)
+    return measure, np.array(normals)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cg.generate_disk_mesh(1.0, 0.1),
+    lambda: cg.generate_disk_mesh(2.0, 0.07, inner_radius=0.5),
+    lambda: cg.generate_interval_mesh(-0.3, 1.7, 9),
+    lambda: cg.Mesh(1, [[1.0], [0.5], [0.0]], [[0, 1], [1, 2]], [[2], [0]], ["a", "b"]),
+    # facets listed against the cells' orientation, and in reverse
+    lambda: cg.Mesh(2, SQUARE, [[0, 1, 2], [0, 2, 3]], np.array(SQUARE_FACETS)[::-1, ::-1],
+                    ["outer"] * 4),
+], ids=["disk", "annulus", "interval", "reversed-interval", "reversed-square"])
+def test_facet_geometry_matches_the_per_facet_loop(build):
+    mesh = build()
+    measure, normals = _facet_geometry_reference(mesh)
+    np.testing.assert_array_equal(mesh.facet_measure, measure)
+    np.testing.assert_array_equal(mesh.inward_normals, normals)
+    np.testing.assert_array_equal(np.signbit(mesh.inward_normals), np.signbit(normals))
+
+
 def test_interval_mesh_basics():
     mesh = cg.generate_interval_mesh(0.0, 1.0, 4)
     np.testing.assert_allclose(mesh.vertices.ravel(), [0, 0.25, 0.5, 0.75, 1.0])
@@ -63,6 +161,9 @@ def test_generator_input_validation():
         cg.generate_disk_mesh(-1.0, 0.1)
     with pytest.raises(MeshBudgetError):
         cg.generate_disk_mesh(1.0, 1e-4)
+    # the annulus checks its budget before it builds a ring
+    with pytest.raises(MeshBudgetError, match="edge length 1e-09 needs"):
+        cg.generate_disk_mesh(1.0, 1e-9, inner_radius=0.4)
     with pytest.raises(MeshError):
         cg.generate_interval_mesh(1.0, 0.0, 4)
     with pytest.raises(MeshError):
