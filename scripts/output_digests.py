@@ -16,7 +16,9 @@ directory:
 - `capgraph mms` on `cap_mms_warped.cfg` (a warped leaf),
 - `capgraph solve` on `annulus_capillary.cfg` with its `[domain]` replaced by
   the `mesh.txt` that its `export --format mesh` run wrote (a mesh read back
-  from a file).
+  from a file),
+- `capgraph oracle1d` on `interval_conformal.cfg` and `capgraph mms` on
+  `cap_mms_conformal.cfg` (a conformal leaf in 1D and 2D).
 
 Prints one `sha256  <command>/<config>/<file>` line per output file, and the
 same for the run's stdout, stderr (log records included) and exit code.
@@ -80,6 +82,10 @@ def runs(tmp):
                 ["mms", "--config", str(CONFIGS / "cap_mms_warped.cfg")]))
     out.append(("solve-mesh-file/annulus_capillary",
                 ["solve", "--config", str(mesh_file_config(tmp, "annulus_capillary"))]))
+    out.append(("oracle1d/interval_conformal",
+                ["oracle1d", "--config", str(CONFIGS / "interval_conformal.cfg")]))
+    out.append(("mms/cap_mms_conformal",
+                ["mms", "--config", str(CONFIGS / "cap_mms_conformal.cfg")]))
     return out
 
 

@@ -48,12 +48,11 @@ class _Context:
         flat = self.xq.reshape(-1, d)
         nq = len(wref)
         nc = mesh.num_cells
-        self.inv_sigma_q = np.ascontiguousarray(
-            metric.sigma_inv(flat).reshape(nq, nc, d, d).transpose(2, 3, 0, 1))
+        c = metric.conformal(flat).reshape(nq, nc)
+        self.inv_c2_q = 1.0 / c ** 2                            # sigma^{-1} = I / c^2
         self.gamma_q = metric.gamma(flat).reshape(nq, nc)
-        sqrt_det = metric.sqrt_det_sigma(flat).reshape(nq, nc)
         # cell and facet integration weights carry the 1/sqrt(gamma) factor
-        self.cw = (wref[:, None] * mesh.cell_measure[None, :] * sqrt_det
+        self.cw = (wref[:, None] * mesh.cell_measure[None, :] * c ** d
                    / np.sqrt(self.gamma_q))                     # (nq, nc)
 
         fb, fw = mesh.facet_quad
@@ -67,8 +66,8 @@ class _Context:
         else:
             t = fverts[:, 1] - fverts[:, 0]
             that = t / np.linalg.norm(t, axis=1, keepdims=True)
-            sig = metric.sigma(fflat).reshape(nb, nqf, d, d)
-            stretch = np.sqrt(np.einsum("fi,fqij,fj->fq", that, sig, that))
+            c2 = metric.conformal(fflat).reshape(nb, nqf) ** 2
+            stretch = np.sqrt(np.einsum("fi,fq,fi->fq", that, c2, that))
             wf = fw[None, :] * mesh.facet_measure[:, None] * stretch
         self.fcw = wf / np.sqrt(metric.gamma(fflat).reshape(nb, nqf))
 
@@ -129,7 +128,7 @@ def _cell_state(ctx, vals):
     W (nq, nc) and u (nq, nc)."""
     vc = vals[ctx.topo.cells]                                   # (d+1, nc)
     grad = np.einsum("ac,adc->dc", vc, ctx.topo.grads)
-    g = np.einsum("ijqc,jc->iqc", ctx.inv_sigma_q, grad)
+    g = ctx.inv_c2_q * grad[:, None, :]
     w = np.sqrt(ctx.gamma_q + np.einsum("ic,iqc->qc", grad, g))
     uq = ctx.cell_bary @ vc
     return grad, g, w, uq
@@ -168,10 +167,12 @@ def jacobian(u, tau, problem, metric, mesh):
     ctx = _context(mesh, metric)
     vals = _values(u)
     grad, g, w, uq = _cell_state(ctx, vals)
-    # integral of D = (sigma^{-1} - g g^T / W^2) / W over each cell
+    # integral of D = (I / c^2 - g g^T / W^2) / W over each cell
     cw = ctx.cw / w
-    d_bar = (np.einsum("qc,ijqc->ijc", cw, ctx.inv_sigma_q)
-             - np.einsum("iqc,jqc->ijc", cw / w**2 * g, g))
+    # 0.0 - x, not -x: a zero off the diagonal keeps the sign the dense form gave it
+    d_bar = 0.0 - np.einsum("iqc,jqc->ijc", cw / w**2 * g, g)
+    diag = np.arange(mesh.dim)
+    d_bar[diag, diag] += np.einsum("qc,qc->c", cw, ctx.inv_c2_q)
     t = np.einsum("aec,dec->adc", ctx.topo.grads, d_bar)
     k_grad = np.einsum("adc,bdc->abc", t, ctx.topo.grads)
     dpsi_q = problem.dpsi_ds(ctx.xq.reshape(-1, mesh.dim), uq.ravel()).reshape(uq.shape)

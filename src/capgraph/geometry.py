@@ -1,11 +1,12 @@
 """Warped-product geometry of Killing graphs over a leaf domain.
 
 The ambient metric is sigma + (1/gamma) ds^2 with Killing field Y = d/ds,
-|Y|^2 = 1/gamma; the flat leaf is the case sigma = I, gamma = 1 of the same
-formulas.  The module holds the metric, the slope factor W, nodal gradient
-recovery and the strong-form curvature operator.  All evaluators are pure
-functions of their inputs and vectorize over batches of points; nothing
-here mutates shared state.
+|Y|^2 = 1/gamma, and the leaf metric is conformal, sigma = c(x)^2 I, so it
+enters every formula through the scalars c^2, 1/c^2 and c^dim; the flat
+leaf is the case c = 1, gamma = 1 of the same formulas.  The module holds
+the metric, the slope factor W, nodal gradient recovery and the strong-form
+curvature operator.  All evaluators are pure functions of their inputs and
+vectorize over batches of points; nothing here mutates shared state.
 """
 
 from __future__ import annotations
@@ -39,23 +40,23 @@ def _as_points(x, dim):
 
 
 class MetricField:
-    """Leaf metric sigma and warping gamma = 1/|Y|^2 with derivatives.
+    """Conformal leaf metric sigma = c(x)^2 I and warping gamma = 1/|Y|^2.
 
-    All callables are vectorized: for points of shape (m, dim) they return
-    sigma (m, dim, dim), sigma_inv (m, dim, dim), sqrt_det_sigma (m,),
-    gamma (m,) and grad_gamma (m, dim).  `from_expressions` builds a
-    conformal leaf metric and a warping from expressions; `euclidean`
-    (gamma = 1, sigma = I) and `radial_warp` are that constructor with
-    fixed or named data.  The constructor itself takes any callables.
+    Holds the parsed expressions of gamma and of the conformal factor c, and
+    the symbolic gradient of gamma.  The evaluators are vectorized: for
+    points of shape (m, dim), `conformal` returns c (m,), `gamma` gamma (m,)
+    and `grad_gamma` (m, dim).  `conformal` and `gamma` check once that
+    their values are finite and positive (c > 0 is sigma SPD).  Callers use
+    the scalars c^2 (sigma), 1/c^2 (sigma^{-1}) and c^dim (sqrt(det sigma)).
+    `euclidean` (gamma = 1, c = 1) and `radial_warp` are `from_expressions`
+    with fixed or named data.
     """
 
-    def __init__(self, dim, sigma, sigma_inv, sqrt_det_sigma, gamma, grad_gamma):
+    def __init__(self, dim, gamma, conformal):
         self.dim = dim
-        self.sigma = sigma
-        self.sigma_inv = sigma_inv
-        self.sqrt_det_sigma = sqrt_det_sigma
-        self.gamma = gamma
-        self.grad_gamma = grad_gamma
+        self.gamma_expr = gamma
+        self.conformal_expr = conformal
+        self.grad_gamma_exprs = [gamma.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]]
 
     # -- constructors ---------------------------------------------------------
 
@@ -71,69 +72,34 @@ class MetricField:
         Both data are expression strings in x1[, x2, r]; gradients of gamma
         are produced symbolically so the consistency invariant holds exactly.
         """
-        gamma_expr = parse_expression(gamma) if isinstance(gamma, str) else gamma
-        conf_expr = (parse_expression(sigma_conformal)
-                     if isinstance(sigma_conformal, str) else sigma_conformal)
-        dgam = [gamma_expr.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]]
-
-        def conf(x):
-            pts, _ = _as_points(x, dim)
-            c = conf_expr.at_points(pts)
-            if np.any(c <= 0):
-                raise ValueError("sigma conformal factor must be positive")
-            return c
-
-        def sigma(x):
-            pts, _ = _as_points(x, dim)
-            out = np.zeros((len(pts), dim, dim))
-            c2 = conf(pts) ** 2
-            for i in range(dim):
-                out[:, i, i] = c2
-            return out
-
-        def sigma_inv(x):
-            pts, _ = _as_points(x, dim)
-            out = np.zeros((len(pts), dim, dim))
-            c2 = conf(pts) ** 2
-            for i in range(dim):
-                out[:, i, i] = 1.0 / c2
-            return out
-
-        def sqrt_det(x):
-            pts, _ = _as_points(x, dim)
-            return conf(pts) ** dim
-
-        def gamma_fn(x):
-            pts, _ = _as_points(x, dim)
-            g = gamma_expr.at_points(pts)
-            if np.any(g <= 0):
-                raise ValueError("gamma must be positive")
-            return g
-
-        def grad_gamma(x):
-            pts, _ = _as_points(x, dim)
-            out = np.zeros((len(pts), dim))
-            for i, d in enumerate(dgam):
-                out[:, i] = d.at_points(pts)
-            return out
-
-        return cls(dim, sigma, sigma_inv, sqrt_det, gamma_fn, grad_gamma)
+        return cls(dim, parse_expression(gamma), parse_expression(sigma_conformal))
 
     @classmethod
     def radial_warp(cls, dim, gamma, sigma_conformal="1"):
         return cls.from_expressions(dim, gamma=gamma, sigma_conformal=sigma_conformal)
 
+    # -- evaluators -----------------------------------------------------------
+
+    def conformal(self, x):
+        """The conformal factor c of sigma = c^2 I at the points ``x``."""
+        return _finite_positive(self.conformal_expr, x, self.dim,
+                                "sigma conformal factor")
+
+    def gamma(self, x):
+        """The warping gamma = 1/|Y|^2 at the points ``x``."""
+        return _finite_positive(self.gamma_expr, x, self.dim, "gamma")
+
+    def grad_gamma(self, x):
+        pts, _ = _as_points(x, self.dim)
+        return np.column_stack([d.at_points(pts) for d in self.grad_gamma_exprs])
+
     # -- validation -----------------------------------------------------------
 
     def validate(self, points):
-        """Check SPD sigma, positive gamma and grad_gamma/FD consistency to 1e-6."""
+        """Check c > 0 (sigma SPD), gamma > 0 and grad_gamma/FD consistency to 1e-6."""
         pts, _ = _as_points(points, self.dim)
-        sig = self.sigma(pts)
-        eig = np.linalg.eigvalsh(sig)
-        if np.any(eig <= 0):
-            raise ValueError("sigma must be positive definite at every sample point")
-        if np.any(self.gamma(pts) <= 0):
-            raise ValueError("gamma must be positive on the closed domain")
+        self.conformal(pts)
+        self.gamma(pts)
         gg = self.grad_gamma(pts)
         fd = np.stack([(self.gamma(xp) - self.gamma(xm)) / two_step
                        for xp, xm, two_step in _difference_points(pts)], axis=1)
@@ -141,6 +107,16 @@ class MetricField:
         if np.max(np.abs(gg - fd) / scale) > 1e-6:
             raise ValueError("grad_gamma is inconsistent with finite differences of gamma")
         return True
+
+
+def _finite_positive(expr, x, dim, name):
+    """``expr`` at the points ``x``; `ValueError` unless every value is finite
+    and positive."""
+    pts, _ = _as_points(x, dim)
+    values = expr.at_points(pts)
+    if not np.all((values > 0) & (values < np.inf)):
+        raise ValueError(f"{name} must be finite and positive")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +133,8 @@ def slope_factor(metric, x, grad_u):
     du = np.asarray(grad_u, dtype=float).reshape(len(pts), metric.dim)
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(du))):
         raise ValueError("non-finite input")
-    inv_sigma = metric.sigma_inv(pts)
-    w = np.sqrt(metric.gamma(pts) + np.einsum("ki,kij,kj->k", du, inv_sigma, du))
+    inv_c2 = 1.0 / metric.conformal(pts) ** 2
+    w = np.sqrt(metric.gamma(pts) + np.einsum("ki,k,ki->k", du, inv_c2, du))
     return float(w[0]) if squeeze else w
 
 
@@ -262,12 +238,13 @@ def _difference_points(x):
 
 
 def _metric_coefficient_derivatives(metric, pts):
-    """Central differences of sigma_inv and log sqrt(det sigma), batched."""
+    """Central differences of 1/c^2 (the diagonal of sigma^{-1}) and of
+    log c^dim (log sqrt(det sigma)), batched: two (m, dim) arrays."""
     d_inv, d_logsd = [], []
     for xp, xm, two_step in _difference_points(pts):
-        d_inv.append((metric.sigma_inv(xp) - metric.sigma_inv(xm)) / two_step[:, None, None])
-        d_logsd.append((np.log(metric.sqrt_det_sigma(xp))
-                        - np.log(metric.sqrt_det_sigma(xm))) / two_step)
+        cp, cm = metric.conformal(xp), metric.conformal(xm)
+        d_inv.append((1.0 / cp ** 2 - 1.0 / cm ** 2) / two_step)
+        d_logsd.append((np.log(cp ** metric.dim) - np.log(cm ** metric.dim)) / two_step)
     return np.stack(d_inv, axis=1), np.stack(d_logsd, axis=1)
 
 
@@ -276,25 +253,25 @@ def mean_curvature_from_derivatives(metric, x, grad, hess):
 
     Vectorized over points: grad (m, d) and hess (m, d, d) are a first and
     second derivative estimate of u; the divergence is the sigma-divergence.
-    Metric coefficient derivatives come from central differences of the
-    metric callables (the data are smooth, so this is far below any
-    discretization error).
+    With sigma = c^2 I, sigma^{-1} is the scalar 1/c^2; its derivatives and
+    those of log sqrt(det sigma) come from central differences of c (the
+    data are smooth, so this is far below any discretization error).
     """
     pts, squeeze = _as_points(x, metric.dim)
     du = np.asarray(grad, dtype=float).reshape(len(pts), metric.dim)
     hess = np.asarray(hess, dtype=float).reshape(len(pts), metric.dim, metric.dim)
-    inv_sigma = metric.sigma_inv(pts)
+    inv_c2 = 1.0 / metric.conformal(pts) ** 2
     gamma = metric.gamma(pts)
     ggam = metric.grad_gamma(pts)
     d_inv, d_logsd = _metric_coefficient_derivatives(metric, pts)
 
-    g = np.einsum("mkl,ml->mk", inv_sigma, du)
+    g = inv_c2[:, None] * du
     w = np.sqrt(gamma + np.einsum("mk,mk->m", du, g))
-    # dW_i = (d_i gamma + du^T d_i(sigma^{-1}) du + 2 (sigma^{-1} hess du)_i) / 2W
-    dw = (ggam + np.einsum("mik,mk->mi", np.einsum("mikl,ml->mik", d_inv, du), du)
+    # dW_i = (d_i gamma + d_i(1/c^2) |du|^2 + 2 (hess g)_i) / 2W
+    dw = (ggam + np.einsum("mi,mk,mk->mi", d_inv, du, du)
           + 2.0 * np.einsum("mik,mk->mi", hess, g)) / (2.0 * w[:, None])
-    div_x = (np.einsum("miil,ml->m", d_inv, du) / w
-             + np.einsum("mil,mil->m", inv_sigma, hess) / w
+    div_x = (np.einsum("mi,mi->m", d_inv, du) / w
+             + np.einsum("m,mii->m", inv_c2, hess) / w
              - np.einsum("mi,mi->m", g, dw) / w**2)
     div_sigma = div_x + np.einsum("mi,mi->m", g, d_logsd) / w
     out = div_sigma - np.einsum("mi,mi->m", ggam, g) / (2.0 * gamma * w)

@@ -248,11 +248,9 @@ class Mesh:
         The conormal annihilates the facet tangent (sigma-orthogonality) and
         has unit sigma length.
         """
-        mids = self.facet_midpoints()
-        n_cov = self.inward_normals                      # euclidean normal covector
-        inv_sigma = metric.sigma_inv(mids)               # (nb, d, d)
-        v = np.einsum("kij,kj->ki", inv_sigma, n_cov)
-        norm = np.sqrt(np.einsum("ki,kij,kj->k", v, metric.sigma(mids), v))
+        c2 = metric.conformal(self.facet_midpoints()) ** 2   # sigma = c^2 I
+        v = (1.0 / c2)[:, None] * self.inward_normals     # sigma^{-1} n, n a covector
+        norm = np.sqrt(np.einsum("ki,k,ki->k", v, c2, v))
         return v / norm[:, None]
 
     def facet_midpoints(self):
@@ -275,7 +273,8 @@ class Mesh:
                 w = np.linalg.norm(t, axis=1)
             else:
                 mid = 0.5 * (self.vertices[p] + self.vertices[q])
-                w = np.sqrt(np.einsum("ki,kij,kj->k", t, metric.sigma(mid), t))
+                c2 = metric.conformal(mid) ** 2
+                w = np.sqrt(np.einsum("ki,k,ki->k", t, c2, t))
             n = self.num_vertices
             g = coo_matrix((np.concatenate([w, w]),
                             (np.concatenate([p, q]), np.concatenate([q, p]))),
@@ -308,10 +307,20 @@ class ScalarField:
 
 
 def _check_budget(h, num_vertices):
-    """`MeshBudgetError` when edge length ``h`` needs more vertices than the budget."""
-    if num_vertices > MAX_VERTICES:
+    """`MeshBudgetError` when edge length ``h`` needs more vertices than the
+    budget, or an unbounded number."""
+    if not num_vertices <= MAX_VERTICES:
         raise MeshBudgetError(f"edge length {h} needs ~{num_vertices} vertices "
                               f"(budget {MAX_VERTICES})")
+
+
+def _ring_count(h, width):
+    """Rings of spacing ~h across ``width``, at least one; each holds at least
+    6 vertices, so the budget is checked before the int, ``width / h = inf``
+    included."""
+    rings = width / h
+    _check_budget(h, 6 * rings)
+    return max(1, int(round(rings)))
 
 
 def generate_disk_mesh(radius, h, inner_radius=None):
@@ -326,14 +335,14 @@ def generate_disk_mesh(radius, h, inner_radius=None):
         raise MeshError("need radius > 0 and 0 < h < radius")
     disk = inner_radius is None
     if disk:
-        k_rings = max(1, int(round(radius / h)))
+        k_rings = _ring_count(h, radius)
         _check_budget(h, 1 + 3 * k_rings * (k_rings + 1))
         k = np.arange(1, k_rings + 1)
         radii, counts = radius * k / k_rings, 6 * k
     else:
         if not 0 < inner_radius < radius:
             raise MeshError("need 0 < inner_radius < radius")
-        k_rings = max(1, int(round((radius - inner_radius) / h)))
+        k_rings = _ring_count(h, radius - inner_radius)
         # ring k holds max(6, round(2 pi r_k / h)) vertices and the r_k average
         # (inner_radius + radius) / 2, so this lower bound on the vertex count
         # needs no array; the exact count is checked once the counts exist

@@ -144,16 +144,17 @@ def _boundary_sample_points(mesh):
     return np.vstack([qp, mesh.vertices[mesh.boundary_vertices]])
 
 
-def _ambient_gradient_norm(problem, s, dpsi, inv_sigma, gamma, shifted):
-    """|ambient grad psi| = sqrt(|grad_x psi|^2_sigma + gamma (d_s psi)^2).
+def _ambient_gradient_norm(problem, s, dpsi, inv_c2, gamma, shifted):
+    """|ambient grad psi| = sqrt(|grad_x psi|^2 / c^2 + gamma (d_s psi)^2).
 
-    ``dpsi`` is d_s psi at the sample points, ``inv_sigma`` and ``gamma`` the
-    metric there and ``shifted`` their central-difference points from
-    `geometry._difference_points`; only ``dpsi`` depends on s.
+    ``dpsi`` is d_s psi at the sample points, ``inv_c2`` (1/c^2, the scalar
+    sigma^{-1}) and ``gamma`` the metric there and ``shifted`` their
+    central-difference points from `geometry._difference_points`; only
+    ``dpsi`` depends on s.
     """
     dxs = np.stack([(problem.psi(xp, s) - problem.psi(xm, s)) / two_step
                     for xp, xm, two_step in shifted], axis=1)
-    grad_sq = np.einsum("ki,ki->k", dxs, np.einsum("kij,kj->ki", inv_sigma, dxs))
+    grad_sq = np.einsum("ki,ki->k", dxs, inv_c2[:, None] * dxs)
     return np.sqrt(grad_sq + gamma * dpsi ** 2)
 
 
@@ -178,14 +179,14 @@ def validate_conditions(problem, mesh, metric, s_range):
 
     # positive gravity (ii) and magnitude bound (i) over interior x times s
     dpsi_min, cpsi_max, fd_err = np.inf, 0.0, 0.0
-    inv_sigma, gamma = metric.sigma_inv(xs), metric.gamma(xs)
+    inv_c2, gamma = 1.0 / metric.conformal(xs) ** 2, metric.gamma(xs)
     shifted = _difference_points(xs)
     for s0 in s_grid:
         s = np.full(len(xs), s0)
         dpsi = problem.dpsi_ds(xs, s)
         dpsi_min = min(dpsi_min, float(np.min(dpsi)))
         mag = np.abs(problem.psi(xs, s)) + _ambient_gradient_norm(
-            problem, s, dpsi, inv_sigma, gamma, shifted)
+            problem, s, dpsi, inv_c2, gamma, shifted)
         cpsi_max = max(cpsi_max, float(np.max(mag)))
         ds = 1e-6 * (1.0 + abs(s0))
         fd = (problem.psi(xs, s + ds) - problem.psi(xs, s - ds)) / (2 * ds)

@@ -343,9 +343,8 @@ def separation_rate_check(u, metric, mesh, zeta, taus):
 
     grads = recover_vertex_gradients(mesh, u.values)
     pts = mesh.vertices
-    inv_sigma = metric.sigma_inv(pts)
     gamma = metric.gamma(pts)
-    g = np.einsum("mij,mj->mi", inv_sigma, grads)
+    g = (1.0 / metric.conformal(pts) ** 2)[:, None] * grads
     w = np.sqrt(gamma + np.einsum("mi,mi->m", grads, g))
     ds_dir = z * gamma / w
     dx_dir = -z[:, None] * g / w[:, None]
@@ -525,15 +524,14 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, max_iter=60):
     mid = 0.5 * (x[:-1] + x[1:])
     xc = x[:, None]
     midc = mid[:, None]
-    sig_m = metric.sigma(midc)[:, 0, 0]
-    gam_m = metric.gamma(midc)
-    coef = metric.sqrt_det_sigma(midc) / (np.sqrt(gam_m) * sig_m)
-    rho_w = metric.sqrt_det_sigma(xc) / np.sqrt(metric.gamma(xc))
-    end_w = np.array([
-        float(metric.sqrt_det_sigma(xc[:1])[0]
-              / np.sqrt(metric.gamma(xc[:1])[0] * metric.sigma(xc[:1])[0, 0, 0])),
-        float(metric.sqrt_det_sigma(xc[-1:])[0]
-              / np.sqrt(metric.gamma(xc[-1:])[0] * metric.sigma(xc[-1:])[0, 0, 0]))])
+    # in 1D, sigma = c^2 and sqrt(sigma) = c
+    c_m, gam_m = metric.conformal(midc), metric.gamma(midc)
+    sig_m = c_m ** 2
+    coef = c_m / (np.sqrt(gam_m) * sig_m)
+    c_x, gam_x = metric.conformal(xc), metric.gamma(xc)
+    rho_w = c_x / np.sqrt(gam_x)
+    ends = [0, -1]
+    end_w = c_x[ends] / np.sqrt(gam_x[ends] * c_x[ends] ** 2)
 
     def slopes(u):
         """(u', W) at the cell midpoints."""

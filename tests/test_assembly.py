@@ -112,7 +112,7 @@ def test_energy_of_zero_is_leaf_area(euclid2):
     e = energy(np.zeros(mesh.num_vertices), 1.0, make(2, "1 + s"), metric, mesh)
     bary, w = mesh.cell_quad
     qp = np.einsum("qa,cad->cqd", bary, mesh.vertices[mesh.cells])
-    det = metric.sqrt_det_sigma(qp.reshape(-1, 2)).reshape(len(mesh.cells), len(w))
+    det = metric.conformal(qp.reshape(-1, 2)).reshape(len(mesh.cells), len(w)) ** 2
     sigma_area = float(np.sum(w[None, :] * mesh.cell_measure[:, None] * det))
     assert e == pytest.approx(sigma_area, rel=1e-12)
 
@@ -202,10 +202,11 @@ def _reference_assembly(u, tau, problem, metric, mesh):
     bary, wref = mesh.cell_quad
     nc, nq = mesh.num_cells, len(wref)
     xq = np.einsum("qa,cad->cqd", bary, mesh.vertices[mesh.cells]).reshape(-1, d)
-    inv_sigma = metric.sigma_inv(xq).reshape(nc, nq, d, d)
+    # dense sigma^{-1}, sqrt(det sigma) and sigma of the conformal leaf c^2 I
+    c = metric.conformal(xq).reshape(nc, nq)
+    inv_sigma = np.eye(d) / (c ** 2)[:, :, None, None]
     gamma = metric.gamma(xq).reshape(nc, nq)
-    wq = (wref[None, :] * mesh.cell_measure[:, None]
-          * metric.sqrt_det_sigma(xq).reshape(nc, nq)) / np.sqrt(gamma)
+    wq = (wref[None, :] * mesh.cell_measure[:, None] * c ** d) / np.sqrt(gamma)
     fb, fw = mesh.facet_quad
     fverts = mesh.vertices[mesh.boundary_facets]
     xf = np.einsum("qa,fad->fqd", fb, fverts)
@@ -216,7 +217,7 @@ def _reference_assembly(u, tau, problem, metric, mesh):
     else:
         t = fverts[:, 1] - fverts[:, 0]
         that = t / np.linalg.norm(t, axis=1, keepdims=True)
-        sig = metric.sigma(xf).reshape(nb, nqf, d, d)
+        sig = np.eye(d) * (metric.conformal(xf) ** 2).reshape(nb, nqf, 1, 1)
         wf = (fw[None, :] * mesh.facet_measure[:, None]
               * np.sqrt(np.einsum("fi,fqij,fj->fq", that, sig, that)))
     wf = wf / np.sqrt(metric.gamma(xf).reshape(nb, nqf))
@@ -284,6 +285,25 @@ def test_assembly_matches_quadrature_point_coo_reference(case, tau):
     np.testing.assert_array_equal(j.indices, j_ref.indices)
     assert j.indices.dtype == j_ref.indices.dtype == np.int32
     assert np.max(np.abs(j.data - j_ref.data)) <= 1e-13 * np.max(np.abs(j_ref.data))
+
+
+def test_context_evaluates_the_conformal_factor_once_per_point_set(monkeypatch):
+    # one call at the cell quadrature points and one at the facet ones
+    from capgraph import assembly, expressions
+    calls = []
+    at_points = expressions.Expression.at_points
+
+    def counted(self, pts, s=None):
+        if self.source == "1 + 0.3*r^2":
+            calls.append(len(pts))
+        return at_points(self, pts, s)
+
+    monkeypatch.setattr(expressions.Expression, "at_points", counted)
+    mesh = cg.generate_disk_mesh(1.0, 0.3)
+    metric = cg.MetricField.from_expressions(2, gamma="1 + r^2",
+                                             sigma_conformal="1 + 0.3*r^2")
+    ctx = assembly._context(mesh, metric)
+    assert calls == [ctx.xq.shape[0] * ctx.xq.shape[1], ctx.xf.shape[0] * ctx.xf.shape[1]]
 
 
 def test_one_assembly_context_per_mesh():

@@ -321,6 +321,13 @@ CONFIG_RULES = [
           "config error: edge length 0.001 needs"),
     _rule("domain.annulus-vertex-budget", {"domain": {**ANNULUS, "h": "1e-9"}},
           "config error: edge length 1e-09 needs"),
+    # a ring count too large for an int: the budget check comes first
+    _rule("domain.disk-radius-overflow",
+          {"domain": {**RULE_BASE["domain"], "radius": "1e300", "h": "1e-12"}},
+          "config error: edge length 1e-12 needs"),
+    _rule("domain.annulus-radius-overflow",
+          {"domain": {**ANNULUS, "radius": "1e300", "h": "1e-12"}},
+          "config error: edge length 1e-12 needs"),
     _rule("domain.mesh-file-missing",
           {"domain": {"shape": "mesh-file", "path": "{tmp}/absent.txt"}},
           "config error: cannot read mesh file"),
@@ -405,7 +412,7 @@ def test_shipped_config_loads(path):
 
 
 @pytest.mark.parametrize("name", ["disk_capillary", "forced_zero", "hyperbolic_warp",
-                                  "annulus_capillary"])
+                                  "annulus_capillary", "interval_conformal"])
 def test_shipped_solve_config_certifies_everything(name, tmp_path, caplog):
     path = SHIPPED_CONFIGS[0].parent / f"{name}.cfg"
     with caplog.at_level(logging.WARNING, logger="capgraph"):
@@ -648,6 +655,22 @@ def test_oracle1d_stall_names_its_cause(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("continuation stalled at tau=0.000000: step dtau=")
     assert "(SingularJacobian: " in err[0]
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle1d"])
+@pytest.mark.parametrize("key,name", [("gamma", "gamma"),
+                                      ("sigma_conformal", "sigma conformal factor")],
+                         ids=["gamma", "sigma_conformal"])
+def test_non_finite_metric_names_its_cause(tmp_path, capsys, command, key, name):
+    # exp(800 x1) overflows to inf past x1 = 0.89: an error about the metric,
+    # not a singular Jacobian or a non-finite residual
+    text = (INTERVAL_CFG.format(out=tmp_path / "out")
+            + f"\n[metric]\npreset = custom-expression\n{key} = exp(800*x1)\n")
+    with np.errstate(over="ignore"):
+        code = run_command([command, "--config", write_cfg(tmp_path, "run.cfg", text)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {name} must be finite and positive"]
 
 
 def test_mms_stall_names_its_cause(tmp_path, capsys):

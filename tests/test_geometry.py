@@ -48,18 +48,17 @@ def test_slope_factor_lower_bound(gx, gy, x1, x2):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_euclidean_metric_is_flat(dim):
-    # bit for bit, zeros included with their sign, at signed and zero points
+    # c, gamma and grad gamma bit for bit, zeros included with their sign, at
+    # signed and zero points
     metric = cg.MetricField.euclidean(dim)
     pts = np.random.default_rng(dim).uniform(-1, 1, size=(7, dim))
     pts[0] = -0.0
     m = len(pts)
-    eye = np.broadcast_to(np.eye(dim), (m, dim, dim))
-    for got, want in ((metric.sigma(pts), eye), (metric.sigma_inv(pts), eye),
-                      (metric.sqrt_det_sigma(pts), np.ones(m)),
+    for got, want in ((metric.conformal(pts), np.ones(m)),
                       (metric.gamma(pts), np.ones(m)),
                       (metric.grad_gamma(pts), np.zeros((m, dim)))):
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_flat_preset_matches_hardcoded_evaluator(euclid2):
@@ -136,27 +135,43 @@ def test_metric_validation():
     metric = cg.MetricField.radial_warp(2, gamma="1 + 3*r^2")
     pts = np.random.default_rng(0).uniform(-0.7, 0.7, size=(40, 2))
     assert metric.validate(pts)
-    bad = cg.MetricField(
-        2, metric.sigma, metric.sigma_inv, metric.sqrt_det_sigma, metric.gamma,
-        lambda x: np.zeros((len(np.atleast_2d(x)), 2)))
+    # a wrong gradient, injected through the stored gradient expressions
+    metric.grad_gamma_exprs = [cg.parse_expression("0")] * 2
     with pytest.raises(ValueError, match="grad_gamma"):
-        bad.validate(pts)
+        metric.validate(pts)
     negative = cg.MetricField.from_expressions(2, gamma="x1")
     with pytest.raises(ValueError):
         negative.gamma(np.array([[-0.5, 0.0]]))
 
 
-def _mean_curvature_three_operand(metric, pts, du, hess):
-    # the three-operand einsums that the two-step contractions replaced
-    from capgraph.geometry import _metric_coefficient_derivatives
-    inv_sigma = metric.sigma_inv(pts)
+def _mean_curvature_three_operand(metric, pts, du, hess, hess_meets_g=False):
+    # the dense (m, d, d) sigma^{-1} of the conformal leaf c^2 I, its dense
+    # central-difference stencil, and the three-operand einsums over them;
+    # with ``hess_meets_g`` the hessian meets g = sigma^{-1} du, as in the
+    # scalar path, so that the products associate alike
+    from capgraph.geometry import _difference_points
+    d = metric.dim
+
+    def dense_inv_sigma(x):
+        return np.eye(d) / (metric.conformal(x) ** 2)[:, None, None]
+
+    def log_sqrt_det(x):
+        return np.log(metric.conformal(x) ** d)
+
+    inv_sigma = dense_inv_sigma(pts)
     gamma = metric.gamma(pts)
     ggam = metric.grad_gamma(pts)
-    d_inv, d_logsd = _metric_coefficient_derivatives(metric, pts)
+    shifted = _difference_points(pts)
+    d_inv = np.stack([(dense_inv_sigma(xp) - dense_inv_sigma(xm)) / two_step[:, None, None]
+                      for xp, xm, two_step in shifted], axis=1)
+    d_logsd = np.stack([(log_sqrt_det(xp) - log_sqrt_det(xm)) / two_step
+                        for xp, xm, two_step in shifted], axis=1)
     g = np.einsum("mkl,ml->mk", inv_sigma, du)
     w = np.sqrt(gamma + np.einsum("mk,mk->m", du, g))
     dw = (ggam + np.einsum("mikl,mk,ml->mi", d_inv, du, du)
-          + 2.0 * np.einsum("mkl,mik,ml->mi", inv_sigma, hess, du)) / (2.0 * w[:, None])
+          + 2.0 * (np.einsum("mik,mk->mi", hess, g) if hess_meets_g
+                   else np.einsum("mkl,mik,ml->mi", inv_sigma, hess, du))
+          ) / (2.0 * w[:, None])
     div_x = (np.einsum("miil,ml->m", d_inv, du) / w
              + np.einsum("mil,mil->m", inv_sigma, hess) / w
              - np.einsum("mi,mi->m", g, dw) / w**2)
@@ -181,3 +196,6 @@ def test_mean_curvature_matches_three_operand_einsums(dim, kind):
     new = mean_curvature_from_derivatives(metric, pts, du, hess)
     old = _mean_curvature_three_operand(metric, pts, du, hess)
     np.testing.assert_allclose(new, old, rtol=1e-13, atol=1e-13 * np.max(np.abs(old)))
+    # the dense path the scalar one replaced, bit for bit
+    dense = _mean_curvature_three_operand(metric, pts, du, hess, hess_meets_g=True)
+    assert new.tobytes() == dense.tobytes()

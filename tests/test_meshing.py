@@ -174,7 +174,7 @@ def test_conormals_sigma_unit_and_inward(disk_01):
     metric = cg.MetricField.radial_warp(2, gamma="1 + r^2", sigma_conformal="1 + 0.5*r^2")
     nu = disk_01.sigma_conormals(metric)
     mids = disk_01.facet_midpoints()
-    sig = metric.sigma(mids)
+    sig = np.eye(2) * (metric.conformal(mids) ** 2)[:, None, None]
     norms = np.einsum("ki,kij,kj->k", nu, sig, nu)
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
     # an epsilon step along nu moves strictly into the disk

@@ -309,8 +309,8 @@ def _memo_free_data(metric, mesh, u_exact, kappa0):
 
     def phi(x):
         du, nu = grad(x), nus[tree.query(x)[1]]
-        w = np.sqrt(metric.gamma(x)
-                    + np.einsum("ki,kij,kj->k", du, metric.sigma_inv(x), du))
+        inv_sigma = np.eye(mesh.dim) / (metric.conformal(x) ** 2)[:, None, None]
+        w = np.sqrt(metric.gamma(x) + np.einsum("ki,kij,kj->k", du, inv_sigma, du))
         return -np.einsum("ki,ki->k", du, nu) / w
 
     return psi, phi
