@@ -18,7 +18,12 @@ directory:
   the `mesh.txt` that its `export --format mesh` run wrote (a mesh read back
   from a file),
 - `capgraph oracle1d` on `interval_conformal.cfg` and `capgraph mms` on
-  `cap_mms_conformal.cfg` (a conformal leaf in 1D and 2D).
+  `cap_mms_conformal.cfg` (a conformal leaf in 1D and 2D),
+- `capgraph solve` on `annulus_capillary.cfg` and `interval_oracle.cfg` with
+  their `[domain]` replaced by the exported `mesh.txt` rewritten with each
+  cell's last two ids swapped (clockwise triangles, right-to-left segments:
+  the mesh reorients them on reading, so the annulus run's digests equal
+  those of `solve-mesh-file/annulus_capillary`).
 
 Prints one `sha256  <command>/<config>/<file>` line per output file, and the
 same for the run's stdout, stderr (log records included) and exit code.
@@ -41,9 +46,21 @@ from capgraph.cli import run_command
 CONFIGS = Path(__file__).resolve().parent / "configs"
 
 
-def mesh_file_config(tmp, stem):
+def reversed_cells(mesh_text):
+    """``mesh_text`` in the `write_mesh` format with each cell's last two ids
+    swapped."""
+    lines = mesh_text.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("CELLS")) + 1
+    for k in range(start, start + int(lines[start - 1].split()[1])):
+        *head, a, b = lines[k].split()
+        lines[k] = " ".join([*head, b, a])
+    return "\n".join(lines) + "\n"
+
+
+def mesh_file_config(tmp, stem, reverse=False):
     """Write to ``tmp`` a copy of ``stem``.cfg whose `[domain]` is the mesh file
-    that the `export-mesh/<stem>` run writes; returns the copy's path."""
+    that the `export-mesh/<stem>` run wrote, or with ``reverse`` a copy of that
+    file with `reversed_cells`; returns the config's path."""
     lines, section = [], None
     for line in (CONFIGS / f"{stem}.cfg").read_text().splitlines():
         if line.startswith("["):
@@ -51,42 +68,50 @@ def mesh_file_config(tmp, stem):
         if section != "[domain]":
             lines.append(line)
     mesh = Path(tmp) / "export-mesh" / stem / "mesh.txt"
+    if reverse:
+        text = reversed_cells(mesh.read_text())
+        mesh = Path(tmp) / f"{stem}-reversed-mesh.txt"
+        mesh.write_text(text)
     lines += ["[domain]", "shape = mesh-file", f"path = {mesh}"]
-    path = Path(tmp) / f"{stem}-mesh-file.cfg"
+    path = Path(tmp) / f"{stem}-{'reversed-' if reverse else ''}mesh-file.cfg"
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def runs(tmp):
-    """(name, argv) pairs in a fixed order; run ``name`` writes to ``tmp/name``,
-    the verify and export runs read the solve runs' solutions and the last run
-    reads a mesh that an export run wrote."""
+    """Yield (name, argv) pairs in a fixed order, each once the runs before it
+    have run; run ``name`` writes to ``tmp/name``, the verify and export runs
+    read the solve runs' solutions and the mesh-file runs read the meshes
+    that the export runs wrote."""
     solved = [path for path in sorted(CONFIGS.glob("*.cfg"))
               if "[problem]" in (line.strip() for line in path.read_text().splitlines())]
-    out = [(f"solve/{path.stem}", ["solve", "--config", str(path)]) for path in solved]
-    out.append(("mms/cap_mms", ["mms", "--config", str(CONFIGS / "cap_mms.cfg")]))
-    out.append(("oracle1d/interval_oracle",
-                ["oracle1d", "--config", str(CONFIGS / "interval_oracle.cfg")]))
+    for path in solved:
+        yield f"solve/{path.stem}", ["solve", "--config", str(path)]
+    yield "mms/cap_mms", ["mms", "--config", str(CONFIGS / "cap_mms.cfg")]
+    yield ("oracle1d/interval_oracle",
+           ["oracle1d", "--config", str(CONFIGS / "interval_oracle.cfg")])
     for path in solved:
         stored = ["--config", str(path),
                   "--solution", str(Path(tmp) / "solve" / path.stem / "solution.csv")]
-        out.append((f"verify/{path.stem}", ["verify", *stored]))
+        yield f"verify/{path.stem}", ["verify", *stored]
         for fmt in ("vtk", "csv", "mesh"):
-            out.append((f"export-{fmt}/{path.stem}", ["export", *stored, "--format", fmt]))
+            yield f"export-{fmt}/{path.stem}", ["export", *stored, "--format", fmt]
     for stem in ("disk_capillary", "hyperbolic_warp", "interval_oracle"):
-        out.append((f"convergence/{stem}",
-                    ["convergence", "--config", str(CONFIGS / f"{stem}.cfg")]))
-    out.append(("convergence/cap_mms",
-                ["convergence", "--config", str(CONFIGS / "cap_mms.cfg")]))
-    out.append(("mms/cap_mms_warped",
-                ["mms", "--config", str(CONFIGS / "cap_mms_warped.cfg")]))
-    out.append(("solve-mesh-file/annulus_capillary",
-                ["solve", "--config", str(mesh_file_config(tmp, "annulus_capillary"))]))
-    out.append(("oracle1d/interval_conformal",
-                ["oracle1d", "--config", str(CONFIGS / "interval_conformal.cfg")]))
-    out.append(("mms/cap_mms_conformal",
-                ["mms", "--config", str(CONFIGS / "cap_mms_conformal.cfg")]))
-    return out
+        yield (f"convergence/{stem}",
+               ["convergence", "--config", str(CONFIGS / f"{stem}.cfg")])
+    yield ("convergence/cap_mms",
+           ["convergence", "--config", str(CONFIGS / "cap_mms.cfg")])
+    yield ("mms/cap_mms_warped",
+           ["mms", "--config", str(CONFIGS / "cap_mms_warped.cfg")])
+    yield ("solve-mesh-file/annulus_capillary",
+           ["solve", "--config", str(mesh_file_config(tmp, "annulus_capillary"))])
+    yield ("oracle1d/interval_conformal",
+           ["oracle1d", "--config", str(CONFIGS / "interval_conformal.cfg")])
+    yield ("mms/cap_mms_conformal",
+           ["mms", "--config", str(CONFIGS / "cap_mms_conformal.cfg")])
+    for stem in ("annulus_capillary", "interval_oracle"):
+        yield (f"solve-reversed-mesh-file/{stem}",
+               ["solve", "--config", str(mesh_file_config(tmp, stem, reverse=True))])
 
 
 def capture(argv):

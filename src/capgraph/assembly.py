@@ -11,7 +11,8 @@ finite gradients) plus the definite zeroth-order block tau d(psi)/ds.
 
 P1 gradients are constant on each cell, so every integrand is summed over
 the quadrature points first and meets the gradients once per cell.  The
-Jacobian's CSR pattern and its scatter map are built once per mesh; each
+metric at the mesh's quadrature points is kept for the mesh's last metric,
+the Jacobian's CSR pattern and its scatter map once per mesh; each
 call fills the values with one np.bincount, and the residual is scattered
 with one np.bincount too, so reductions are deterministic for a fixed mesh.
 """
@@ -27,7 +28,8 @@ __all__ = ["residual", "jacobian", "energy"]
 
 
 class _Context:
-    """Per-(mesh, metric) quadrature data reused across assemblies.
+    """Per-(mesh, metric) quadrature data at the mesh's points, reused across
+    assemblies and kept in the mesh's last-metric slot (`Mesh.metric_data`).
 
     Per-cell arrays keep the cell index on the last axis, so the small
     contractions over vertices, quadrature points and coordinates run over
@@ -38,16 +40,13 @@ class _Context:
         # the mesh caches this context, so the context keeps no reference
         # to the mesh: a cycle would outlive the mesh until the next collection
         self.boundary_facets = mesh.boundary_facets
-        self.metric = metric
         d = mesh.dim
         bary, wref = mesh.cell_quad
-        coords = mesh.vertices[mesh.cells]                      # (nc, d+1, d)
         self.cell_bary = bary
         self.topo = _topology(mesh)
-        self.xq = np.einsum("qa,cad->qcd", bary, coords)        # (nq, nc, d)
+        self.xq = mesh.cell_points                              # (nq, nc, d)
         flat = self.xq.reshape(-1, d)
-        nq = len(wref)
-        nc = mesh.num_cells
+        nq, nc = self.xq.shape[:2]
         c = metric.conformal(flat).reshape(nq, nc)
         self.inv_c2_q = 1.0 / c ** 2                            # sigma^{-1} = I / c^2
         self.gamma_q = metric.gamma(flat).reshape(nq, nc)
@@ -57,13 +56,13 @@ class _Context:
 
         fb, fw = mesh.facet_quad
         self.facet_bary = fb
-        fverts = mesh.vertices[mesh.boundary_facets]            # (nb, d, dcoord)
-        self.xf = np.einsum("qa,fad->fqd", fb, fverts)          # (nb, nqf, d)
+        self.xf = mesh.facet_points                             # (nb, nqf, d)
         nb, nqf = self.xf.shape[:2]
         fflat = self.xf.reshape(-1, d)
         if d == 1:
             wf = np.ones((nb, nqf))                             # counting measure
         else:
+            fverts = mesh.vertices[mesh.boundary_facets]        # (nb, d, dcoord)
             t = fverts[:, 1] - fverts[:, 0]
             that = t / np.linalg.norm(t, axis=1, keepdims=True)
             c2 = metric.conformal(fflat).reshape(nb, nqf) ** 2
@@ -106,12 +105,7 @@ def _topology(mesh):
 
 
 def _context(mesh, metric):
-    # only the last metric's context is kept: a caller that builds a fresh
-    # metric per solve on one mesh would otherwise pile up one per metric
-    ctx = mesh._cache.get("assembly")
-    if ctx is None or ctx.metric is not metric:
-        ctx = mesh._cache["assembly"] = _Context(mesh, metric)
-    return ctx
+    return mesh.metric_data(metric, "assembly", _Context)
 
 
 def _values(u):

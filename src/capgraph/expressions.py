@@ -290,9 +290,7 @@ def _eval(node, env):
         if node.op == "/":
             _check(np.all(np.asarray(b) != 0.0), "division by zero", node.pos)
             return a / b
-        # '^'
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            out = np.power(a, b)
+        out = np.power(a, b)                     # '^'
         _check(np.all(np.isfinite(out)), "power produced a non-finite value", node.pos)
         return out
     if isinstance(node, _Call):
@@ -529,7 +527,8 @@ class Expression:
     def evaluate(self, **env):
         """Evaluate with keyword arrays/scalars for x1, x2, s, r.
 
-        ``r`` is derived from x1 (and x2) when not supplied.
+        ``r`` is derived from x1 (and x2) when not supplied.  Overflow is
+        silent: a non-finite value reaches the checks that name its cause.
         """
         if "r" not in env and self.depends_on("r") and "x1" in env:
             x1 = np.asarray(env["x1"], dtype=float)
@@ -538,7 +537,8 @@ class Expression:
             else:
                 r = np.abs(x1)
             env = dict(env, r=r)
-        return _eval(self._root, env)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return _eval(self._root, env)
 
     __call__ = evaluate
 

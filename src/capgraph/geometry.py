@@ -180,8 +180,8 @@ def _patch_derivatives(mesh, values, vertices):
     vertices = np.asarray(vertices, dtype=int).reshape(-1)
     dim, m = mesh.dim, len(vertices)
     needed = 3 if dim == 1 else 6
-    # edge lengths are positive, so row r's sparsity pattern is vertices[r]'s patch
-    graph = mesh.sigma_edge_graph()
+    # the entries are positive, so row r's sparsity pattern is vertices[r]'s patch
+    graph = mesh.edge_graph(np.ones(len(mesh.edges)))
     ring = (graph[vertices] + coo_matrix((np.ones(m), (np.arange(m), vertices)),
                                          shape=(m, graph.shape[1]))).tocsr()
     small = np.diff(ring.indptr) < needed

@@ -2,7 +2,9 @@
 
 Meshes are immutable after construction.  Supported cell types are segments
 (dim 1) and triangles (dim 2); boundary facets carry a component tag and an
-inward unit conormal.  The disk and annulus meshers share one deterministic
+inward unit conormal.  A mesh computes the data derived from it once, and
+keeps the data derived from a metric for the last metric only.  The disk
+and annulus meshers share one deterministic
 concentric-ring construction so refinement studies are reproducible.
 """
 
@@ -109,6 +111,11 @@ class Mesh:
     boundary_tags : sequence of nb component names
     shape : optional ("disk", r) / ("annulus", r_in, r_out) / ("interval", a, b)
     target_h : requested edge length, if generated
+
+    Computed once: the P1 cell and facet geometry, ``boundary_cells``,
+    ``edges``, the quadrature points ``cell_points`` (nq, nc, d) and
+    ``facet_points`` (nb, nqf, d) and the sorted ``boundary_vertices``.
+    Data derived from a metric share one slot, the last metric's (`metric_data`).
     """
 
     def __init__(self, dim, vertices, cells, boundary_facets, boundary_tags,
@@ -133,22 +140,21 @@ class Mesh:
             if len(bad):
                 raise MeshFormatError(f"{kind} vertex id {bad[0]} outside [0, {nv})")
         self._fix_orientation()
-        self._boundary_cells, self.edges = self._check_conformity()
+        self.boundary_cells, self.edges = self._check_conformity()
         self._build_geometry()
         self._cache = {}
 
     # -- construction helpers -------------------------------------------------
 
     def _fix_orientation(self):
-        if self.dim == 1:
-            x = self.vertices[:, 0]
-            flip = x[self.cells[:, 0]] > x[self.cells[:, 1]]
-            self.cells[flip] = self.cells[flip][:, ::-1]
-        else:
-            p = self.vertices[self.cells]
-            e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            self.cells[det < 0] = self.cells[det < 0][:, [0, 2, 1]]
+        """Swap the last two ids of each cell of negative signed measure (a
+        right-to-left segment, a clockwise triangle); keep the P1 geometry."""
+        measure, grads = cell_geometry(self.vertices, self.cells)
+        flip = measure < 0
+        if np.any(flip):
+            self.cells[flip, -2:] = self.cells[flip, -2:][:, ::-1]
+            measure, grads = cell_geometry(self.vertices, self.cells)
+        self.cell_measure, self.grads_lambda = measure, grads
 
     def _check_conformity(self):
         """(owning cell of each boundary facet, unique edges); `MeshFormatError`
@@ -190,7 +196,6 @@ class Mesh:
 
     def _build_geometry(self):
         verts, cells = self.vertices, self.cells
-        self.cell_measure, self.grads_lambda = cell_geometry(verts, cells)
         if self.dim == 1 and np.any(self.cell_measure <= 0):
             raise MeshFormatError("degenerate segment cell")
         if self.dim == 2 and np.any(self.cell_measure < 0.5e-300):   # det < 1e-300
@@ -199,7 +204,7 @@ class Mesh:
         # boundary facet geometry: euclidean measure and inward unit normal,
         # pointing from the facet towards the owner cell's off-facet vertex
         facets = self.boundary_facets
-        opp = verts[cells[self._boundary_cells].sum(axis=1) - facets.sum(axis=1)]
+        opp = verts[cells[self.boundary_cells].sum(axis=1) - facets.sum(axis=1)]
         if self.dim == 1:
             self.facet_measure = np.ones(len(facets))
             self.inward_normals = np.sign(opp - verts[facets[:, 0]])
@@ -212,8 +217,11 @@ class Mesh:
             self.inward_normals = np.where(outward[:, None], -n, n)
 
         # quadrature rules (reference barycentric points, weights sum to one)
+        # and their points, where the weak form is integrated and validated
         self.cell_quad = (_SEG_QP, _SEG_QW) if self.dim == 1 else (_TRI_QP, _TRI_QW)
         self.facet_quad = (_PT_QP, _PT_QW) if self.dim == 1 else (_SEG_QP, _SEG_QW)
+        self.cell_points = np.einsum("qa,cad->qcd", self.cell_quad[0], verts[cells])
+        self.facet_points = np.einsum("qa,fad->fqd", self.facet_quad[0], verts[facets])
 
         # longest edge
         p, q = self.edges.T
@@ -222,6 +230,7 @@ class Mesh:
         mask = np.zeros(len(verts), dtype=bool)
         mask[self.boundary_facets.ravel()] = True
         self.is_boundary_vertex = mask
+        self.boundary_vertices = np.flatnonzero(mask)
 
     # -- public surface --------------------------------------------------------
 
@@ -232,15 +241,6 @@ class Mesh:
     @property
     def num_cells(self):
         return len(self.cells)
-
-    @property
-    def boundary_cells(self):
-        """Owning cell index for each boundary facet."""
-        return self._boundary_cells
-
-    @property
-    def boundary_vertices(self):
-        return np.unique(self.boundary_facets.ravel())
 
     def sigma_conormals(self, metric):
         """Inward unit conormals of the boundary facets in the sigma metric.
@@ -256,31 +256,34 @@ class Mesh:
     def facet_midpoints(self):
         return self.vertices[self.boundary_facets].mean(axis=1)
 
-    def sigma_edge_graph(self, metric=None):
-        """Sparse symmetric graph of sigma edge lengths (chart lengths without
-        a metric).
+    def edge_graph(self, weights):
+        """Sparse symmetric graph with entry ``weights[k]`` at both ends of edge k."""
+        p, q = self.edges.T
+        return coo_matrix((np.tile(weights, 2), (np.r_[p, q], np.r_[q, p])),
+                          shape=(self.num_vertices,) * 2).tocsr()
 
-        The chart graph and the last metric's graph are cached: the strong
-        form uses the one and the writers the other on one mesh, and a caller
-        that builds a fresh metric per solve would otherwise pile up graphs.
-        """
-        key = "chart_graph" if metric is None else "sigma_graph"
-        cached = self._cache.get(key)
-        if cached is None or cached[1] is not metric:
-            p, q = self.edges[:, 0], self.edges[:, 1]
-            t = self.vertices[q] - self.vertices[p]
-            if metric is None:
-                w = np.linalg.norm(t, axis=1)
-            else:
-                mid = 0.5 * (self.vertices[p] + self.vertices[q])
-                c2 = metric.conformal(mid) ** 2
-                w = np.sqrt(np.einsum("ki,k,ki->k", t, c2, t))
-            n = self.num_vertices
-            g = coo_matrix((np.concatenate([w, w]),
-                            (np.concatenate([p, q]), np.concatenate([q, p]))),
-                           shape=(n, n)).tocsr()
-            cached = self._cache[key] = (g, metric)
-        return cached[0]
+    def metric_data(self, metric, key, build):
+        """``build(self, metric)``, kept under ``key`` until another metric is
+        asked for: a caller that builds a fresh metric per solve on one mesh
+        must not pile up data."""
+        slot = self._cache.get("metric")
+        if slot is None or slot[0] is not metric:
+            slot = self._cache["metric"] = (metric, {})
+        data = slot[1]
+        if key not in data:
+            data[key] = build(self, metric)
+        return data[key]
+
+    def sigma_edge_graph(self, metric):
+        """Sparse symmetric graph of sigma edge lengths (in `metric_data`)."""
+        return self.metric_data(metric, "sigma_graph", _sigma_edge_graph)
+
+
+def _sigma_edge_graph(mesh, metric):
+    p, q = mesh.edges[:, 0], mesh.edges[:, 1]
+    t = mesh.vertices[q] - mesh.vertices[p]
+    c2 = metric.conformal(0.5 * (mesh.vertices[p] + mesh.vertices[q])) ** 2
+    return mesh.edge_graph(np.sqrt(np.einsum("ki,k,ki->k", t, c2, t)))
 
 
 @dataclass

@@ -29,6 +29,7 @@ __all__ = [
     "ValidationReport",
     "validate_conditions",
     "height_bound",
+    "PositiveGravityError",
     "effective_constants",
     "random_positive_gravity_problem",
 ]
@@ -130,18 +131,14 @@ class ValidationReport:
 
 
 def _interior_sample_points(mesh):
-    bary, _ = mesh.cell_quad
-    qp = np.einsum("qa,cad->cqd", bary, mesh.vertices[mesh.cells]).reshape(-1, mesh.dim)
-    return np.vstack([qp, mesh.vertices])
+    """The assembly's cell quadrature points, then every vertex."""
+    return np.vstack([mesh.cell_points.reshape(-1, mesh.dim), mesh.vertices])
 
 
 def _boundary_sample_points(mesh):
-    if mesh.dim == 1:
-        return mesh.vertices[mesh.boundary_facets[:, 0]]
-    bary, _ = mesh.facet_quad
-    qp = np.einsum("qa,fad->fqd", bary,
-                   mesh.vertices[mesh.boundary_facets]).reshape(-1, mesh.dim)
-    return np.vstack([qp, mesh.vertices[mesh.boundary_vertices]])
+    """The assembly's facet quadrature points, then every boundary vertex."""
+    return np.vstack([mesh.facet_points.reshape(-1, mesh.dim),
+                      mesh.vertices[mesh.boundary_vertices]])
 
 
 def _ambient_gradient_norm(problem, s, dpsi, inv_c2, gamma, shifted):
@@ -261,15 +258,20 @@ def effective_constants(problem, metric, mesh):
     return beta, mu, ratio
 
 
+class PositiveGravityError(ValueError):
+    """The sampled data fail positive gravity (beta <= 0): no height bound."""
+
+
 def height_bound(problem, metric, mesh):
-    """The a-priori bound (sup|Y|/inf|Y|) mu/beta on |u|; requires beta > 0.
+    """The a-priori bound (sup|Y|/inf|Y|) mu/beta on |u|; requires beta > 0,
+    else raises `PositiveGravityError`.
 
     For mu <= 0 the displayed bound is not two-sided; max(0, B) is returned
     and the certificate layer marks it not-applicable.
     """
     beta, mu, ratio = effective_constants(problem, metric, mesh)
     if beta <= 0:
-        raise ValueError(f"positive gravity fails: beta = {beta:.4g} <= 0")
+        raise PositiveGravityError(f"positive gravity fails: beta = {beta:.4g} <= 0")
     return max(0.0, ratio * mu / beta)
 
 

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import jacobian, residual
 from .meshing import ScalarField
-from .problem import height_bound, validate_conditions
+from .problem import PositiveGravityError, height_bound, validate_conditions
 
 __all__ = [
     "SolverError",
@@ -259,10 +259,11 @@ def _as_field(u, mesh):
 
 def default_s_range(problem, metric, mesh):
     """Heights at which the structural conditions are checked: twice the
-    a-priori height bound (at least 1) either side of zero."""
+    a-priori height bound (at least 1) either side of zero, or (-2, 2) when
+    positive gravity fails; data that cannot be evaluated raise."""
     try:
         b = height_bound(problem, metric, mesh)
-    except ValueError:
+    except PositiveGravityError:
         b = 1.0
     return (-2.0 * max(1.0, b), 2.0 * max(1.0, b))
 
@@ -335,8 +336,8 @@ def uniqueness_probe(problem, metric, mesh, trials=5, state=None, seed=0):
     """Max pairwise sup-norm spread of Newton re-solves from perturbed starts.
 
     Perturbations are uniform noise of amplitude equal to the a-priori height
-    bound (falling back to a fraction of the solution scale when that bound
-    is zero or unavailable).  Trials that fail to converge are logged, not
+    bound, or a fraction of the solution scale when that bound is zero or
+    positive gravity fails.  Trials that fail to converge are logged, not
     fatal.  `trials=1` returns 0 by definition.  Solves use the defaults.
     """
     cfg = ContinuationConfig()
@@ -347,7 +348,7 @@ def uniqueness_probe(problem, metric, mesh, trials=5, state=None, seed=0):
     base = state.u.values
     try:
         amp = height_bound(problem, metric, mesh)
-    except ValueError:
+    except PositiveGravityError:
         amp = 0.0
     if amp == 0.0:
         amp = 0.25 * (1.0 + float(np.max(np.abs(base))))

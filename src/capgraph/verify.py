@@ -241,10 +241,9 @@ def contact_angle_residual(u, tau, problem, metric, mesh):
     grads = np.einsum("fa,fad->fd", vals[cells], mesh.grads_lambda[mesh.boundary_cells])
     nu = mesh.sigma_conormals(metric)
     bary, _ = mesh.facet_quad
-    xq = np.einsum("qa,fad->fqd", bary, mesh.vertices[bf])        # (nb, nq, d)
     uq = np.einsum("qa,fa->fq", bary, vals[bf])
     nb, nq = uq.shape
-    flat = xq.reshape(-1, mesh.dim)
+    flat = mesh.facet_points.reshape(-1, mesh.dim)
     w = slope_factor(metric, flat, np.repeat(grads, nq, axis=0)).reshape(nb, nq)
     angle = -np.einsum("fi,fi->f", grads, nu)[:, None] / w
     target = tau * problem.phi(flat, uq.ravel()).reshape(nb, nq)

@@ -306,6 +306,14 @@ def test_context_evaluates_the_conformal_factor_once_per_point_set(monkeypatch):
     assert calls == [ctx.xq.shape[0] * ctx.xq.shape[1], ctx.xf.shape[0] * ctx.xf.shape[1]]
 
 
+def test_context_integrates_at_the_mesh_points():
+    from capgraph import assembly
+    for mesh in (cg.generate_disk_mesh(1.0, 0.3), cg.generate_interval_mesh(0.0, 1.0, 8)):
+        ctx = assembly._context(mesh, cg.MetricField.radial_warp(mesh.dim, gamma="1 + r^2"))
+        assert ctx.xq is mesh.cell_points
+        assert ctx.xf is mesh.facet_points
+
+
 def test_one_assembly_context_per_mesh():
     # a fresh metric per solve replaces the cached context instead of adding one
     from capgraph import assembly
@@ -318,7 +326,7 @@ def test_one_assembly_context_per_mesh():
     contexts = [o for o in gc.get_objects() if isinstance(o, assembly._Context)
                 and o.boundary_facets is mesh.boundary_facets]
     assert len(contexts) == 1
-    assert contexts[0].metric is metric
+    assert assembly._context(mesh, metric) is contexts[0]
 
 
 def test_a_solved_mesh_is_freed_without_the_cycle_collector():

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import logging
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -663,10 +664,11 @@ def test_oracle1d_stall_names_its_cause(tmp_path, capsys):
                          ids=["gamma", "sigma_conformal"])
 def test_non_finite_metric_names_its_cause(tmp_path, capsys, command, key, name):
     # exp(800 x1) overflows to inf past x1 = 0.89: an error about the metric,
-    # not a singular Jacobian or a non-finite residual
+    # not a singular Jacobian or a non-finite residual, and no overflow warning
     text = (INTERVAL_CFG.format(out=tmp_path / "out")
             + f"\n[metric]\npreset = custom-expression\n{key} = exp(800*x1)\n")
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = run_command([command, "--config", write_cfg(tmp_path, "run.cfg", text)])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [

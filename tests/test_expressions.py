@@ -1,3 +1,4 @@
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,6 +13,14 @@ from capgraph.expressions import (
     parse_expression,
     symbolic_s_derivative,
 )
+
+
+def test_function_overflow_is_silent_and_non_finite():
+    # the value reaches the checks that name its cause, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = parse_expression("exp(800*x1)").at_points(np.array([[1.0]]))
+    assert out[0] == np.inf
 
 
 def test_basic_evaluation():

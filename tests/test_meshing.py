@@ -129,7 +129,7 @@ def _facet_geometry_reference(mesh):
     return measure, np.array(normals)
 
 
-@pytest.mark.parametrize("build", [
+MESH_BUILDS = pytest.mark.parametrize("build", [
     lambda: cg.generate_disk_mesh(1.0, 0.1),
     lambda: cg.generate_disk_mesh(2.0, 0.07, inner_radius=0.5),
     lambda: cg.generate_interval_mesh(-0.3, 1.7, 9),
@@ -137,13 +137,55 @@ def _facet_geometry_reference(mesh):
     # facets listed against the cells' orientation, and in reverse
     lambda: cg.Mesh(2, SQUARE, [[0, 1, 2], [0, 2, 3]], np.array(SQUARE_FACETS)[::-1, ::-1],
                     ["outer"] * 4),
-], ids=["disk", "annulus", "interval", "reversed-interval", "reversed-square"])
+    lambda: cg.Mesh(2, SQUARE, [[0, 2, 1], [0, 3, 2]], SQUARE_FACETS, ["outer"] * 4),
+], ids=["disk", "annulus", "interval", "reversed-interval", "reversed-square",
+        "clockwise-square"])
+
+
+@MESH_BUILDS
 def test_facet_geometry_matches_the_per_facet_loop(build):
     mesh = build()
     measure, normals = _facet_geometry_reference(mesh)
     np.testing.assert_array_equal(mesh.facet_measure, measure)
     np.testing.assert_array_equal(mesh.inward_normals, normals)
     np.testing.assert_array_equal(np.signbit(mesh.inward_normals), np.signbit(normals))
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@MESH_BUILDS
+def test_quadrature_points_match_the_reference_einsums(build):
+    # the points the assembly integrates at; in (cell, point) order they are
+    # bit for bit the (cell, point) einsum of the same rule
+    mesh = build()
+    bary, fbary = mesh.cell_quad[0], mesh.facet_quad[0]
+    cells, facets = mesh.vertices[mesh.cells], mesh.vertices[mesh.boundary_facets]
+    _assert_same_bits(mesh.cell_points, np.einsum("qa,cad->qcd", bary, cells))
+    _assert_same_bits(mesh.cell_points.transpose(1, 0, 2),
+                      np.einsum("qa,cad->cqd", bary, cells))
+    _assert_same_bits(mesh.facet_points, np.einsum("qa,fad->fqd", fbary, facets))
+
+
+@MESH_BUILDS
+def test_boundary_vertices_are_the_facet_vertices(build):
+    mesh = build()
+    np.testing.assert_array_equal(mesh.boundary_vertices, np.unique(mesh.boundary_facets))
+    np.testing.assert_array_equal(mesh.is_boundary_vertex[mesh.boundary_vertices], True)
+    assert np.count_nonzero(mesh.is_boundary_vertex) == len(mesh.boundary_vertices)
+
+
+def test_clockwise_and_right_to_left_cells_are_reversed():
+    # the last two ids of each cell of negative measure are swapped; the
+    # other cells keep their order
+    square = cg.Mesh(2, SQUARE, [[0, 2, 1], [0, 2, 3]], SQUARE_FACETS, ["outer"] * 4)
+    np.testing.assert_array_equal(square.cells, [[0, 1, 2], [0, 2, 3]])
+    interval = cg.Mesh(1, [[0.0], [0.5], [1.0]], [[1, 0], [1, 2]], [[0], [2]], ["a", "b"])
+    np.testing.assert_array_equal(interval.cells, [[0, 1], [1, 2]])
+    for mesh in (square, interval):
+        assert np.all(mesh.cell_measure > 0)
 
 
 def test_interval_mesh_basics():
@@ -217,20 +259,24 @@ def test_boundary_distance(disk_01, euclid2, euclid1):
 
 
 def test_one_sigma_graph_per_mesh():
-    # a fresh metric per call replaces the cached sigma graph instead of adding
-    # one; the chart graph keeps its own slot
+    # a fresh metric per call replaces the data of the last one in the mesh's
+    # one last-metric slot instead of adding to it; the sigma graph and the
+    # assembly context share that slot
+    from capgraph import assembly
     mesh = cg.generate_disk_mesh(1.0, 0.3)
-    chart = mesh.sigma_edge_graph()
     refs = []
     for _ in range(4):
         metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
         cg.boundary_distance_field(mesh, metric)
-        refs.append(weakref.ref(metric))
+        graph, ctx = mesh.sigma_edge_graph(metric), assembly._context(mesh, metric)
+        assert issparse(graph)
+        refs.append([weakref.ref(o) for o in (metric, graph, ctx)])
+    del graph, ctx
     gc.collect()
-    graphs = [v for v in mesh._cache.values() if isinstance(v, tuple) and issparse(v[0])]
-    assert len(graphs) <= 2
-    assert [r() is not None for r in refs] == [False, False, False, True]
-    assert mesh.sigma_edge_graph() is chart
+    alive = [[r() is not None for r in row] for row in refs]
+    assert alive == [[False] * 3] * 3 + [[True] * 3]
+    assert mesh.sigma_edge_graph(metric) is refs[-1][1]()
+    assert assembly._context(mesh, metric) is refs[-1][2]()
 
 
 def test_scalar_field_validation(disk_01):

@@ -12,6 +12,7 @@ from capgraph.solver import (
     SingularJacobian,
     SolverError,
     continuation_solve,
+    default_s_range,
     newton_solve,
     uniqueness_probe,
 )
@@ -245,6 +246,16 @@ def test_uniqueness_probe_runs_own_continuation(euclid2):
     mesh = cg.generate_disk_mesh(1.0, 0.25)
     spread = uniqueness_probe(make(2, "1 + s", "0.3"), euclid2, mesh, trials=3, seed=2)
     assert spread < 1e-7
+
+
+def test_default_s_range_falls_back_only_when_positive_gravity_fails():
+    mesh = cg.generate_interval_mesh(0.0, 1.0, 8)
+    flat = cg.MetricField.euclidean(1)
+    assert default_s_range(make(1, "1"), flat, mesh) == (-2.0, 2.0)
+    # gamma overflows to inf: an evaluation error, not a failed condition
+    steep = cg.MetricField.radial_warp(1, gamma="exp(800*x1)")
+    with pytest.raises(ValueError, match="gamma"):
+        default_s_range(make(1, "1 + s", "0.2"), steep, mesh)
 
 
 def test_uniqueness_probe_requires_converged_state(euclid2):
