@@ -185,7 +185,10 @@ class RunConfig:
         if dim == 1:
             _reject_x2(self, ("metric",), "a 1D domain")
         data = {k: v for k, v in self.metric.items() if k != "preset"}
-        return MetricField.from_expressions(dim, **data)
+        try:
+            return MetricField.from_expressions(dim, **data)
+        except ExpressionError as exc:
+            raise ConfigError(f"[metric] expression error: {exc}") from exc
 
     def build_problem(self, dim):
         if "psi" not in self.problem:

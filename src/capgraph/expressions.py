@@ -569,6 +569,11 @@ class Expression:
             root = _rewrite_r_even_powers(root, dim)
         return Expression(_diff(root, var), source=f"d({self.source})/d{var}")
 
+    def gradient(self, dim):
+        """Symbolic chart gradient: the derivatives in x1[, x2] of a
+        ``dim``-dimensional chart, by the rules of `derivative`."""
+        return [self.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]]
+
     def depends_on(self, var):
         return _depends_on(self._root, var)
 

@@ -18,18 +18,12 @@ from .expressions import parse_expression
 
 __all__ = [
     "MetricField",
-    "DegenerateStencilError",
     "slope_factor",
     "mean_curvature_strong",
     "mean_curvature_from_derivatives",
     "recover_vertex_gradients",
     "vertex_slope_factors",
-    "quadratic_patch_fit",
 ]
-
-
-class DegenerateStencilError(RuntimeError):
-    """Raised when a vertex patch cannot support a quadratic fit."""
 
 
 def _as_points(x, dim):
@@ -43,11 +37,12 @@ class MetricField:
     """Conformal leaf metric sigma = c(x)^2 I and warping gamma = 1/|Y|^2.
 
     Holds the parsed expressions of gamma and of the conformal factor c, and
-    the symbolic gradient of gamma.  The evaluators are vectorized: for
-    points of shape (m, dim), `conformal` returns c (m,), `gamma` gamma (m,)
-    and `grad_gamma` (m, dim).  `conformal` and `gamma` check once that
-    their values are finite and positive (c > 0 is sigma SPD).  Callers use
-    the scalars c^2 (sigma), 1/c^2 (sigma^{-1}) and c^dim (sqrt(det sigma)).
+    their symbolic chart gradients.  The evaluators are vectorized: for
+    points of shape (m, dim), `conformal` returns c (m,), `gamma` gamma (m,),
+    and `grad_conformal` and `grad_gamma` (m, dim).  `conformal` and `gamma`
+    check once that their values are finite and positive (c > 0 is sigma
+    SPD).  Callers use the scalars c^2 (sigma), 1/c^2 (sigma^{-1}) and c^dim
+    (sqrt(det sigma)).
     `euclidean` (gamma = 1, c = 1) and `radial_warp` are `from_expressions`
     with fixed or named data.
     """
@@ -56,7 +51,8 @@ class MetricField:
         self.dim = dim
         self.gamma_expr = gamma
         self.conformal_expr = conformal
-        self.grad_gamma_exprs = [gamma.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]]
+        self.grad_gamma_exprs = gamma.gradient(dim)
+        self.grad_conformal_exprs = conformal.gradient(dim)
 
     # -- constructors ---------------------------------------------------------
 
@@ -69,8 +65,8 @@ class MetricField:
     def from_expressions(cls, dim, gamma="1", sigma_conformal="1"):
         """Conformal leaf metric sigma = c(x)^2 I with warping gamma(x).
 
-        Both data are expression strings in x1[, x2, r]; gradients of gamma
-        are produced symbolically so the consistency invariant holds exactly.
+        Both data are expression strings in x1[, x2, r]; their gradients
+        are produced symbolically, so both obey the same derivative rules.
         """
         return cls(dim, parse_expression(gamma), parse_expression(sigma_conformal))
 
@@ -89,9 +85,11 @@ class MetricField:
         """The warping gamma = 1/|Y|^2 at the points ``x``."""
         return _finite_positive(self.gamma_expr, x, self.dim, "gamma")
 
+    def grad_conformal(self, x):
+        return _gradient(self.grad_conformal_exprs, x, self.dim)
+
     def grad_gamma(self, x):
-        pts, _ = _as_points(x, self.dim)
-        return np.column_stack([d.at_points(pts) for d in self.grad_gamma_exprs])
+        return _gradient(self.grad_gamma_exprs, x, self.dim)
 
     # -- validation -----------------------------------------------------------
 
@@ -107,6 +105,11 @@ class MetricField:
         if np.max(np.abs(gg - fd) / scale) > 1e-6:
             raise ValueError("grad_gamma is inconsistent with finite differences of gamma")
         return True
+
+
+def _gradient(exprs, x, dim):
+    pts, _ = _as_points(x, dim)
+    return np.column_stack([d.at_points(pts) for d in exprs])
 
 
 def _finite_positive(expr, x, dim, name):
@@ -212,18 +215,6 @@ def _patch_derivatives(mesh, values, vertices):
     return grad, hess, fitted
 
 
-def quadratic_patch_fit(mesh, values, vertex):
-    """Least-squares quadratic over the element patch: (gradient, hessian) at a vertex.
-
-    One-vertex call of the batched patch recovery; raises
-    `DegenerateStencilError` if the patch is under-determined.
-    """
-    grad, hess, fitted = _patch_derivatives(mesh, values, [vertex])
-    if not fitted[0]:
-        raise DegenerateStencilError(f"patch of vertex {vertex} is too small for a quadratic")
-    return grad[0], hess[0]
-
-
 def _difference_points(x):
     """Central-difference stencil at the rows of ``x``: (x + h e_i, x - h e_i, 2 h)
     per coordinate i, with h = 1e-6 (1 + |x_i|)."""
@@ -237,43 +228,32 @@ def _difference_points(x):
     return out
 
 
-def _metric_coefficient_derivatives(metric, pts):
-    """Central differences of 1/c^2 (the diagonal of sigma^{-1}) and of
-    log c^dim (log sqrt(det sigma)), batched: two (m, dim) arrays."""
-    d_inv, d_logsd = [], []
-    for xp, xm, two_step in _difference_points(pts):
-        cp, cm = metric.conformal(xp), metric.conformal(xm)
-        d_inv.append((1.0 / cp ** 2 - 1.0 / cm ** 2) / two_step)
-        d_logsd.append((np.log(cp ** metric.dim) - np.log(cm ** metric.dim)) / two_step)
-    return np.stack(d_inv, axis=1), np.stack(d_logsd, axis=1)
-
-
 def mean_curvature_from_derivatives(metric, x, grad, hess):
     """div(grad u / W) - <grad gamma / 2 gamma, grad u / W> from pointwise derivatives.
 
     Vectorized over points: grad (m, d) and hess (m, d, d) are a first and
     second derivative estimate of u; the divergence is the sigma-divergence.
-    With sigma = c^2 I, sigma^{-1} is the scalar 1/c^2; its derivatives and
-    those of log sqrt(det sigma) come from central differences of c (the
-    data are smooth, so this is far below any discretization error).
+    With sigma = c^2 I it takes its metric terms from the symbolic grad c:
+    d_i(1/c^2) = -2 d_i c / c^3 and d_i log sqrt(det sigma) = d d_i c / c.
     """
     pts, squeeze = _as_points(x, metric.dim)
     du = np.asarray(grad, dtype=float).reshape(len(pts), metric.dim)
     hess = np.asarray(hess, dtype=float).reshape(len(pts), metric.dim, metric.dim)
-    inv_c2 = 1.0 / metric.conformal(pts) ** 2
+    c = metric.conformal(pts)
+    inv_c2 = 1.0 / c ** 2
     gamma = metric.gamma(pts)
     ggam = metric.grad_gamma(pts)
-    d_inv, d_logsd = _metric_coefficient_derivatives(metric, pts)
+    gc3 = metric.grad_conformal(pts) / (c ** 3)[:, None]
 
     g = inv_c2[:, None] * du
     w = np.sqrt(gamma + np.einsum("mk,mk->m", du, g))
-    # dW_i = (d_i gamma + d_i(1/c^2) |du|^2 + 2 (hess g)_i) / 2W
-    dw = (ggam + np.einsum("mi,mk,mk->mi", d_inv, du, du)
+    # dW_i = (d_i gamma - 2 |du|^2 d_i c / c^3 + 2 (hess g)_i) / 2W
+    dw = (ggam - 2.0 * np.einsum("mi,mk,mk->mi", gc3, du, du)
           + 2.0 * np.einsum("mik,mk->mi", hess, g)) / (2.0 * w[:, None])
-    div_x = (np.einsum("mi,mi->m", d_inv, du) / w
-             + np.einsum("m,mii->m", inv_c2, hess) / w
-             - np.einsum("mi,mi->m", g, dw) / w**2)
-    div_sigma = div_x + np.einsum("mi,mi->m", g, d_logsd) / w
+    # d_i(1/c^2) du_i + (1/c^2) du_i d_i log c^d = (d - 2) <grad c, du> / c^3
+    div_sigma = ((metric.dim - 2) * np.einsum("mi,mi->m", gc3, du) / w
+                 + np.einsum("m,mii->m", inv_c2, hess) / w
+                 - np.einsum("mi,mi->m", g, dw) / w**2)
     out = div_sigma - np.einsum("mi,mi->m", ggam, g) / (2.0 * gamma * w)
     return float(out[0]) if squeeze else out
 
@@ -284,7 +264,10 @@ def mean_curvature_strong(metric, u, vertex):
     Second derivatives come from the batched quadratic least-squares patch
     fit, called for one vertex; equals n H of the graph with respect to the
     upward normal, hence the pointwise residual of the prescribed-curvature
-    equation is nH - tau psi.
+    equation is nH - tau psi.  Raises `ValueError` when the vertex's patch
+    is too small for a quadratic.
     """
-    du, hess = quadratic_patch_fit(u.mesh, u.values, vertex)
-    return mean_curvature_from_derivatives(metric, u.mesh.vertices[vertex], du, hess)
+    grad, hess, fitted = _patch_derivatives(u.mesh, u.values, [vertex])
+    if not fitted[0]:
+        raise ValueError(f"patch of vertex {vertex} is too small for a quadratic")
+    return mean_curvature_from_derivatives(metric, u.mesh.vertices[vertex], grad[0], hess[0])

@@ -81,16 +81,18 @@ class CapillaryProblem:
         """
         psi_expr = parse_expression(psi)
         phi_expr = parse_expression(phi)
-        dpsi_expr = (parse_expression(dpsi_ds) if dpsi_ds is not None
-                     else symbolic_s_derivative(psi_expr))
-        dphi_expr = (parse_expression(dphi_ds) if dphi_ds is not None
-                     else symbolic_s_derivative(phi_expr))
-        try:
-            slopes = [symbolic_s_derivative(psi_expr), symbolic_s_derivative(phi_expr),
-                      dpsi_expr, dphi_expr]
-            affine = not any(d.depends_on("s") for d in slopes)
-        except DerivativeError:      # abs/min/max of s, let through by a declared derivative
-            affine = False
+        slopes = []
+        for expr, declared in ((psi_expr, dpsi_ds), (phi_expr, dphi_ds)):
+            try:
+                symbolic = symbolic_s_derivative(expr)
+            except DerivativeError:  # abs/min/max of s, let through by a declared derivative
+                if declared is None:
+                    raise
+                symbolic = None
+            slopes.append((symbolic, symbolic if declared is None
+                           else parse_expression(declared)))
+        (_, dpsi_expr), (_, dphi_expr) = slopes
+        affine = all(d is not None and not d.depends_on("s") for pair in slopes for d in pair)
         return cls(dim=dim,
                    psi=_expr_callable(psi_expr, dim),
                    dpsi_ds=_expr_callable(dpsi_expr, dim),

@@ -439,8 +439,8 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
         raise ManufactureError("kappa0 must be positive to keep positive gravity")
     expr = parse_expression(u_exact) if isinstance(u_exact, str) else u_exact
     dim = mesh.dim
-    dus = [expr.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]]
-    d2us = [[du.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]] for du in dus]
+    dus = expr.gradient(dim)
+    d2us = [du.gradient(dim) for du in dus]
 
     def u_ex(x):
         return expr.at_points(np.asarray(x, dtype=float).reshape(-1, dim))

@@ -225,6 +225,13 @@ CONFIG_RULES = [
     *[_rule(f"metric.{key}-expression",
             {"metric": {"preset": "custom-expression", key: "1 +"}}, f"[metric] {key}: ")
       for key in ("gamma", "sigma_conformal")],
+    # metric data without a symbolic chart gradient
+    *[_rule(f"metric.{key}-{fn}-not-differentiable",
+            {"metric": {"preset": "custom-expression", key: f"1 + {value}"}},
+            f"[metric] expression error: {fn} is not differentiable in x1")
+      for key, fn, value in (("gamma", "abs", "abs(x1)"),
+                             ("sigma_conformal", "abs", "0.1*abs(x1)"),
+                             ("sigma_conformal", "max", "0.1*max(x1, 0)"))],
     # an interval domain has x1 and r = |x1|, but no x2
     *[_rule(f"{section}.{key}-x2-on-interval",
             {"domain": INTERVAL, section: {**RULE_BASE[section], key: "1 + x2^2"}},
@@ -421,6 +428,21 @@ def test_shipped_solve_config_certifies_everything(name, tmp_path, caplog):
                             "--output-dir", str(tmp_path)]) == 0
     skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
     assert skipped == []
+
+
+def test_cone_point_conformal_factor(tmp_path, caplog, capsys):
+    # c = 1 + 0.2 r has no gradient at the disk's centre vertex: a solve skips
+    # the strong-form certificate there, and manufactured data cannot be made
+    text = DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out").replace(
+        "preset = euclidean", "preset = custom-expression\nsigma_conformal = 1 + 0.2*r")
+    cfg = write_cfg(tmp_path, "cone.cfg", text + "\n[mms]\nu_exact = sqrt(4 - r^2)\n")
+    with caplog.at_level(logging.WARNING, logger="capgraph"):
+        assert run_command(["solve", "--config", cfg]) == 0
+    skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert skipped == ["certificate strong skipped: division by zero"]
+    capsys.readouterr()
+    assert run_command(["mms", "--config", cfg]) == 1
+    assert "division by zero" in capsys.readouterr().err
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -1,16 +1,21 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capgraph as cg
+from capgraph.config import load_config
 from capgraph.geometry import (
-    DegenerateStencilError,
+    _difference_points,
+    _patch_derivatives,
     mean_curvature_from_derivatives,
-    quadratic_patch_fit,
     recover_vertex_gradients,
 )
 from conftest import cap_gradient, cap_values
+
+SHIPPED = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg"))
 
 
 def test_slope_factor_trivials(euclid2):
@@ -116,12 +121,15 @@ def test_mean_curvature_vertical_translate_invariance(euclid2, disk_01):
             cg.mean_curvature_strong(euclid2, shifted, v), abs=1e-10)
 
 
-def test_degenerate_stencil():
+def test_degenerate_stencil(euclid2):
+    # one triangle: no vertex has the six patch points of a quadratic
     mesh = cg.Mesh(2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]],
                    [[0, 1], [1, 2], [0, 2]], ["b", "b", "b"])
     u = cg.ScalarField(mesh, np.zeros(3))
-    with pytest.raises(DegenerateStencilError):
-        quadratic_patch_fit(mesh, u.values, 0)
+    _, _, fitted = _patch_derivatives(mesh, u.values, [0, 1, 2])
+    assert not fitted.any()
+    with pytest.raises(ValueError, match="patch of vertex 0 is too small"):
+        cg.mean_curvature_strong(euclid2, u, 0)
 
 
 def test_recovered_gradients_exact_for_linear(disk_01):
@@ -144,28 +152,20 @@ def test_metric_validation():
         negative.gamma(np.array([[-0.5, 0.0]]))
 
 
-def _mean_curvature_three_operand(metric, pts, du, hess, hess_meets_g=False):
-    # the dense (m, d, d) sigma^{-1} of the conformal leaf c^2 I, its dense
-    # central-difference stencil, and the three-operand einsums over them;
-    # with ``hess_meets_g`` the hessian meets g = sigma^{-1} du, as in the
-    # scalar path, so that the products associate alike
-    from capgraph.geometry import _difference_points
+def _mean_curvature_three_operand(metric, pts, du, hess, grad_c, hess_meets_g=False):
+    # the dense (m, d, d) sigma^{-1} of the conformal leaf c^2 I, its
+    # derivatives from the hand-written gradient ``grad_c`` of c, and the
+    # three-operand einsums over them; with ``hess_meets_g`` the hessian
+    # meets g = sigma^{-1} du, as in the scalar path, so that the products
+    # associate alike
     d = metric.dim
-
-    def dense_inv_sigma(x):
-        return np.eye(d) / (metric.conformal(x) ** 2)[:, None, None]
-
-    def log_sqrt_det(x):
-        return np.log(metric.conformal(x) ** d)
-
-    inv_sigma = dense_inv_sigma(pts)
+    c = metric.conformal(pts)
+    inv_sigma = np.eye(d) / (c ** 2)[:, None, None]
     gamma = metric.gamma(pts)
     ggam = metric.grad_gamma(pts)
-    shifted = _difference_points(pts)
-    d_inv = np.stack([(dense_inv_sigma(xp) - dense_inv_sigma(xm)) / two_step[:, None, None]
-                      for xp, xm, two_step in shifted], axis=1)
-    d_logsd = np.stack([(log_sqrt_det(xp) - log_sqrt_det(xm)) / two_step
-                        for xp, xm, two_step in shifted], axis=1)
+    # d_i sigma^{-1} = -2 d_i c / c^3 I and d_i log sqrt(det sigma) = d d_i c / c
+    d_inv = np.einsum("mi,kl->mikl", -2.0 * grad_c / (c ** 3)[:, None], np.eye(d))
+    d_logsd = d * grad_c / c[:, None]
     g = np.einsum("mkl,ml->mk", inv_sigma, du)
     w = np.sqrt(gamma + np.einsum("mk,mk->m", du, g))
     dw = (ggam + np.einsum("mikl,mk,ml->mi", d_inv, du, du)
@@ -193,9 +193,29 @@ def test_mean_curvature_matches_three_operand_einsums(dim, kind):
     du = rng.standard_normal((200, dim))
     hess = rng.standard_normal((200, dim, dim))
     hess = hess + hess.transpose(0, 2, 1)
+    grad_c = 0.6 * pts if kind == "conformal" else np.zeros_like(pts)
     new = mean_curvature_from_derivatives(metric, pts, du, hess)
-    old = _mean_curvature_three_operand(metric, pts, du, hess)
+    old = _mean_curvature_three_operand(metric, pts, du, hess, grad_c)
     np.testing.assert_allclose(new, old, rtol=1e-13, atol=1e-13 * np.max(np.abs(old)))
-    # the dense path the scalar one replaced, bit for bit
-    dense = _mean_curvature_three_operand(metric, pts, du, hess, hess_meets_g=True)
-    assert new.tobytes() == dense.tobytes()
+    if kind != "conformal":
+        # the dense path the scalar one replaced, bit for bit, where c = 1
+        dense = _mean_curvature_three_operand(metric, pts, du, hess, grad_c,
+                                              hess_meets_g=True)
+        assert new.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_conformal_derivatives_match_central_differences(path):
+    # the metric terms of the curvature operator from the symbolic grad c
+    # against the central differences of 1/c^2 and log c^d they replaced, at
+    # the cell quadrature points of the config's mesh
+    cfg = load_config(path)
+    mesh = cfg.build_domain().build()
+    metric = cfg.build_metric(mesh.dim)
+    pts = mesh.cell_points.reshape(-1, mesh.dim)
+    c, grad_c, d = metric.conformal(pts), metric.grad_conformal(pts), mesh.dim
+    shifted = _difference_points(pts)
+    for got, f in ((-2.0 * grad_c / (c ** 3)[:, None], lambda x: 1.0 / metric.conformal(x) ** 2),
+                   (d * grad_c / c[:, None], lambda x: np.log(metric.conformal(x) ** d))):
+        want = np.stack([(f(xp) - f(xm)) / two_step for xp, xm, two_step in shifted], axis=1)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))

@@ -148,6 +148,22 @@ def test_affine_in_s_detection(psi, phi, kw, affine):
     assert make(2, psi, phi, **kw).affine_in_s is affine
 
 
+@pytest.mark.parametrize("kw", [{}, {"dpsi_ds": "1", "dphi_ds": "0"}])
+def test_s_derivatives_taken_once(monkeypatch, kw):
+    # one symbolic s-derivative each of psi and phi serves both the data
+    # callables and the affine test
+    import capgraph.problem as problem_module
+    taken = []
+
+    def counted(expr):
+        taken.append(expr.source)
+        return expr.derivative("s")
+
+    monkeypatch.setattr(problem_module, "symbolic_s_derivative", counted)
+    assert make(2, "1 + s", "0.3", **kw).affine_in_s
+    assert taken == ["1 + s", "0.3"]
+
+
 @settings(max_examples=30, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2]),
        warp=st.booleans(), phi_slope=st.sampled_from([0.0, 0.05]),

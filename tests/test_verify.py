@@ -7,11 +7,7 @@ from scipy.spatial import cKDTree
 
 import capgraph as cg
 from capgraph.config import load_config
-from capgraph.geometry import (
-    DegenerateStencilError,
-    _patch_derivatives,
-    mean_curvature_from_derivatives,
-)
+from capgraph.geometry import _patch_derivatives, mean_curvature_from_derivatives
 from capgraph import verify as vf
 from capgraph.meshing import DomainSpec
 from capgraph.solver import continuation_solve
@@ -508,6 +504,10 @@ def test_interior_bump_requires_resolution(euclid1):
 # Batched patch recovery against the per-vertex least-squares loop
 
 
+class _TooFewPoints(Exception):
+    """A vertex patch with too few points for a quadratic."""
+
+
 def _lstsq_patch_fit(mesh, values, vertex):
     """Reference: one least-squares quadratic over the vertex patch."""
     needed = 3 if mesh.dim == 1 else 6
@@ -521,7 +521,7 @@ def _lstsq_patch_fit(mesh, values, vertex):
         for v in list(patch):
             patch.update(ring(v))
     if len(patch) < needed:
-        raise DegenerateStencilError(f"patch of vertex {vertex} has {len(patch)} points")
+        raise _TooFewPoints(f"patch of vertex {vertex} has {len(patch)} points")
     ids = np.array(sorted(patch))
     dx = mesh.vertices[ids] - mesh.vertices[vertex]
     scale = np.max(np.linalg.norm(dx, axis=1))
@@ -544,7 +544,7 @@ def _lstsq_curvatures(metric, mesh, values, vertices):
     for i, v in enumerate(vertices):
         try:
             du, hess = _lstsq_patch_fit(mesh, values, v)
-        except DegenerateStencilError:
+        except _TooFewPoints:
             continue
         nh[i] = mean_curvature_from_derivatives(metric, mesh.vertices[v], du, hess)
     return nh
