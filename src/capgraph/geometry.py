@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import coo_matrix, diags
 
-from .expressions import parse_expression
+from .expressions import EvaluationError, parse_expression
 
 __all__ = [
     "MetricField",
@@ -86,10 +86,10 @@ class MetricField:
         return _finite_positive(self.gamma_expr, x, self.dim, "gamma")
 
     def grad_conformal(self, x):
-        return _gradient(self.grad_conformal_exprs, x, self.dim)
+        return _gradient(self.grad_conformal_exprs, x, self.dim, "sigma_conformal")
 
     def grad_gamma(self, x):
-        return _gradient(self.grad_gamma_exprs, x, self.dim)
+        return _gradient(self.grad_gamma_exprs, x, self.dim, "gamma")
 
     # -- validation -----------------------------------------------------------
 
@@ -107,9 +107,28 @@ class MetricField:
         return True
 
 
-def _gradient(exprs, x, dim):
+def _gradient(exprs, x, dim, name):
+    """The symbolic gradient ``exprs`` of datum ``name`` at the points ``x``;
+    an `EvaluationError` names the datum, the derivative and its first
+    failing point."""
     pts, _ = _as_points(x, dim)
-    return np.column_stack([d.at_points(pts) for d in exprs])
+    columns = []
+    for var, d in zip(("x1", "x2"), exprs):
+        try:
+            columns.append(d.at_points(pts))
+        except EvaluationError as exc:
+            point = next(p for p in pts if not _evaluates(d, p[None]))
+            raise EvaluationError(f"{name}: d/d{var} = {d}: {exc} at x = "
+                                  f"({', '.join(map(repr, point.tolist()))})") from None
+    return np.column_stack(columns)
+
+
+def _evaluates(expr, pts):
+    try:
+        expr.at_points(pts)
+    except EvaluationError:
+        return False
+    return True
 
 
 def _finite_positive(expr, x, dim, name):
@@ -177,7 +196,10 @@ def _patch_derivatives(mesh, values, vertices):
     A vertex's patch is its one-ring, widened to the two-ring when that has
     too few points for a quadratic; ``fitted`` is False where the two-ring is
     still too small.  Patches of equal size are fitted together by one
-    stacked pseudo-inverse with the cutoff ``lstsq(rcond=None)`` uses.
+    batched QR least-squares solve (`_least_squares`); a patch whose
+    condition bound is not below 1/rcond, with the cutoff
+    rcond = eps max(k, ncoef) that ``lstsq(rcond=None)`` uses, is fitted by
+    the truncated pseudo-inverse.
     """
     values = np.asarray(values, dtype=float)
     vertices = np.asarray(vertices, dtype=int).reshape(-1)
@@ -206,13 +228,44 @@ def _patch_derivatives(mesh, values, vertices):
         else:
             cols = [np.ones((len(rows), k)), x[..., 0], x[..., 1],
                     0.5 * x[..., 0] ** 2, x[..., 0] * x[..., 1], 0.5 * x[..., 1] ** 2]
-        fit = np.linalg.pinv(np.stack(cols, axis=-1),
-                             rcond=np.finfo(float).eps * max(k, len(cols)))
-        coef = np.einsum("mck,mk->mc", fit, values[ids])
+        coef = _least_squares(np.stack(cols, axis=-1), values[ids])
         grad[rows] = coef[:, 1:dim + 1] / scale[:, None]
         second = coef[:, dim + 1:] / scale[:, None] ** 2
         hess[rows] = second[:, [[0]] if dim == 1 else [[0, 1], [1, 2]]]
     return grad, hess, fitted
+
+
+def _least_squares(a, b):
+    """Least-squares solutions (m, n) of the stacked systems a (m, k, n), k >= n, b (m, k).
+
+    One QR factorization of the stacked [a b]: its R holds R of a and, in its
+    last column, c = Q^T b, so coef = R^{-1} c, with R^{-1} by back
+    substitution over the stack.  `lstsq(rcond=None)`'s cutoff
+    rcond = eps max(k, n) is kept through the bound
+    cond_2(R) <= |R|_F |R^{-1}|_F: below 1/rcond the pseudo-inverse keeps
+    every singular value and both give the full-rank solution, so a system
+    whose bound is not below it, or is not finite (a zero diagonal entry of
+    R), is solved by the truncated pseudo-inverse instead.
+    """
+    k, n = a.shape[1:]
+    rcond = np.finfo(float).eps * max(k, n)
+    # (n, n + 1, m): each step below is one operation on length-m rows
+    rb = np.linalg.qr(np.concatenate([a, b[..., None]], axis=2), mode="r")
+    rb = np.ascontiguousarray(rb[:, :n].transpose(1, 2, 0))
+    r, c = rb[:, :n], rb[:, n]
+    rinv = np.zeros_like(r)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            row = -np.einsum("jm,jkm->km", r[i, i + 1:], rinv[i + 1:])
+            row[i] += 1.0
+            rinv[i] = row / r[i, i]
+        coef = np.einsum("ijm,jm->mi", rinv, c)
+        bound = np.sqrt(np.einsum("ijm,ijm->m", r, r) * np.einsum("ijm,ijm->m", rinv, rinv))
+    truncated = ~(bound < 1.0 / rcond)
+    if np.any(truncated):
+        fit = np.linalg.pinv(a[truncated], rcond=rcond)
+        coef[truncated] = np.einsum("mck,mk->mc", fit, b[truncated])
+    return coef
 
 
 def _difference_points(x):

@@ -256,12 +256,14 @@ def contact_angle_residual(u, tau, problem, metric, mesh):
 def strong_form_residual(u, tau, problem, metric, mesh):
     """max over interior vertices of |nH(u) - tau psi(x, u)| via patch recovery.
 
-    All interior vertices are fitted in one batched patch recovery, with one
-    curvature and one psi evaluation; vertices whose patch cannot support a
-    quadratic count as skipped stencils.  The median over interior vertices
-    is recorded alongside: pointwise second-derivative recovery from P1 data
-    does not converge in sup norm at irregular patches, so refinement decay
-    is judged on the median while the max is reported faithfully.
+    All interior vertices are fitted in one batched patch recovery (a QR
+    least-squares solve per patch size, the pseudo-inverse only for a patch
+    too ill-conditioned for it), with one curvature and one psi evaluation;
+    vertices whose patch cannot support a quadratic count as skipped
+    stencils.  The median over interior vertices is recorded alongside:
+    pointwise second-derivative recovery from P1 data does not converge in
+    sup norm at irregular patches, so refinement decay is judged on the
+    median while the max is reported faithfully.
     """
     interior = np.where(~mesh.is_boundary_vertex)[0]
     grad, hess, fitted = _patch_derivatives(mesh, u.values, interior)

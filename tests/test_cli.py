@@ -438,11 +438,22 @@ def test_cone_point_conformal_factor(tmp_path, caplog, capsys):
     cfg = write_cfg(tmp_path, "cone.cfg", text + "\n[mms]\nu_exact = sqrt(4 - r^2)\n")
     with caplog.at_level(logging.WARNING, logger="capgraph"):
         assert run_command(["solve", "--config", cfg]) == 0
+    cause = "sigma_conformal: d/dx1 = 0.2*x1/r: division by zero at x = (0.0, 0.0)"
     skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
-    assert skipped == ["certificate strong skipped: division by zero"]
+    assert skipped == [f"certificate strong skipped: {cause}"]
     capsys.readouterr()
     assert run_command(["mms", "--config", cfg]) == 1
     assert "division by zero" in capsys.readouterr().err
+
+
+def test_cone_point_warping_names_its_gradient(tmp_path, capsys):
+    # gamma = 1 + 0.2 r has no gradient at the centre vertex: validation fails
+    # naming the datum, the derivative and the point
+    text = DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out").replace(
+        "preset = euclidean", "preset = custom-expression\ngamma = 1 + 0.2*r")
+    assert run_command(["solve", "--config", write_cfg(tmp_path, "cone.cfg", text)]) == 1
+    err = capsys.readouterr().err
+    assert "gamma: d/dx1 = 0.2*x1/r: division by zero at x = (0.0, 0.0)" in err
 
 
 def test_missing_config_exits_2(tmp_path):

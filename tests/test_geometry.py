@@ -9,6 +9,7 @@ import capgraph as cg
 from capgraph.config import load_config
 from capgraph.geometry import (
     _difference_points,
+    _least_squares,
     _patch_derivatives,
     mean_curvature_from_derivatives,
     recover_vertex_gradients,
@@ -130,6 +131,80 @@ def test_degenerate_stencil(euclid2):
     assert not fitted.any()
     with pytest.raises(ValueError, match="patch of vertex 0 is too small"):
         cg.mean_curvature_strong(euclid2, u, 0)
+
+
+def _hexagon_fan(squash):
+    # the centre's one-ring has 7 points; ``squash`` flattens it onto the x1 axis
+    angle = np.arange(6) * np.pi / 3
+    ring = np.column_stack([np.cos(angle), squash * np.sin(angle)])
+    return cg.Mesh(2, np.vstack([[0.0, 0.0], ring]),
+                   [[0, 1 + j, 1 + (j + 1) % 6] for j in range(6)],
+                   [[1 + j, 1 + (j + 1) % 6] for j in range(6)], ["b"] * 6)
+
+
+def _quadratic_design(x):
+    return np.stack([np.ones(len(x)), x[:, 0], x[:, 1], 0.5 * x[:, 0] ** 2,
+                     x[:, 0] * x[:, 1], 0.5 * x[:, 1] ** 2], axis=-1)
+
+
+@pytest.fixture
+def pinv_calls(monkeypatch):
+    """The stacks passed to `np.linalg.pinv` while the test runs."""
+    calls, pinv = [], np.linalg.pinv
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", spy)
+    return calls
+
+
+def test_near_collinear_patch_takes_the_truncated_pseudo_inverse(pinv_calls):
+    # a patch squashed by 1e-9 has cond_2 near 1e18, past 1/rcond: it is solved
+    # by the pseudo-inverse expression bit for bit, the regular patch by QR
+    flat = _hexagon_fan(1e-9).vertices
+    regular = _hexagon_fan(1.0).vertices
+    a = np.stack([_quadratic_design(regular), _quadratic_design(flat)])
+    b = np.stack([np.sin(regular[:, 0]) + regular[:, 1] ** 2, np.cos(flat[:, 0]) + flat[:, 1]])
+    coef = _least_squares(a, b)
+    assert len(pinv_calls) == 1
+    np.testing.assert_array_equal(pinv_calls[0], a[1:])
+    old = np.einsum("mck,mk->mc", np.linalg.pinv(a[1:], rcond=np.finfo(float).eps * 7), b[1:])
+    assert coef[1:].tobytes() == old.tobytes()
+    np.testing.assert_allclose(coef[0], np.linalg.lstsq(a[0], b[0], rcond=None)[0],
+                               rtol=0, atol=1e-13)
+
+    pinv_calls.clear()
+    mesh = _hexagon_fan(1e-9)
+    grad, hess, fitted = _patch_derivatives(mesh, np.cos(mesh.vertices[:, 0]), [0])
+    assert fitted[0] and [c.shape for c in pinv_calls] == [(1, 7, 6)]
+    assert np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))
+
+
+def test_zero_diagonal_of_r_takes_the_pseudo_inverse(pinv_calls):
+    # a collinear patch: the x2 columns vanish, R has a zero diagonal entry and
+    # the bound is not finite
+    x = np.column_stack([np.linspace(-1.0, 1.0, 7), np.zeros(7)])
+    a = _quadratic_design(x)[None]
+    assert np.linalg.qr(a, mode="r")[0, 2, 2] == 0.0
+    coef = _least_squares(a, np.exp(x[:, 0])[None])
+    assert [c.shape for c in pinv_calls] == [(1, 7, 6)]
+    assert np.all(np.isfinite(coef)) and np.all(coef[0, [2, 4, 5]] == 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cg.generate_disk_mesh(1.0, 0.1),
+    lambda: cg.generate_disk_mesh(2.0, 0.07, inner_radius=0.5),
+    lambda: cg.generate_interval_mesh(0.0, 1.0, 64),
+    *[lambda path=path: load_config(path).build_domain().build() for path in SHIPPED],
+])
+def test_regular_meshes_never_take_the_pseudo_inverse(build, pinv_calls):
+    mesh = build()
+    every = np.arange(mesh.num_vertices)
+    _, _, fitted = _patch_derivatives(mesh, np.sin(mesh.vertices[:, 0]), every)
+    assert fitted[~mesh.is_boundary_vertex].all()
+    assert pinv_calls == []
 
 
 def test_recovered_gradients_exact_for_linear(disk_01):

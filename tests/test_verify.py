@@ -7,6 +7,7 @@ from scipy.spatial import cKDTree
 
 import capgraph as cg
 from capgraph.config import load_config
+from capgraph import geometry
 from capgraph.geometry import _patch_derivatives, mean_curvature_from_derivatives
 from capgraph import verify as vf
 from capgraph.meshing import DomainSpec
@@ -557,6 +558,42 @@ def _fan_mesh():
                    ["b", "b", "b"])
 
 
+def _criss_cross_mesh(n=6):
+    # n x n squares on [-1, 1]^2, each cut by both diagonals: grid vertices have
+    # 8 neighbours (one-rings of 9 points), square centres 4 (widened to the
+    # two-ring), so the interior patches come in more than one size
+    t = np.linspace(-1.0, 1.0, n + 1)
+    grid = np.array([[x, y] for y in t for x in t])
+    mid = 0.5 * (t[:-1] + t[1:])
+    centres = np.array([[x, y] for y in mid for x in mid])
+
+    def corner(i, j):
+        return j * (n + 1) + i
+
+    cells, facets = [], []
+    for j in range(n):
+        for i in range(n):
+            c = len(grid) + j * n + i
+            ring = [corner(i, j), corner(i + 1, j), corner(i + 1, j + 1), corner(i, j + 1)]
+            cells += [[c, ring[k], ring[(k + 1) % 4]] for k in range(4)]
+    for k in range(n):
+        facets += [[corner(k, 0), corner(k + 1, 0)], [corner(n, k), corner(n, k + 1)],
+                   [corner(k, n), corner(k + 1, n)], [corner(0, k), corner(0, k + 1)]]
+    return cg.Mesh(2, np.vstack([grid, centres]), cells, facets, ["b"] * len(facets))
+
+
+def test_criss_cross_patches_are_fitted_in_several_size_groups(monkeypatch):
+    mesh = _criss_cross_mesh()
+    degree = np.diff(mesh.edge_graph(np.ones(len(mesh.edges))).indptr)
+    assert set(degree[~mesh.is_boundary_vertex]) == {4, 8}
+    sizes, fit = [], geometry._least_squares
+    monkeypatch.setattr(geometry, "_least_squares",
+                        lambda a, b: sizes.append(a.shape[1]) or fit(a, b))
+    interior = np.where(~mesh.is_boundary_vertex)[0]
+    _patch_derivatives(mesh, _smooth_field(mesh), interior)
+    assert 9 in sizes and len(sizes) > 1
+
+
 def _patch_case(name):
     if name == "hyperbolic_warp":
         cfg = load_config(SHIPPED / "hyperbolic_warp.cfg")
@@ -567,6 +604,9 @@ def _patch_case(name):
         return mesh, cg.MetricField.from_expressions(1, gamma="exp(2*x1)"), make(1, "1 + s")
     if name == "fan":
         return _fan_mesh(), cg.MetricField.euclidean(2), make(2, "1 + s")
+    if name == "criss-cross":
+        metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
+        return _criss_cross_mesh(), metric, make(2, "1 + s")
     metric = (cg.MetricField.euclidean(2) if name == "flat-disk"
               else cg.MetricField.radial_warp(2, gamma="1 + r^2"))
     return cg.generate_disk_mesh(1.0, 0.1), metric, make(2, "1 + s")
@@ -579,7 +619,7 @@ def _smooth_field(mesh):
 
 
 @pytest.mark.parametrize("name", ["flat-disk", "radial-warp-disk", "hyperbolic_warp",
-                                  "warped-interval", "fan"])
+                                  "warped-interval", "fan", "criss-cross"])
 def test_batched_patch_recovery_matches_lstsq_loop(name):
     mesh, metric, problem = _patch_case(name)
     values = _smooth_field(mesh)
