@@ -223,20 +223,27 @@ def _patch_derivatives(mesh, values, vertices):
         dx = mesh.vertices[ids] - mesh.vertices[vertices[rows]][:, None]
         scale = np.max(np.linalg.norm(dx, axis=2), axis=1)
         x = dx / scale[:, None, None]
+        # the augmented system [a b]: the quadratic basis, then the values
+        ab = np.empty((len(rows), k, needed + 1))
+        ab[..., 0] = 1.0
+        ab[..., 1:dim + 1] = x
         if dim == 1:
-            cols = [np.ones((len(rows), k)), x[..., 0], 0.5 * x[..., 0] ** 2]
+            ab[..., 2] = 0.5 * x[..., 0] ** 2
         else:
-            cols = [np.ones((len(rows), k)), x[..., 0], x[..., 1],
-                    0.5 * x[..., 0] ** 2, x[..., 0] * x[..., 1], 0.5 * x[..., 1] ** 2]
-        coef = _least_squares(np.stack(cols, axis=-1), values[ids])
+            ab[..., 3] = 0.5 * x[..., 0] ** 2
+            ab[..., 4] = x[..., 0] * x[..., 1]
+            ab[..., 5] = 0.5 * x[..., 1] ** 2
+        ab[..., needed] = values[ids]
+        coef = _least_squares(ab)
         grad[rows] = coef[:, 1:dim + 1] / scale[:, None]
         second = coef[:, dim + 1:] / scale[:, None] ** 2
         hess[rows] = second[:, [[0]] if dim == 1 else [[0, 1], [1, 2]]]
     return grad, hess, fitted
 
 
-def _least_squares(a, b):
-    """Least-squares solutions (m, n) of the stacked systems a (m, k, n), k >= n, b (m, k).
+def _least_squares(ab):
+    """Least-squares solutions (m, n) of the stacked systems a x = b given as
+    the augmented ab = [a b] (m, k, n + 1), k >= n.
 
     One QR factorization of the stacked [a b]: its R holds R of a and, in its
     last column, c = Q^T b, so coef = R^{-1} c, with R^{-1} by back
@@ -247,10 +254,10 @@ def _least_squares(a, b):
     whose bound is not below it, or is not finite (a zero diagonal entry of
     R), is solved by the truncated pseudo-inverse instead.
     """
-    k, n = a.shape[1:]
+    k, n = ab.shape[1], ab.shape[2] - 1
     rcond = np.finfo(float).eps * max(k, n)
     # (n, n + 1, m): each step below is one operation on length-m rows
-    rb = np.linalg.qr(np.concatenate([a, b[..., None]], axis=2), mode="r")
+    rb = np.linalg.qr(ab, mode="r")
     rb = np.ascontiguousarray(rb[:, :n].transpose(1, 2, 0))
     r, c = rb[:, :n], rb[:, n]
     rinv = np.zeros_like(r)
@@ -263,8 +270,10 @@ def _least_squares(a, b):
         bound = np.sqrt(np.einsum("ijm,ijm->m", r, r) * np.einsum("ijm,ijm->m", rinv, rinv))
     truncated = ~(bound < 1.0 / rcond)
     if np.any(truncated):
-        fit = np.linalg.pinv(a[truncated], rcond=rcond)
-        coef[truncated] = np.einsum("mck,mk->mc", fit, b[truncated])
+        bad = ab[truncated]
+        fit = np.linalg.pinv(bad[..., :n], rcond=rcond)
+        # a contiguous b keeps einsum's summation order, and so its bits
+        coef[truncated] = np.einsum("mck,mk->mc", fit, np.ascontiguousarray(bad[..., n]))
     return coef
 
 

@@ -9,6 +9,14 @@ the fallback: a rejected step is halved, and after three consecutive easy
 steps below ``dtau_max`` the step doubles again (up to ``dtau_max``).  Every
 attempt, accepted or rejected, is recorded with its Newton figures and, when
 rejected, its cause.
+
+The same convexity makes each Jacobian symmetric positive definite, and the
+Jacobians of one Newton solve differ only through the slope factor W, so one
+sparse LU, of the first Jacobian, serves the whole Newton solve: it solves
+the first step and preconditions the conjugate gradients that solve the
+later ones to the same backward-error gate.  A PCG solve that breaks down or
+misses the gate (on data outside the structural conditions, say) factors
+the Jacobian of its step, and that factor serves the steps after it.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ log = logging.getLogger("capgraph.solver")
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
 _LINEAR_RTOL = 1e-12
+_PCG_RTOL = 1e-14         # PCG stop: |r|_2 <= _PCG_RTOL |rhs|_2
+_PCG_MAX_ITER = 30
 _EASY_STREAK = 3          # consecutive accepted steps before dtau doubles
 
 
@@ -71,7 +81,9 @@ class MaxIterationsExceeded(SolverError):
 @dataclass
 class NewtonReport:
     """Residual max-norms (the start and each accepted iterate), the damping
-    factor of each step and the normwise backward error of its linear solve."""
+    factor of each step and, of its linear solve, the normwise backward
+    error, which solve gave the step ("factor", "pcg", or "fallback": PCG
+    missed and the Jacobian was factored) and the PCG iterations made."""
 
     iterations: int
     residual_norm: float
@@ -79,6 +91,8 @@ class NewtonReport:
     converged: bool
     residual_history: list
     backward_errors: list = field(default_factory=list)
+    linear_solves: list = field(default_factory=list)
+    pcg_iterations: list = field(default_factory=list)
 
 
 @dataclass
@@ -153,47 +167,108 @@ class ContinuationState:
                 f"to tau={last.tau:.6f} rejected ({last.cause})")
 
 
-def _linear_solve(mat, rhs, iterate):
-    """The Newton step and its normwise backward error."""
-    # one sparse LU per Newton step, reused by the refinement step.  The
-    # Jacobian is symmetric, so the columns follow a minimum-degree ordering
-    # of A^T + A and symmetric mode applies it to the rows too; pivoting
-    # keeps the default threshold, so a diagonal pivot is taken only when it
-    # is the largest in its column
-    try:
-        lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SingularJacobian(f"linear solve broke down: {exc}",
-                               iterate=iterate) from exc
-    delta = lu.solve(rhs)
-    if not np.all(np.isfinite(delta)):
-        raise SingularJacobian("linear solve produced non-finite values",
-                               iterate=iterate)
-    # normwise backward error (the achievable relative measure for a direct
-    # solve) plus a loose forward gate: a singular factorization can return a
-    # huge null-space-polluted delta whose backward error still looks tiny
-    rhs_norm = np.linalg.norm(rhs, np.inf)
-    mat_norm = abs(mat).sum(axis=1).max()
+class _LinearSolver:
+    """The linear solves of one `newton_solve`, around one held sparse factor.
 
-    def errors(d):
-        res_norm = np.linalg.norm(mat @ d - rhs, np.inf)
-        backward = res_norm / (mat_norm * np.linalg.norm(d, np.inf) + rhs_norm)
-        forward = res_norm / rhs_norm if rhs_norm > 0 else 0.0
-        return backward, forward
+    The first step factors its Jacobian and keeps the factor.  The Jacobians
+    of one Newton solve differ only through the slope factor W, and on
+    admissible data they are symmetric positive definite, so each later step
+    is solved by preconditioned conjugate gradients (`_pcg`) with the held
+    factor as the preconditioner, to the same backward-error and forward
+    gates as a factored solve.  A PCG solve that breaks down or misses a gate
+    factors the current Jacobian instead, and that factor is the one held
+    from then on.  Call `release` when the Newton solve ends.
+    """
 
-    backward, forward = errors(delta)
-    if backward > _LINEAR_RTOL or forward > 1e-6:
-        # one round of iterative refinement before declaring breakdown
-        correction = lu.solve(rhs - mat @ delta)
-        if np.all(np.isfinite(correction)):
-            delta = delta + correction
-            backward, forward = errors(delta)
-    if backward > _LINEAR_RTOL or forward > 1e-6:
-        raise SingularJacobian(
-            f"linear solve breakdown (backward error {backward:.2e}, "
-            f"relative residual {forward:.2e})", iterate=iterate)
-    return delta, backward
+    def __init__(self):
+        self._lu = None
+
+    def release(self):
+        self._lu = None
+
+    def solve(self, mat, rhs, iterate):
+        """The Newton step, its normwise backward error, the solve that gave
+        it ("factor", "pcg", or "fallback": PCG missed and the Jacobian was
+        factored) and the PCG iterations made."""
+        # normwise backward error (the achievable relative measure for a direct
+        # solve) plus a loose forward gate: a singular factorization can return a
+        # huge null-space-polluted delta whose backward error still looks tiny
+        rhs_norm = np.linalg.norm(rhs, np.inf)
+        mat_norm = abs(mat).sum(axis=1).max()
+
+        def errors(d):
+            res_norm = np.linalg.norm(mat @ d - rhs, np.inf)
+            backward = res_norm / (mat_norm * np.linalg.norm(d, np.inf) + rhs_norm)
+            forward = res_norm / rhs_norm if rhs_norm > 0 else 0.0
+            return backward, forward
+
+        how, iterations = "factor", 0
+        if self._lu is not None:
+            # a later step: PCG with the held factor, or on a breakdown or a
+            # missed gate the factored path below
+            delta, iterations = _pcg(mat, rhs, self._lu)
+            if delta is not None:
+                backward, forward = errors(delta)
+                if backward <= _LINEAR_RTOL and forward <= 1e-6:
+                    return delta, backward, "pcg", iterations
+            how = "fallback"
+            self._lu = None          # never two factors alive at once
+        # the Jacobian is symmetric, so the columns follow a minimum-degree
+        # ordering of A^T + A and symmetric mode applies it to the rows too;
+        # pivoting keeps the default threshold, so a diagonal pivot is taken
+        # only when it is the largest in its column
+        try:
+            self._lu = lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                 options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SingularJacobian(f"linear solve broke down: {exc}",
+                                   iterate=iterate) from exc
+        delta = lu.solve(rhs)
+        if not np.all(np.isfinite(delta)):
+            raise SingularJacobian("linear solve produced non-finite values",
+                                   iterate=iterate)
+        backward, forward = errors(delta)
+        if backward > _LINEAR_RTOL or forward > 1e-6:
+            # one round of iterative refinement before declaring breakdown
+            correction = lu.solve(rhs - mat @ delta)
+            if np.all(np.isfinite(correction)):
+                delta = delta + correction
+                backward, forward = errors(delta)
+        if backward > _LINEAR_RTOL or forward > 1e-6:
+            raise SingularJacobian(
+                f"linear solve breakdown (backward error {backward:.2e}, "
+                f"relative residual {forward:.2e})", iterate=iterate)
+        return delta, backward, how, iterations
+
+
+def _pcg(mat, rhs, lu):
+    """Conjugate gradients on mat x = rhs, preconditioned by the factor ``lu``.
+
+    Starts at x = lu.solve(rhs) and stops when the residual's 2-norm is at
+    most _PCG_RTOL times that of rhs, or after _PCG_MAX_ITER iterations.
+    Returns (x, iterations made); x is None on breakdown: p^T mat p <= 0,
+    r^T z <= 0 (the factor is not positive definite) or a non-finite value.
+    """
+    x = lu.solve(rhs)
+    r = rhs - mat @ x
+    stop = _PCG_RTOL * np.linalg.norm(rhs)
+    z = lu.solve(r)
+    p = z
+    rz = r @ z
+    for k in range(_PCG_MAX_ITER):
+        if np.linalg.norm(r) <= stop:
+            return x, k
+        q = mat @ p
+        curvature = p @ q
+        if not (0 < curvature < np.inf and 0 < rz < np.inf):
+            return None, k
+        alpha = rz / curvature
+        x = x + alpha * p
+        r = r - alpha * q
+        z = lu.solve(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return x, _PCG_MAX_ITER
 
 
 def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
@@ -213,6 +288,7 @@ def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
     r = residual(u, tau, problem, metric, mesh)
     rnorm = float(np.max(np.abs(r)))
     rep = NewtonReport(0, rnorm, [], False, [rnorm])
+    linear = _LinearSolver()
     try:
         # a NaN norm fails every comparison, so the loop test alone would
         # accept it as converged
@@ -225,8 +301,10 @@ def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
                     f"residual {rnorm:.3e} > tol {tol:g} after {max_iter} iterations",
                     iterate=ScalarField(mesh, u))
             j = jacobian(u, tau, problem, metric, mesh)
-            delta, backward = _linear_solve(j, -r, ScalarField(mesh, u))
+            delta, backward, how, pcg_iterations = linear.solve(j, -r, ScalarField(mesh, u))
             rep.backward_errors.append(backward)
+            rep.linear_solves.append(how)
+            rep.pcg_iterations.append(pcg_iterations)
             alpha = 1.0
             for _ in range(_MAX_HALVINGS + 1):
                 u_try = u + alpha * delta
@@ -247,6 +325,8 @@ def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
     except SolverError as exc:
         exc.report = rep
         raise
+    finally:
+        linear.release()
     rep.converged = True
     return ScalarField(mesh, u), rep
 

@@ -643,11 +643,13 @@ def test_continuation_file_records_each_attempt(tmp_path):
     first, full = (json.loads(line) for line in lines)
     assert set(full) == {"tau", "dtau", "accepted", "cause", "newton_iterations",
                          "residual_norm", "damping_factors", "residual_history",
-                         "backward_errors"}
+                         "backward_errors", "linear_solves", "pcg_iterations"}
     assert (first["tau"], first["newton_iterations"]) == (0.0, 0)
     assert (full["tau"], full["dtau"], full["accepted"], full["cause"]) == (1.0, 1.0, True, None)
     n = full["newton_iterations"]
     assert len(full["damping_factors"]) == len(full["backward_errors"]) == n > 0
+    assert full["linear_solves"] == ["factor"] + ["pcg"] * (n - 1)
+    assert len(full["pcg_iterations"]) == n
     assert len(full["residual_history"]) == n + 1
     assert full["residual_history"][-1] == full["residual_norm"] <= 1e-10
 

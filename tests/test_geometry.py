@@ -167,7 +167,7 @@ def test_near_collinear_patch_takes_the_truncated_pseudo_inverse(pinv_calls):
     regular = _hexagon_fan(1.0).vertices
     a = np.stack([_quadratic_design(regular), _quadratic_design(flat)])
     b = np.stack([np.sin(regular[:, 0]) + regular[:, 1] ** 2, np.cos(flat[:, 0]) + flat[:, 1]])
-    coef = _least_squares(a, b)
+    coef = _least_squares(np.concatenate([a, b[..., None]], axis=2))
     assert len(pinv_calls) == 1
     np.testing.assert_array_equal(pinv_calls[0], a[1:])
     old = np.einsum("mck,mk->mc", np.linalg.pinv(a[1:], rcond=np.finfo(float).eps * 7), b[1:])
@@ -188,7 +188,7 @@ def test_zero_diagonal_of_r_takes_the_pseudo_inverse(pinv_calls):
     x = np.column_stack([np.linspace(-1.0, 1.0, 7), np.zeros(7)])
     a = _quadratic_design(x)[None]
     assert np.linalg.qr(a, mode="r")[0, 2, 2] == 0.0
-    coef = _least_squares(a, np.exp(x[:, 0])[None])
+    coef = _least_squares(np.concatenate([a, np.exp(x[:, 0])[None, :, None]], axis=2))
     assert [c.shape for c in pinv_calls] == [(1, 7, 6)]
     assert np.all(np.isfinite(coef)) and np.all(coef[0, [2, 4, 5]] == 0.0)
 

@@ -65,6 +65,7 @@ def test_newton_report_has_one_entry_per_step(disk_01, euclid2):
                           euclid2, disk_01)
     assert rep.converged and rep.iterations > 0
     assert len(rep.damping_factors) == len(rep.backward_errors) == rep.iterations
+    assert len(rep.linear_solves) == len(rep.pcg_iterations) == rep.iterations
     assert len(rep.residual_history) == rep.iterations + 1
     assert rep.residual_history[-1] == rep.residual_norm
     assert all(0.0 <= e <= 1e-12 for e in rep.backward_errors)
@@ -274,15 +275,49 @@ def _count_calls(monkeypatch, counts, module, name):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_one_factorization_per_jacobian(monkeypatch, disk_01, euclid2):
+def test_one_factorization_per_newton_solve(monkeypatch, disk_01, euclid2):
     import capgraph.solver as solver
     counts = {}
     _count_calls(monkeypatch, counts, solver, "splu")
     _count_calls(monkeypatch, counts, solver, "jacobian")
     state = continuation_solve(make(2, "1 + s", "0.3 - 0.1*tanh(s)"), euclid2, disk_01)
     assert state.status == "converged"
-    assert counts["jacobian"] == sum(h.report.iterations for h in state.history) > 0
-    assert counts["splu"] == counts["jacobian"]
+    reports = [a.report for a in state.attempts]
+    stepped = [rep for rep in reports if rep.iterations > 0]
+    assert counts["jacobian"] == sum(rep.iterations for rep in reports) > len(stepped) > 0
+    assert counts["splu"] == len(stepped)
+    # the first step factors, the later ones are solved by PCG with that factor
+    for rep in stepped:
+        assert rep.linear_solves == ["factor"] + ["pcg"] * (rep.iterations - 1)
+        assert rep.pcg_iterations[0] == 0
+        assert all(0 < k <= solver._PCG_MAX_ITER for k in rep.pcg_iterations[1:])
+
+
+def test_a_pcg_miss_falls_back_to_a_factor_of_the_current_jacobian(monkeypatch, disk_01,
+                                                                    euclid2):
+    # psi = sin(s) next to its root s = pi has d psi/ds = -1: outside the
+    # structural conditions, the Jacobian is indefinite there, and PCG
+    # preconditioned by the factor of another iterate's Jacobian breaks down
+    # or misses the gate
+    import capgraph.solver as solver
+    prob = make(2, "sin(s)")
+    rng = np.random.default_rng(3)
+    start = cg.ScalarField(disk_01, np.pi + 0.2 * rng.standard_normal(disk_01.num_vertices))
+    u, rep = newton_solve(start, 1.0, prob, euclid2, disk_01)
+    assert "fallback" in rep.linear_solves
+    assert all(0.0 <= e <= 1e-12 for e in rep.backward_errors)
+
+    class FactorEveryStep(solver._LinearSolver):
+        def solve(self, *args):
+            self.release()
+            return super().solve(*args)
+
+    monkeypatch.setattr(solver, "_LinearSolver", FactorEveryStep)
+    u_full, full = newton_solve(start, 1.0, prob, euclid2, disk_01)
+    assert set(full.linear_solves) == {"factor"}
+    assert rep.iterations == full.iterations
+    np.testing.assert_allclose(u.values, u_full.values, rtol=0, atol=1e-12)
+    assert np.max(np.abs(u.values - np.pi)) < 1e-10
 
 
 def test_refinement_reuses_the_factorization(monkeypatch, disk_01, euclid2):
@@ -297,5 +332,5 @@ def test_refinement_reuses_the_factorization(monkeypatch, disk_01, euclid2):
     j = solver.jacobian(u, 0.5, prob, euclid2, disk_01)
     r = solver.residual(u, 0.5, prob, euclid2, disk_01)
     with pytest.raises(SingularJacobian, match="backward error"):
-        solver._linear_solve(j, -r, None)
+        solver._LinearSolver().solve(j, -r, None)
     assert counts["splu"] == 1

@@ -588,7 +588,7 @@ def test_criss_cross_patches_are_fitted_in_several_size_groups(monkeypatch):
     assert set(degree[~mesh.is_boundary_vertex]) == {4, 8}
     sizes, fit = [], geometry._least_squares
     monkeypatch.setattr(geometry, "_least_squares",
-                        lambda a, b: sizes.append(a.shape[1]) or fit(a, b))
+                        lambda ab: sizes.append(ab.shape[1]) or fit(ab))
     interior = np.where(~mesh.is_boundary_vertex)[0]
     _patch_derivatives(mesh, _smooth_field(mesh), interior)
     assert 9 in sizes and len(sizes) > 1
