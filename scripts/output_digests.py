@@ -26,7 +26,11 @@ directory:
   those of `solve-mesh-file/annulus_capillary`).
 
 Prints one `sha256  <command>/<config>/<file>` line per output file, and the
-same for the run's stdout, stderr (log records included) and exit code.
+same for the run's stdout, stderr (log records included) and exit code.  A
+run that writes `continuation.jsonl` also gets one
+`newton_iterations [n0, n1, ...]  <command>/<config>` line, the Newton
+iterations of each continuation attempt in the order made, so that a diff
+tells a roundoff move of the outputs from a change in the counts.
 Diff the output of two checkouts to check that a change keeps the outputs
 byte-identical:
 
@@ -37,6 +41,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import logging
 import tempfile
 from pathlib import Path
@@ -150,6 +155,11 @@ def main(argv=None):
             print(f"{digest(out.encode())}  {name}/stdout")
             print(f"{digest(err.encode())}  {name}/stderr")
             print(f"exit {code}  {name}")
+            attempts = outdir / "continuation.jsonl"
+            if attempts.is_file():
+                counts = [json.loads(line)["newton_iterations"]
+                          for line in attempts.read_text().splitlines()]
+                print(f"newton_iterations {counts}  {name}")
     return 0
 
 

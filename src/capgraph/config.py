@@ -30,7 +30,7 @@ from .expressions import ExpressionError, _tokenize, parse_expression
 from .geometry import MetricField
 from .meshing import MAX_VERTICES, DomainSpec
 from .problem import CapillaryProblem
-from .solver import ContinuationConfig
+from .solver import _DTAU_MIN, ContinuationConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -142,7 +142,7 @@ _SCHEMA = {
         "tol": _number(lo=1e-16, hi=1.0),
         "max_newton": _number(lo=1, integer=True),
         "dtau": _number(lo=1e-6, hi=1.0),
-        "dtau_min": _number(lo=1e-12, hi=1.0),
+        "dtau_min": _number(lo=_DTAU_MIN, hi=1.0),
         "dtau_max": _number(lo=1e-6, hi=1.0),
         "unsafe": _boolean,
     },

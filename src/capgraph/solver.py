@@ -12,11 +12,15 @@ rejected, its cause.
 
 The same convexity makes each Jacobian symmetric positive definite, and the
 Jacobians of one Newton solve differ only through the slope factor W, so one
-sparse LU, of the first Jacobian, serves the whole Newton solve: it solves
-the first step and preconditions the conjugate gradients that solve the
-later ones to the same backward-error gate.  A PCG solve that breaks down or
-misses the gate (on data outside the structural conditions, say) factors
-the Jacobian of its step, and that factor serves the steps after it.
+sparse LU, of the first Jacobian, serves the whole Newton solve.  Every step
+is one loop of conjugate gradients preconditioned by it, started from its
+solve and stopped as soon as the step passes the one acceptance gate: a
+normwise backward error (Rigal-Gaches; Higham, Accuracy and Stability of
+Numerical Algorithms, sec. 7.1) of at most 1e-12 and a relative residual of
+at most 1e-6.  A step the factor solves outright takes no iteration.  A PCG
+solve that breaks down or misses the gate (on data outside the structural
+conditions, say) factors the Jacobian of its step and runs once more, and
+that factor serves the steps after it.
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ log = logging.getLogger("capgraph.solver")
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
 _LINEAR_RTOL = 1e-12
-_PCG_RTOL = 1e-14         # PCG stop: |r|_2 <= _PCG_RTOL |rhs|_2
 _PCG_MAX_ITER = 30
 _EASY_STREAK = 3          # consecutive accepted steps before dtau doubles
+_DTAU_MIN = 1e-12         # least dtau_min: every step tried then advances tau
 
 
 class SolverError(RuntimeError):
@@ -101,7 +105,7 @@ class ContinuationConfig:
 
     The first step is ``dtau``; left unset, it is ``dtau_max``, so the
     default is the full step to tau = 1.  Construction raises `ValueError`
-    unless 0 < dtau <= dtau_max <= 1.
+    unless 0 < dtau <= dtau_max <= 1 and dtau_min >= 1e-12.
     """
 
     tol: float = 1e-10
@@ -117,6 +121,8 @@ class ContinuationConfig:
             raise ValueError("dtau must not exceed dtau_max")
         if not (0 < self.dtau and self.dtau_max <= 1.0):
             raise ValueError("need 0 < dtau <= dtau_max <= 1")
+        if not self.dtau_min >= _DTAU_MIN:
+            raise ValueError(f"dtau_min must be at least {_DTAU_MIN:g}")
 
 
 @dataclass
@@ -170,14 +176,16 @@ class ContinuationState:
 class _LinearSolver:
     """The linear solves of one `newton_solve`, around one held sparse factor.
 
-    The first step factors its Jacobian and keeps the factor.  The Jacobians
-    of one Newton solve differ only through the slope factor W, and on
-    admissible data they are symmetric positive definite, so each later step
-    is solved by preconditioned conjugate gradients (`_pcg`) with the held
-    factor as the preconditioner, to the same backward-error and forward
-    gates as a factored solve.  A PCG solve that breaks down or misses a gate
-    factors the current Jacobian instead, and that factor is the one held
-    from then on.  Call `release` when the Newton solve ends.
+    The first step factors its Jacobian.  The Jacobians of one Newton solve
+    differ only through the slope factor W, and on admissible data they are
+    symmetric positive definite, so that factor serves them all: each step
+    runs preconditioned conjugate gradients (`_pcg`) with the held factor,
+    from that factor's solve, and stops as soon as the step passes the gate
+    (a factor that meets it at once takes no iteration).  A step that breaks
+    down or misses the gate with a held factor drops it, factors its own
+    Jacobian and runs once more, and that factor is held from then on; a
+    fresh factor that misses raises `SingularJacobian`.  Call `release` when
+    the Newton solve ends.
     """
 
     def __init__(self):
@@ -188,86 +196,75 @@ class _LinearSolver:
 
     def solve(self, mat, rhs, iterate):
         """The Newton step, its normwise backward error, the solve that gave
-        it ("factor", "pcg", or "fallback": PCG missed and the Jacobian was
-        factored) and the PCG iterations made."""
-        # normwise backward error (the achievable relative measure for a direct
-        # solve) plus a loose forward gate: a singular factorization can return a
-        # huge null-space-polluted delta whose backward error still looks tiny
+        it ("factor": the Jacobian was factored first, "pcg": the held factor
+        served, or "fallback": it missed and the Jacobian was factored) and
+        the PCG iterations made, those of a missed attempt included."""
+        # normwise backward error (Rigal-Gaches, the achievable relative
+        # measure for a direct solve) plus a loose forward gate: a singular
+        # factorization can return a huge null-space-polluted delta whose
+        # backward error still looks tiny
         rhs_norm = np.linalg.norm(rhs, np.inf)
         mat_norm = abs(mat).sum(axis=1).max()
 
-        def errors(d):
-            res_norm = np.linalg.norm(mat @ d - rhs, np.inf)
-            backward = res_norm / (mat_norm * np.linalg.norm(d, np.inf) + rhs_norm)
+        def gate(res, d):
+            res_norm = np.linalg.norm(res, np.inf)
+            with np.errstate(invalid="ignore"):     # inf / inf for a non-finite d
+                backward = res_norm / (mat_norm * np.linalg.norm(d, np.inf) + rhs_norm)
             forward = res_norm / rhs_norm if rhs_norm > 0 else 0.0
-            return backward, forward
+            return backward <= _LINEAR_RTOL and forward <= 1e-6, backward, forward
 
-        how, iterations = "factor", 0
-        if self._lu is not None:
-            # a later step: PCG with the held factor, or on a breakdown or a
-            # missed gate the factored path below
-            delta, iterations = _pcg(mat, rhs, self._lu)
-            if delta is not None:
-                backward, forward = errors(delta)
-                if backward <= _LINEAR_RTOL and forward <= 1e-6:
-                    return delta, backward, "pcg", iterations
+        how = "factor" if self._lu is None else "pcg"
+        iterations = 0
+        while True:
+            if self._lu is None:
+                # the Jacobian is symmetric, so the columns follow a
+                # minimum-degree ordering of A^T + A and symmetric mode
+                # applies it to the rows too; pivoting keeps the default
+                # threshold, so a diagonal pivot is taken only when it is
+                # the largest in its column
+                try:
+                    self._lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                    options={"SymmetricMode": True})
+                except RuntimeError as exc:
+                    raise SingularJacobian(f"linear solve broke down: {exc}",
+                                           iterate=iterate) from exc
+            delta, k = _pcg(mat, rhs, self._lu, gate)
+            iterations += k
+            passed, backward, forward = gate(rhs - mat @ delta, delta)
+            if passed:
+                return delta, backward, how, iterations
+            if how != "pcg":
+                raise SingularJacobian(
+                    f"linear solve breakdown (backward error {backward:.2e}, "
+                    f"relative residual {forward:.2e})", iterate=iterate)
             how = "fallback"
             self._lu = None          # never two factors alive at once
-        # the Jacobian is symmetric, so the columns follow a minimum-degree
-        # ordering of A^T + A and symmetric mode applies it to the rows too;
-        # pivoting keeps the default threshold, so a diagonal pivot is taken
-        # only when it is the largest in its column
-        try:
-            self._lu = lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                 options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SingularJacobian(f"linear solve broke down: {exc}",
-                                   iterate=iterate) from exc
-        delta = lu.solve(rhs)
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobian("linear solve produced non-finite values",
-                                   iterate=iterate)
-        backward, forward = errors(delta)
-        if backward > _LINEAR_RTOL or forward > 1e-6:
-            # one round of iterative refinement before declaring breakdown
-            correction = lu.solve(rhs - mat @ delta)
-            if np.all(np.isfinite(correction)):
-                delta = delta + correction
-                backward, forward = errors(delta)
-        if backward > _LINEAR_RTOL or forward > 1e-6:
-            raise SingularJacobian(
-                f"linear solve breakdown (backward error {backward:.2e}, "
-                f"relative residual {forward:.2e})", iterate=iterate)
-        return delta, backward, how, iterations
 
 
-def _pcg(mat, rhs, lu):
+def _pcg(mat, rhs, lu, gate):
     """Conjugate gradients on mat x = rhs, preconditioned by the factor ``lu``.
 
-    Starts at x = lu.solve(rhs) and stops when the residual's 2-norm is at
-    most _PCG_RTOL times that of rhs, or after _PCG_MAX_ITER iterations.
-    Returns (x, iterations made); x is None on breakdown: p^T mat p <= 0,
-    r^T z <= 0 (the factor is not positive definite) or a non-finite value.
+    Starts at x = lu.solve(rhs) and stops as soon as ``gate(r, x)[0]`` holds
+    on the recursive residual r, at a breakdown (p^T mat p <= 0 or r^T z <= 0:
+    the factor is not positive definite, or a value is not finite) or after
+    _PCG_MAX_ITER iterations.  Returns (x, iterations made).
     """
     x = lu.solve(rhs)
     r = rhs - mat @ x
-    stop = _PCG_RTOL * np.linalg.norm(rhs)
-    z = lu.solve(r)
-    p = z
-    rz = r @ z
     for k in range(_PCG_MAX_ITER):
-        if np.linalg.norm(r) <= stop:
+        if gate(r, x)[0]:
             return x, k
+        z = lu.solve(r)
+        rz = r @ z
+        p = z if k == 0 else z + (rz / rz_old) * p
         q = mat @ p
         curvature = p @ q
         if not (0 < curvature < np.inf and 0 < rz < np.inf):
-            return None, k
+            return x, k
         alpha = rz / curvature
         x = x + alpha * p
         r = r - alpha * q
-        z = lu.solve(r)
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
+        rz_old = rz
     return x, _PCG_MAX_ITER
 
 
@@ -379,7 +376,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
     streak = 0
     while state.tau < 1.0 - 1e-14:
         tau_next = min(1.0, state.tau + state.dtau)
-        if prev is not None and tau_next > state.tau:
+        if prev is not None:
             slope = (state.u.values - prev[1]) / (state.tau - prev[0])
             guess = state.u.values + slope * (tau_next - state.tau)
         else:

@@ -306,6 +306,9 @@ def test_a_pcg_miss_falls_back_to_a_factor_of_the_current_jacobian(monkeypatch, 
     u, rep = newton_solve(start, 1.0, prob, euclid2, disk_01)
     assert "fallback" in rep.linear_solves
     assert all(0.0 <= e <= 1e-12 for e in rep.backward_errors)
+    # a fallback step counts the iterations of the PCG solve that missed
+    assert all(k >= 1 for how, k in zip(rep.linear_solves, rep.pcg_iterations)
+               if how == "fallback")
 
     class FactorEveryStep(solver._LinearSolver):
         def solve(self, *args):
@@ -320,9 +323,10 @@ def test_a_pcg_miss_falls_back_to_a_factor_of_the_current_jacobian(monkeypatch, 
     assert np.max(np.abs(u.values - np.pi)) < 1e-10
 
 
-def test_refinement_reuses_the_factorization(monkeypatch, disk_01, euclid2):
-    # an unreachable backward-error gate forces the refinement step and then
-    # the breakdown report; the matrix is factored once all the same
+def test_a_fresh_factor_that_misses_the_gate_names_its_backward_error(monkeypatch, disk_01,
+                                                                     euclid2):
+    # an unreachable backward-error gate makes PCG on the fresh factor miss;
+    # the matrix is factored once all the same, and the error says by how much
     import capgraph.solver as solver
     counts = {}
     _count_calls(monkeypatch, counts, solver, "splu")
@@ -334,3 +338,34 @@ def test_refinement_reuses_the_factorization(monkeypatch, disk_01, euclid2):
     with pytest.raises(SingularJacobian, match="backward error"):
         solver._LinearSolver().solve(j, -r, None)
     assert counts["splu"] == 1
+
+
+def test_pcg_stops_at_the_backward_error_gate(monkeypatch, disk_01, euclid2):
+    # PCG stops as soon as the gate the step must pass holds, so a looser
+    # gate takes fewer iterations, and every step still passes it
+    import capgraph.solver as solver
+    prob = make(2, "1 + s", "0.3 - 0.1*tanh(s)")
+    _, tight = newton_solve(cg.ScalarField.zeros(disk_01), 1.0, prob, euclid2, disk_01)
+    monkeypatch.setattr(solver, "_LINEAR_RTOL", 1e-8)
+    _, loose = newton_solve(cg.ScalarField.zeros(disk_01), 1.0, prob, euclid2, disk_01)
+    assert loose.linear_solves == tight.linear_solves
+    assert sum(loose.pcg_iterations) < sum(tight.pcg_iterations)
+    assert all(e <= 1e-8 for e in loose.backward_errors)
+
+
+@pytest.mark.parametrize("dtau_min", [0.0, 1e-300, 1e-13, float("nan")])
+def test_dtau_min_below_the_floor_is_rejected(dtau_min):
+    with pytest.raises(ValueError, match="dtau_min must be at least 1e-12"):
+        ContinuationConfig(dtau_min=dtau_min)
+
+
+def test_a_stall_at_the_least_dtau_min_advances_tau_at_every_step(euclid1):
+    # psi = 1 has no solution for tau > 0 on an interval: the continuation
+    # halves its step down to dtau_min, and each accepted step moves tau
+    mesh = cg.generate_interval_mesh(0.0, 1.0, 8)
+    state = continuation_solve(make(1, "1"), euclid1, mesh,
+                               ContinuationConfig(dtau_min=1e-12), unsafe=True)
+    assert state.status == "stalled"
+    taus = [a.tau for a in state.history]
+    assert all(b > a for a, b in zip(taus, taus[1:]))
+    assert np.all(np.isfinite(state.u.values))
