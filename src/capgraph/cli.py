@@ -10,6 +10,7 @@ reproducible from the config; output files carry no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -274,7 +275,9 @@ def _cmd_export(args, cfg):
 # Entry points
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="capgraph",
         description="capillary Killing-graph solver and certificate suite")

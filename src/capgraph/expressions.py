@@ -523,6 +523,7 @@ class Expression:
     def __init__(self, root, source=""):
         self._root = root
         self.source = source
+        self._uses_r = _depends_on(root, "r")
 
     def evaluate(self, **env):
         """Evaluate with keyword arrays/scalars for x1, x2, s, r.
@@ -530,7 +531,7 @@ class Expression:
         ``r`` is derived from x1 (and x2) when not supplied.  Overflow is
         silent: a non-finite value reaches the checks that name its cause.
         """
-        if "r" not in env and self.depends_on("r") and "x1" in env:
+        if "r" not in env and self._uses_r and "x1" in env:
             x1 = np.asarray(env["x1"], dtype=float)
             if "x2" in env and env["x2"] is not None:
                 r = np.sqrt(x1**2 + np.asarray(env["x2"], dtype=float) ** 2)

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
 __all__ = [
     "Mesh",
@@ -406,13 +405,17 @@ def generate_interval_mesh(a, b, m):
 
 
 # ---------------------------------------------------------------------------
-# Distance fields (first-order: shortest paths on the sigma-weighted edge graph)
+# Distance fields (first-order: shortest paths on the sigma-weighted edge graph).
+# scipy.sparse.csgraph is imported by the two functions that use it, so it
+# loads on the first distance field, not with the package.
 
 
 def geodesic_distance_field(mesh, metric, x0):
     """Graph distance from vertex ``x0`` in sigma edge lengths."""
     if not 0 <= x0 < mesh.num_vertices:
         raise MeshError(f"vertex {x0} out of range")
+    from scipy.sparse.csgraph import dijkstra
+
     g = mesh.sigma_edge_graph(metric)
     d = dijkstra(g, directed=False, indices=x0)
     if not np.all(np.isfinite(d)):
@@ -425,6 +428,8 @@ def boundary_distance_field(mesh, metric):
     sources = mesh.boundary_vertices
     if len(sources) == 0:
         raise MeshError("mesh has no boundary")
+    from scipy.sparse.csgraph import dijkstra
+
     g = mesh.sigma_edge_graph(metric)
     d = dijkstra(g, directed=False, indices=sources, min_only=True)
     if not np.all(np.isfinite(d)):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.spatial import cKDTree
 
 from .expressions import parse_expression
 from .geometry import (
@@ -380,6 +379,10 @@ def _shape_conormal(mesh, metric):
     convergence studies; the two differ by O(h) pointwise, O(h^2) at the
     facet quadrature points of a circle.
     """
+    # Imported here: scipy.spatial (and scipy.special with it) loads only
+    # for manufactured problems, not with the package.
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(mesh.facet_midpoints())
     nus = mesh.sigma_conormals(metric)
 

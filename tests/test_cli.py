@@ -1,12 +1,19 @@
+import argparse
 import contextlib
 import json
 import logging
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from capgraph import cli
 from capgraph.cli import read_report, read_solution_csv, run_command
 from capgraph.config import load_config
 from capgraph.meshing import (DomainSpec, generate_disk_mesh, generate_interval_mesh,
@@ -483,6 +490,52 @@ def test_mms_command(tmp_path, capsys):
 def test_oracle1d_command(tmp_path):
     cfg = write_cfg(tmp_path, "run.cfg", INTERVAL_CFG.format(out=tmp_path / "out"))
     assert run_command(["oracle1d", "--config", cfg]) == 0
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counting_parser(*args, **kwargs):
+        built.append(kwargs.get("prog"))
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=counting_parser))
+    argv = ["oracle1d", "--config",
+            write_cfg(tmp_path, "run.cfg", INTERVAL_CFG.format(out=tmp_path / "out"))]
+    assert run_command(argv) == 0
+    first = capsys.readouterr().out
+    # a usage error between two valid runs leaves nothing behind in the parser
+    assert run_command(["oracle1d"]) == 2
+    assert "--config" in capsys.readouterr().err
+    assert run_command(["solve", "--config", argv[2], "--format", "csv"]) == 2
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out == first
+    assert first.startswith("sup|u_fem - u_oracle| = ")
+    # none at all when an earlier call in this process built it
+    assert len(built) <= 1
+
+
+def test_import_loads_only_the_scipy_it_uses():
+    # a fresh interpreter: this test process may hold scipy.spatial already
+    code = textwrap.dedent("""
+        import json, sys
+        import capgraph, capgraph.cli
+        deferred = ("scipy.spatial", "scipy.special", "scipy.sparse.csgraph")
+        print(json.dumps([m for m in deferred if m in sys.modules]))
+        from capgraph import (MetricField, boundary_distance_field,
+                              generate_disk_mesh, mms_manufacture)
+        metric, mesh = MetricField.euclidean(2), generate_disk_mesh(1.0, 0.25)
+        mms_manufacture(metric, mesh, "sqrt(4 - r^2)")
+        boundary_distance_field(mesh, metric)
+        print(json.dumps([m for m in deferred if m in sys.modules]))
+    """)
+    src = Path(__file__).parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_use = (json.loads(line) for line in proc.stdout.splitlines())
+    assert at_import == []
+    assert {"scipy.spatial", "scipy.sparse.csgraph"} <= set(after_use)
 
 
 def test_convergence_command(tmp_path):
