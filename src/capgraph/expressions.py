@@ -16,12 +16,27 @@ min max (binary).
 
 Evaluation is vectorized over numpy arrays and raises `EvaluationError` with
 the source offset on domain violations (sqrt of a negative, log of a
-non-positive, division by zero, non-finite powers).
+non-positive, division by zero, non-finite powers) and on a variable that
+was not supplied.
+
+An `Expression` evaluates on a flat tape (`_Tape`), built once, on first
+use, in one pass over its tree: the nodes in post-order, one instruction
+each, except that structurally equal subtrees share one slot and are
+computed once per call (value numbering), and an operation on constants
+is folded by the same numpy or Python function that evaluation applies.
+A fold that fails its check stays on the tape, so it raises, with its
+offset, when evaluated.  The checks, their messages and offsets, and the
+order in which they fire are those of a recursive walk of the tree.  ``r``
+is derived once per call, and each slot is dropped after its last use.
+`joint` puts several expressions on one tape, so that their common
+subtrees are also computed once: the manufactured solution's value,
+gradient and Hessian are evaluated that way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -32,6 +47,7 @@ __all__ = [
     "ParseError",
     "EvaluationError",
     "DerivativeError",
+    "joint",
     "parse_expression",
     "symbolic_s_derivative",
 ]
@@ -261,7 +277,7 @@ class _Parser:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: one flat tape per expression
 
 
 def _check(cond, message, pos):
@@ -269,39 +285,148 @@ def _check(cond, message, pos):
         raise EvaluationError(message, pos)
 
 
-def _eval(node, env):
-    if isinstance(node, _Num):
-        return node.value
-    if isinstance(node, _Var):
-        if node.name not in env:
-            raise EvaluationError(f"variable {node.name!r} was not supplied", node.pos)
-        return env[node.name]
-    if isinstance(node, _Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, _Bin):
-        a = _eval(node.left, env)
-        b = _eval(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            _check(np.all(np.asarray(b) != 0.0), "division by zero", node.pos)
-            return a / b
-        out = np.power(a, b)                     # '^'
-        _check(np.all(np.isfinite(out)), "power produced a non-finite value", node.pos)
+def _load(name, pos):
+    def load(env):
+        if name not in env:
+            raise EvaluationError(f"variable {name!r} was not supplied", pos)
+        return env[name]
+    return load
+
+
+def _divide(pos):
+    def divide(a, b):
+        _check(np.all(np.asarray(b) != 0.0), "division by zero", pos)
+        return a / b
+    return divide
+
+
+def _power(pos):
+    def power(a, b):
+        out = np.power(a, b)
+        _check(np.all(np.isfinite(out)), "power produced a non-finite value", pos)
         return out
-    if isinstance(node, _Call):
-        args = [_eval(a, env) for a in node.args]
-        if node.name == "sqrt":
-            _check(np.all(np.asarray(args[0]) >= 0.0), "sqrt of a negative value", node.pos)
-        elif node.name == "log":
-            _check(np.all(np.asarray(args[0]) > 0.0), "log of a non-positive value", node.pos)
-        fn = _FUNCTIONS_1.get(node.name) or _FUNCTIONS_2.get(node.name)
-        return fn(*args)
-    raise TypeError(f"unknown node {node!r}")
+    return power
+
+
+def _function(name, pos):
+    fn = _FUNCTIONS_1.get(name) or _FUNCTIONS_2.get(name)
+    if name == "sqrt":
+        def sqrt(a):
+            _check(np.all(np.asarray(a) >= 0.0), "sqrt of a negative value", pos)
+            return fn(a)
+        return sqrt
+    if name == "log":
+        def log(a):
+            _check(np.all(np.asarray(a) > 0.0), "log of a non-positive value", pos)
+            return fn(a)
+        return log
+    return fn
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+class _Tape:
+    """The nodes of one or more expression trees as a flat list of
+    instructions in post-order.
+
+    Structurally equal subtrees share one slot (value numbering), so each
+    is computed once per call, at its first place in the post-order.  An
+    operation whose operands are all constants is folded when the tape is
+    built, by the same function evaluation applies; a fold that fails a
+    check stays on the tape, so it raises when evaluated.  Each
+    instruction is ``(fn, out, a, b, free)``: slot ``out`` gets ``fn`` of
+    slot ``a`` (and ``b``), then the slots in ``free``, read for the last
+    time, are dropped.  Slot 0 holds the variables.
+    """
+
+    __slots__ = ("consts", "code", "outputs", "uses_r")
+
+    def __init__(self, roots):
+        consts = [None]      # slot -> constant value; None: computed (slot 0 too)
+        code = []            # [fn, out, a, b]
+        slots = {}           # structural key -> slot
+        seen = {}            # id(node) -> slot, for node objects met again
+
+        def emit(key, fn, a, b=None):
+            out = slots[key] = len(consts)
+            if consts[a] is not None and (b is None or consts[b] is not None):
+                try:
+                    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+                        consts.append(fn(consts[a]) if b is None
+                                      else fn(consts[a], consts[b]))
+                    return out
+                except EvaluationError:
+                    pass
+            consts.append(None)
+            code.append((fn, out, a, b))
+            return out
+
+        def visit(node):
+            out = seen.get(id(node))
+            if out is not None:
+                return out
+            kind = type(node)
+            if kind is _Bin:
+                a, b = visit(node.left), visit(node.right)
+                key = (node.op, a, b)
+                out = slots.get(key)
+                if out is None:
+                    fn = _ARITHMETIC.get(node.op)
+                    if fn is None:
+                        fn = (_divide if node.op == "/" else _power)(node.pos)
+                    out = emit(key, fn, a, b)
+            elif kind is _Num:
+                key = node.value.hex()
+                out = slots.get(key)
+                if out is None:
+                    out = slots[key] = len(consts)
+                    consts.append(node.value)
+            elif kind is _Var:
+                out = slots.get(node.name)
+                if out is None:
+                    out = emit(node.name, _load(node.name, node.pos), 0)
+            elif kind is _Call:
+                args = tuple(visit(a) for a in node.args)
+                key = (node.name, *args)
+                out = slots.get(key)
+                if out is None:
+                    out = emit(key, _function(node.name, node.pos), *args)
+            elif kind is _Neg:
+                a = visit(node.arg)
+                key = ("neg", a)
+                out = slots.get(key)
+                if out is None:
+                    out = emit(key, operator.neg, a)
+            else:
+                raise TypeError(f"unknown node {node!r}")
+            seen[id(node)] = out
+            return out
+
+        self.outputs = tuple(visit(root) for root in roots)
+        # each computed slot is dropped after the instruction that reads it
+        # last; the variables (slot 0) and the outputs are kept
+        last = {}
+        for k, (_, _, a, b) in enumerate(code):
+            last[a] = last[b] = k
+        keep = {None, 0, *self.outputs}
+        frees = [[] for _ in code]
+        for i, k in last.items():
+            if i not in keep and consts[i] is None:
+                frees[k].append(i)
+        self.consts = consts
+        self.code = tuple((fn, out, a, b, tuple(free))
+                          for (fn, out, a, b), free in zip(code, frees))
+        self.uses_r = "r" in slots
+
+    def run(self, env):
+        vals = self.consts.copy()
+        vals[0] = env
+        for fn, out, a, b, free in self.code:
+            vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+            for i in free:
+                vals[i] = None
+        return [vals[i] for i in self.outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -518,20 +643,31 @@ def _to_str(node, parent_prec=0):
 
 
 class Expression:
-    """Parsed expression: evaluate vectorized, differentiate symbolically."""
+    """Parsed expression: evaluate vectorized, differentiate symbolically.
+
+    A joint expression (`joint`) holds several trees and evaluates them
+    together on one tape.
+    """
 
     def __init__(self, root, source=""):
         self._root = root
         self.source = source
-        self._uses_r = _depends_on(root, "r")
+        self._tape = None
+
+    def _roots(self):
+        return self._root if isinstance(self._root, tuple) else (self._root,)
 
     def evaluate(self, **env):
-        """Evaluate with keyword arrays/scalars for x1, x2, s, r.
+        """Evaluate with keyword arrays/scalars for x1, x2, s, r; a joint
+        expression returns a list with one value per tree.
 
         ``r`` is derived from x1 (and x2) when not supplied.  Overflow is
         silent: a non-finite value reaches the checks that name its cause.
         """
-        if "r" not in env and self._uses_r and "x1" in env:
+        tape = self._tape
+        if tape is None:     # built on first use (threads racing build equal tapes)
+            tape = self._tape = _Tape(self._roots())
+        if "r" not in env and tape.uses_r and "x1" in env:
             x1 = np.asarray(env["x1"], dtype=float)
             if "x2" in env and env["x2"] is not None:
                 r = np.sqrt(x1**2 + np.asarray(env["x2"], dtype=float) ** 2)
@@ -539,21 +675,29 @@ class Expression:
                 r = np.abs(x1)
             env = dict(env, r=r)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return _eval(self._root, env)
+            values = tape.run(env)
+        return values if isinstance(self._root, tuple) else values[0]
 
     __call__ = evaluate
 
     def at_points(self, pts, s=None):
         """Values at the rows of an (n, dim) chart-point array as a new float
-        array of length n; ``s`` (scalar or length n) binds the height."""
+        array of length n, or (k, n) for a joint expression of k trees;
+        ``s`` (scalar or length n) binds the height."""
         n = len(pts)
         env = {"x1": pts[:, 0]}
         if pts.shape[1] > 1:
             env["x2"] = pts[:, 1]
         if s is not None:
             env["s"] = np.broadcast_to(np.asarray(s, dtype=float), (n,))
-        out = np.empty(n)
-        out[...] = np.asarray(self.evaluate(**env), dtype=float)
+        if not isinstance(self._root, tuple):
+            out = np.empty(n)
+            out[...] = np.asarray(self.evaluate(**env), dtype=float)
+            return out
+        values = self.evaluate(**env)
+        out = np.empty((len(values), n))
+        for row, value in zip(out, values):
+            row[...] = np.asarray(value, dtype=float)
         return out
 
     def derivative(self, var, dim=None):
@@ -576,13 +720,19 @@ class Expression:
         return [self.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]]
 
     def depends_on(self, var):
-        return _depends_on(self._root, var)
+        return any(_depends_on(root, var) for root in self._roots())
 
     def __str__(self):
-        return _to_str(self._root)
+        return ", ".join(_to_str(root) for root in self._roots())
 
     def __repr__(self):
         return f"Expression({str(self)!r})"
+
+
+def joint(exprs, source=""):
+    """One `Expression` of several: its `evaluate` returns their values as a
+    list, from one tape on which their common subtrees are computed once."""
+    return Expression(tuple(e._root for e in exprs), source=source)
 
 
 def parse_expression(text):

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .expressions import parse_expression
+from .expressions import Expression, joint, parse_expression
 from .geometry import (
     _average_cell_gradients,
     _patch_derivatives,
@@ -428,46 +429,57 @@ def _per_point_set(fn):
     return lookup
 
 
+class _Jet(NamedTuple):
+    """A manufactured solution u*, parsed and differentiated once: u* alone,
+    u* with its chart gradient and Hessian (row-major) as one joint
+    expression, and the gradient alone."""
+
+    dim: int
+    value: Expression
+    full: Expression
+    gradient: Expression
+
+
+def _manufactured_jet(u_exact, dim):
+    """The `_Jet` of ``u_exact`` (text or `Expression`) in a ``dim``-chart."""
+    expr = parse_expression(u_exact) if isinstance(u_exact, str) else u_exact
+    source = expr.source or str(expr)
+    dus = expr.gradient(dim)
+    d2us = [d for du in dus for d in du.gradient(dim)]
+    return _Jet(dim, expr, joint([expr, *dus, *d2us], source), joint(dus, source))
+
+
 def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
     """Data (psi, phi) whose exact solution is ``u_exact`` at full strength.
 
+    ``u_exact`` is text, an `Expression`, or its `_manufactured_jet`.
     psi(x, s) = nH[u_exact](x) + kappa0 (s - u_exact(x)) adds positive
     gravity without moving the solution; phi is the exact contact angle of
     u_exact against the inward conormal.  Both are affine in s, and the
     problem says so.  The parts that do not depend on s (nH[u_exact] and
-    u_exact for psi, all of phi) are computed once per point set and kept
-    for the life of the problem (`_per_point_set`); each call still returns
-    a fresh array.  Raises `ManufactureError` when the manufactured angle
-    leaves (-1, 1).
+    u_exact for psi, all of phi) are computed once per point set, psi's
+    from one evaluation of the jet, and kept for the life of the problem
+    (`_per_point_set`); each call still returns a fresh array.  Raises
+    `ManufactureError` when the manufactured angle leaves (-1, 1).
     """
     if kappa0 <= 0:
         raise ManufactureError("kappa0 must be positive to keep positive gravity")
-    expr = parse_expression(u_exact) if isinstance(u_exact, str) else u_exact
     dim = mesh.dim
-    dus = expr.gradient(dim)
-    d2us = [du.gradient(dim) for du in dus]
+    jet = u_exact if isinstance(u_exact, _Jet) else _manufactured_jet(u_exact, dim)
+    if jet.dim != dim:
+        raise ValueError(f"the manufactured jet is {jet.dim}D, the mesh {dim}D")
 
     def u_ex(x):
-        return expr.at_points(np.asarray(x, dtype=float).reshape(-1, dim))
-
-    def du_ex(x):
-        x = np.asarray(x, dtype=float).reshape(-1, dim)
-        out = np.zeros((len(x), dim))
-        for i, d in enumerate(dus):
-            out[:, i] = d.at_points(x)
-        return out
-
-    def hess_ex(x):
-        x = np.asarray(x, dtype=float).reshape(-1, dim)
-        out = np.zeros((len(x), dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                out[:, i, j] = d2us[i][j].at_points(x)
-        return 0.5 * (out + out.transpose(0, 2, 1))
+        return jet.value.at_points(np.asarray(x, dtype=float).reshape(-1, dim))
     conormal = _shape_conormal(mesh, metric)
 
-    psi_x = _per_point_set(lambda x: (
-        mean_curvature_from_derivatives(metric, x, du_ex(x), hess_ex(x)), u_ex(x)))
+    @_per_point_set
+    def psi_x(x):
+        values = jet.full.at_points(x)
+        du = np.ascontiguousarray(values[1:1 + dim].T)
+        hess = values[1 + dim:].T.reshape(-1, dim, dim)
+        hess = 0.5 * (hess + hess.transpose(0, 2, 1))
+        return mean_curvature_from_derivatives(metric, x, du, hess), values[0].copy()
 
     def psi(x, s):
         x = np.asarray(x, dtype=float).reshape(-1, dim)
@@ -481,7 +493,7 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
 
     @_per_point_set
     def phi_x(x):
-        du = du_ex(x)
+        du = np.ascontiguousarray(jet.gradient.at_points(x).T)
         return -np.einsum("ki,ki->k", du, conormal(x)) / slope_factor(metric, x, du)
 
     def phi(x, s):
@@ -499,11 +511,10 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
         raise ManufactureError(
             f"manufactured contact angle reaches |phi| = {np.max(np.abs(phib)):.6f}")
 
-    source = expr.source or str(expr)
     return CapillaryProblem(
         dim=dim, psi=psi, dpsi_ds=dpsi_ds, phi=phi, dphi_ds=dphi_ds,
         beta=kappa0, beta_prime=float(np.min(1.0 - phib**2)),
-        psi_source=f"manufactured from u_exact = {source}",
+        psi_source=f"manufactured from u_exact = {jet.full.source}",
         phi_source="manufactured contact angle", u_exact=u_ex, affine_in_s=True)
 
 
@@ -640,8 +651,9 @@ def mms_convergence_study(metric, domain, u_exact, levels=(0, 1, 2), kappa0=1.0,
     observed orders; error is the vertex max-norm against the exact field.
     """
     rows = []
+    jet = _manufactured_jet(u_exact, metric.dim)
     for level, mesh, problem, state in _level_solves(
-            levels, lambda mesh: mms_manufacture(metric, mesh, u_exact, kappa0=kappa0),
+            levels, lambda mesh: mms_manufacture(metric, mesh, jet, kappa0=kappa0),
             metric, domain, cfg, unsafe, "manufactured solve"):
         err = float(np.max(np.abs(state.u.values - problem.u_exact(mesh.vertices))))
         angle = contact_angle_residual(state.u, 1.0, problem, metric, mesh).observed

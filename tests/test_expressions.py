@@ -1,3 +1,4 @@
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capgraph.expressions as ex
 from capgraph.expressions import (
     DerivativeError,
     EvaluationError,
+    ExpressionError,
     ParseError,
+    joint,
     parse_expression,
     symbolic_s_derivative,
 )
@@ -151,6 +155,22 @@ def test_concurrent_evaluation_is_pure():
         np.testing.assert_array_equal(res, expected)
 
 
+def test_concurrent_first_evaluations_build_one_tape_each():
+    # threads racing to build the tape of a fresh expression all get its values
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        env = dict(x1=np.linspace(-1, 1, 11), s=np.linspace(0, 1, 11))
+        for _ in range(20):
+            expr = parse_expression("exp(s)*sqrt(1 + x1^2) - sqrt(1 + x1^2)/(2 + r)")
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda _: expr.evaluate(**env), range(8)))
+            for res in results:
+                np.testing.assert_array_equal(res, _walked(expr, env))
+    finally:
+        sys.setswitchinterval(switch)
+
+
 def test_derivative_general_power_and_transcendentals():
     # f^g with both parts height-dependent, plus log/tanh chain rules
     for text in ("(1 + s)^s", "log(2 + s)", "tanh(0.5*s)", "cos(s)^2"):
@@ -160,3 +180,137 @@ def test_derivative_general_power_and_transcendentals():
             h = 1e-6
             fd = (expr.evaluate(s=s + h) - expr.evaluate(s=s - h)) / (2 * h)
             assert d.evaluate(s=s) == pytest.approx(fd, rel=1e-7, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The tape against a tree walk
+
+
+def _walk(node, env):
+    """Reference evaluation: the recursive tree walk that the tape replaced."""
+    if isinstance(node, ex._Num):
+        return node.value
+    if isinstance(node, ex._Var):
+        if node.name not in env:
+            raise EvaluationError(f"variable {node.name!r} was not supplied", node.pos)
+        return env[node.name]
+    if isinstance(node, ex._Neg):
+        return -_walk(node.arg, env)
+    if isinstance(node, ex._Bin):
+        a = _walk(node.left, env)
+        b = _walk(node.right, env)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            ex._check(np.all(np.asarray(b) != 0.0), "division by zero", node.pos)
+            return a / b
+        out = np.power(a, b)
+        ex._check(np.all(np.isfinite(out)), "power produced a non-finite value", node.pos)
+        return out
+    args = [_walk(a, env) for a in node.args]
+    if node.name == "sqrt":
+        ex._check(np.all(np.asarray(args[0]) >= 0.0), "sqrt of a negative value", node.pos)
+    elif node.name == "log":
+        ex._check(np.all(np.asarray(args[0]) > 0.0), "log of a non-positive value", node.pos)
+    fn = ex._FUNCTIONS_1.get(node.name) or ex._FUNCTIONS_2.get(node.name)
+    return fn(*args)
+
+
+def _walked(expr, env):
+    """``expr`` at ``env`` by the tree walk, with r derived as `evaluate`
+    derives it; returns the value or the `ExpressionError` raised."""
+    if "r" not in env and expr.depends_on("r") and "x1" in env:
+        x1 = np.asarray(env["x1"], dtype=float)
+        x2 = env.get("x2")
+        r = np.abs(x1) if x2 is None else np.sqrt(x1**2 + np.asarray(x2) ** 2)
+        env = dict(env, r=r)
+    try:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return _walk(expr._root, env)
+    except ExpressionError as exc:
+        return exc
+
+
+def _assert_same(got, want):
+    if isinstance(want, ExpressionError):
+        assert isinstance(got, ExpressionError)
+        assert (type(got), str(got), got.pos) == (type(want), str(want), want.pos)
+    else:
+        assert type(got) is type(want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                         want.tobytes())
+
+
+_LEAVES = st.sampled_from(["x1", "x2", "s", "r", "0", "1", "2", "0.5", "3.25", "pi",
+                           "1/0", "sqrt(-1)", "log(0)", "2^0.5", "(0 - 1)^0.5"])
+
+
+def _grown(parts):
+    binary = st.tuples(parts, st.sampled_from("+-*/^"), parts).map(
+        lambda t: f"({t[0]}){t[1]}({t[2]})")
+    call = st.tuples(st.sampled_from(sorted(ex._FUNCTIONS_1)), parts).map(
+        lambda t: f"{t[0]}({t[1]})")
+    pair = st.tuples(st.sampled_from(["min", "max"]), parts, parts).map(
+        lambda t: f"{t[0]}({t[1]}, {t[2]})")
+    repeated = st.tuples(parts, parts).map(      # one subtree twice or three times
+        lambda t: f"({t[0]})*({t[1]}) - sqrt(({t[0]})^2) + ({t[0]})")
+    mirrored = st.tuples(parts, st.sampled_from("+-*/^"), parts).map(   # a.b and b.a
+        lambda t: f"(({t[0]}){t[1]}({t[2]})) + (({t[2]}){t[1]}({t[0]}))")
+    return st.one_of(binary, call, pair, repeated, mirrored,
+                     parts.map(lambda p: f"-({p})"))
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _grown, max_leaves=10)
+_VALUES = st.sampled_from([-1.5, -0.5, 0.0, 0.25, 1.0, 2.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_EXPRESSIONS, names=st.sets(st.sampled_from(["x1", "x2", "s", "r"])),
+       values=st.lists(_VALUES, min_size=4, max_size=4), vector=st.booleans())
+def test_tape_matches_the_tree_walk(text, names, values, vector):
+    # bit-identical values, or the same error class, message and offset,
+    # with variables missing, constants that fail their checks, and subtrees
+    # that the tape shares
+    expr = parse_expression(text)
+    env = {}
+    for k, name in enumerate(sorted(names)):
+        env[name] = np.array([values[k], -values[k], 0.5]) if vector else values[k]
+    exprs = [expr]
+    for var in ("x1", "s"):
+        try:
+            exprs.append(expr.derivative(var, dim=2))
+        except DerivativeError:
+            pass
+    wanted = [_walked(e, env) for e in exprs]
+    for e, want in zip(exprs, wanted):
+        try:
+            got = e.evaluate(**env)
+        except ExpressionError as exc:
+            got = exc
+        _assert_same(got, want)
+    try:
+        together = joint(exprs).evaluate(**env)
+    except ExpressionError as exc:
+        first = next(w for w in wanted if isinstance(w, ExpressionError))
+        _assert_same(exc, first)
+    else:
+        for got, want in zip(together, wanted):
+            _assert_same(got, want)
+
+
+def test_tape_shares_subtrees_and_folds_constants():
+    # 2^0.5 folds, the repeated sqrt(1 + x1^2) is one slot, 1/0 stays to raise
+    tape = ex._Tape([parse_expression("sqrt(1 + x1^2)*2^0.5 + sqrt(1 + x1^2)")._root])
+    assert len(tape.code) == 6        # load, ^, +, sqrt, *, +
+    with pytest.raises(EvaluationError, match=r"division by zero \(at offset 8\)"):
+        parse_expression("x1 + 2*1/0").evaluate(x1=1.0)
+    # a slot is dropped after its last use, and an output is kept: x1 (slot
+    # 1) goes after the product, exp(x1) (slot 2) is the second output
+    expr = joint([parse_expression("exp(x1)*x1"), parse_expression("exp(x1)")])
+    assert [np.ndim(v) for v in expr.evaluate(x1=np.ones(3))] == [1, 1]
+    assert [free for *_, free in expr._tape.code] == [(), (), (1,)]

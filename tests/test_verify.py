@@ -399,6 +399,78 @@ def test_manufactured_psi_computes_curvature_once_per_point_set(monkeypatch):
     assert len(psi_sets) <= vf._POINT_SETS and len(phi_sets) <= vf._POINT_SETS
 
 
+JET_CASES = {
+    "cap": (lambda: cg.MetricField.euclidean(2), "sqrt(4 - r^2)"),
+    "warped-cap": (lambda: cg.MetricField.radial_warp(2, gamma="1 + r^2"),
+                   "0.5 - 0.2*r^2"),
+    "warped-nonradial": (lambda: cg.MetricField.radial_warp(2, gamma="1 + r^2"),
+                         "0.3 + 0.2*sin(x1)*cos(x2) + 0.1*exp(0.5*x1 - x2)"),
+}
+
+
+@pytest.mark.parametrize("case", JET_CASES)
+def test_manufactured_jet_matches_each_expression(case):
+    # psi, phi and u_exact from the joint tape, bit for bit as from one
+    # expression per derivative
+    make_metric, u_exact = JET_CASES[case]
+    metric, mesh = make_metric(), cg.generate_disk_mesh(1.0, 0.2)
+    prob = mms_manufacture(metric, mesh, vf._manufactured_jet(u_exact, 2), kappa0=1.5)
+    psi_ref, phi_ref = _memo_free_data(metric, mesh, u_exact, 1.5)
+    s = np.random.default_rng(3).normal(size=mesh.num_vertices)
+    for x in (mesh.vertices, mesh.cell_points.reshape(-1, 2)[:mesh.num_vertices]):
+        assert _same_bits(prob.psi(x, s), psi_ref(x, s))
+        assert _same_bits(prob.phi(x, s), phi_ref(x))
+        assert _same_bits(prob.u_exact(x), cg.parse_expression(u_exact).at_points(x))
+
+
+def test_cap_jet_is_one_short_tape():
+    # u*, grad u* and its Hessian of sqrt(4 - r^2): 260 tree nodes, mostly
+    # copies of one square root, on one tape of at most 40 instructions
+    jet = vf._manufactured_jet("sqrt(4 - r^2)", 2)
+    values = jet.full.evaluate(x1=np.array([0.3]), x2=np.array([-0.2]))
+    assert len(values) == 7
+    assert len(jet.full._tape.code) <= 40
+
+
+def test_manufactured_psi_evaluates_once_per_point_set(monkeypatch):
+    # u* and its derivatives: one evaluation of the jet per new point set
+    # (the metric's own expressions are not counted)
+    metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
+    mesh = cg.generate_disk_mesh(1.0, 0.2)
+    jet = vf._manufactured_jet("sqrt(4 - r^2)", 2)
+    prob = mms_manufacture(metric, mesh, jet)
+    calls = []
+    evaluate = cg.Expression.evaluate
+
+    def spy(self, **env):
+        if "sqrt(4 - r^2)" in self.source:
+            assert self is jet.full
+            calls.append(self)
+        return evaluate(self, **env)
+
+    monkeypatch.setattr(cg.Expression, "evaluate", spy)
+    sets = [mesh.vertices, mesh.cell_points.reshape(-1, 2), mesh.vertices + 1e-3]
+    for k, x in enumerate(sets * 2):
+        before = len(calls)
+        prob.psi(x, 0.5)
+        assert len(calls) - before == (1 if k < len(sets) else 0)
+
+
+def test_mms_study_prepares_the_jet_once(monkeypatch, euclid1):
+    made = []
+    prepare = vf._manufactured_jet
+
+    def counted(*args):
+        made.append(prepare(*args))
+        return made[-1]
+
+    monkeypatch.setattr(vf, "_manufactured_jet", counted)
+    domain = DomainSpec("interval", {"a": 0.0, "b": 1.0, "m": 8})
+    rows, _ = mms_convergence_study(euclid1, domain, "0.3*x1 + 0.1*x1^2",
+                                    levels=(0, 1, 2))
+    assert len(rows) == 3 and len(made) == 1
+
+
 def test_oracle_trivial(euclid1):
     prob = make(1, "s")
     x, u = oracle_1d_solve(prob, euclid1, 0.0, 1.0, 256)
