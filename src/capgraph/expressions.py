@@ -28,9 +28,9 @@ A fold that fails its check stays on the tape, so it raises, with its
 offset, when evaluated.  The checks, their messages and offsets, and the
 order in which they fire are those of a recursive walk of the tree.  ``r``
 is derived once per call, and each slot is dropped after its last use.
-`joint` puts several expressions on one tape, so that their common
-subtrees are also computed once: the manufactured solution's value,
-gradient and Hessian are evaluated that way.
+The private `_joint` puts several expressions on one tape, so that their
+common subtrees are also computed once: the manufactured solution's
+gradient, Hessian and value are evaluated that way.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "ParseError",
     "EvaluationError",
     "DerivativeError",
-    "joint",
     "parse_expression",
     "symbolic_s_derivative",
 ]
@@ -645,7 +644,7 @@ def _to_str(node, parent_prec=0):
 class Expression:
     """Parsed expression: evaluate vectorized, differentiate symbolically.
 
-    A joint expression (`joint`) holds several trees and evaluates them
+    A joint expression (`_joint`) holds several trees and evaluates them
     together on one tape.
     """
 
@@ -729,9 +728,10 @@ class Expression:
         return f"Expression({str(self)!r})"
 
 
-def joint(exprs, source=""):
+def _joint(exprs, source=""):
     """One `Expression` of several: its `evaluate` returns their values as a
-    list, from one tape on which their common subtrees are computed once."""
+    list, from one tape on which their common subtrees are computed once.
+    It is for evaluation only: `derivative` takes single expressions."""
     return Expression(tuple(e._root for e in exprs), source=source)
 
 

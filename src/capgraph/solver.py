@@ -56,7 +56,6 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 30
 _LINEAR_RTOL = 1e-12
 _PCG_MAX_ITER = 30
-_PCG_PATIENCE = 20        # PCG iterations before a slow fall gives up
 _EASY_STREAK = 3          # consecutive accepted steps before dtau doubles
 _DTAU_MIN = 1e-12         # least dtau_min: every step tried then advances tau
 
@@ -247,27 +246,14 @@ def _pcg(mat, rhs, lu, gate):
 
     Starts at x = lu.solve(rhs) and stops as soon as ``gate(r, x)[0]`` holds
     on the recursive residual r, at a breakdown (p^T mat p <= 0 or r^T z <= 0:
-    the factor is not positive definite, or a value is not finite), after
-    _PCG_MAX_ITER iterations, or once the residual has stopped falling fast
-    enough to pass: from iteration _PCG_PATIENCE on, when the least backward
-    error ``gate(r, x)[1]`` so far, falling on at its rate over the last
-    half of the iterations, would not reach `_LINEAR_RTOL` by
-    _PCG_MAX_ITER.  Returns (x, iterations made).
+    the factor is not positive definite, or a value is not finite) or after
+    _PCG_MAX_ITER iterations.  Returns (x, iterations made).
     """
     x = lu.solve(rhs)
     r = rhs - mat @ x
-    least = []             # least backward error after each iteration
     for k in range(_PCG_MAX_ITER):
-        passed, backward, _ = gate(r, x)
-        if passed:
+        if gate(r, x)[0]:
             return x, k
-        least.append(min(backward, least[-1]) if least else backward)
-        if k >= _PCG_PATIENCE:
-            # the fall over the last half of the iterations, continued at its
-            # rate to the cap
-            fall = least[k] / least[k // 2]
-            if least[k] * fall ** ((_PCG_MAX_ITER - k) / (k - k // 2)) > _LINEAR_RTOL:
-                return x, k
         z = lu.solve(r)
         rz = r @ z
         p = z if k == 0 else z + (rz / rz_old) * p

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .expressions import Expression, joint, parse_expression
+from .expressions import Expression, _joint, parse_expression
 from .geometry import (
     _average_cell_gradients,
     _patch_derivatives,
@@ -431,8 +431,8 @@ def _per_point_set(fn):
 
 class _Jet(NamedTuple):
     """A manufactured solution u*, parsed and differentiated once: u* alone,
-    u* with its chart gradient and Hessian (row-major) as one joint
-    expression, and the gradient alone."""
+    its chart gradient, Hessian (row-major) and u* itself, in that order, as
+    one joint expression, and the gradient alone."""
 
     dim: int
     value: Expression
@@ -446,7 +446,7 @@ def _manufactured_jet(u_exact, dim):
     source = expr.source or str(expr)
     dus = expr.gradient(dim)
     d2us = [d for du in dus for d in du.gradient(dim)]
-    return _Jet(dim, expr, joint([expr, *dus, *d2us], source), joint(dus, source))
+    return _Jet(dim, expr, _joint([*dus, *d2us, expr], source), _joint(dus, source))
 
 
 def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
@@ -476,10 +476,10 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
     @_per_point_set
     def psi_x(x):
         values = jet.full.at_points(x)
-        du = np.ascontiguousarray(values[1:1 + dim].T)
-        hess = values[1 + dim:].T.reshape(-1, dim, dim)
+        du = np.ascontiguousarray(values[:dim].T)
+        hess = values[dim:-1].T.reshape(-1, dim, dim)
         hess = 0.5 * (hess + hess.transpose(0, 2, 1))
-        return mean_curvature_from_derivatives(metric, x, du, hess), values[0].copy()
+        return mean_curvature_from_derivatives(metric, x, du, hess), values[-1].copy()
 
     def psi(x, s):
         x = np.asarray(x, dtype=float).reshape(-1, dim)

@@ -13,7 +13,7 @@ from capgraph.expressions import (
     EvaluationError,
     ExpressionError,
     ParseError,
-    joint,
+    _joint,
     parse_expression,
     symbolic_s_derivative,
 )
@@ -294,7 +294,7 @@ def test_tape_matches_the_tree_walk(text, names, values, vector):
             got = exc
         _assert_same(got, want)
     try:
-        together = joint(exprs).evaluate(**env)
+        together = _joint(exprs).evaluate(**env)
     except ExpressionError as exc:
         first = next(w for w in wanted if isinstance(w, ExpressionError))
         _assert_same(exc, first)
@@ -311,6 +311,6 @@ def test_tape_shares_subtrees_and_folds_constants():
         parse_expression("x1 + 2*1/0").evaluate(x1=1.0)
     # a slot is dropped after its last use, and an output is kept: x1 (slot
     # 1) goes after the product, exp(x1) (slot 2) is the second output
-    expr = joint([parse_expression("exp(x1)*x1"), parse_expression("exp(x1)")])
+    expr = _joint([parse_expression("exp(x1)*x1"), parse_expression("exp(x1)")])
     assert [np.ndim(v) for v in expr.evaluate(x1=np.ones(3))] == [1, 1]
     assert [free for *_, free in expr._tape.code] == [(), (), (1,)]

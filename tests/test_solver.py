@@ -323,27 +323,6 @@ def test_a_pcg_miss_falls_back_to_a_factor_of_the_current_jacobian(monkeypatch, 
     assert np.max(np.abs(u.values - np.pi)) < 1e-10
 
 
-def test_pcg_on_a_stale_factor_gives_up_before_the_cap(monkeypatch, euclid1, interval_64):
-    # psi = s from 0.3-amplitude noise: the damped iterate moves far, the held
-    # factor goes stale, and PCG falls too slowly to pass; it gives up before
-    # the iteration cap, and the Newton steps are those it made without the
-    # early exit
-    import capgraph.solver as solver
-    rng = np.random.default_rng(0)
-    u0 = cg.ScalarField(interval_64, 0.3 * rng.standard_normal(interval_64.num_vertices))
-    u, rep = newton_solve(u0, 1.0, make(1, "s"), euclid1, interval_64)
-    spent = [k for how, k in zip(rep.linear_solves, rep.pcg_iterations)
-             if how == "fallback"]
-    assert rep.iterations == 27 and len(spent) == 6
-    assert all(k < solver._PCG_MAX_ITER for k in spent)
-    monkeypatch.setattr(solver, "_PCG_PATIENCE", solver._PCG_MAX_ITER)
-    u_cap, capped = newton_solve(u0, 1.0, make(1, "s"), euclid1, interval_64)
-    assert capped.linear_solves == rep.linear_solves
-    assert [k for how, k in zip(capped.linear_solves, capped.pcg_iterations)
-            if how == "fallback"] == [solver._PCG_MAX_ITER] * 6
-    np.testing.assert_allclose(u.values, u_cap.values, rtol=0, atol=1e-12)
-
-
 def test_a_fresh_factor_that_misses_the_gate_names_its_backward_error(monkeypatch, disk_01,
                                                                      euclid2):
     # an unreachable backward-error gate makes PCG on the fresh factor miss;

@@ -7,6 +7,7 @@ from scipy.spatial import cKDTree
 
 import capgraph as cg
 from capgraph.config import load_config
+from capgraph.expressions import EvaluationError
 from capgraph import geometry
 from capgraph.geometry import _patch_derivatives, mean_curvature_from_derivatives
 from capgraph import verify as vf
@@ -454,6 +455,18 @@ def test_manufactured_psi_evaluates_once_per_point_set(monkeypatch):
         before = len(calls)
         prob.psi(x, 0.5)
         assert len(calls) - before == (1 if k < len(sets) else 0)
+
+
+@pytest.mark.parametrize("case", ["cap", "warped-cap"])
+def test_manufactured_psi_checks_the_derivatives_before_u_exact(case):
+    # x1/r and its derivatives all divide by zero at the centre vertex: the
+    # derivative's check fires first, as when each was evaluated alone, and
+    # a derived node has no source offset
+    metric, mesh = JET_CASES[case][0](), cg.generate_disk_mesh(1.0, 0.25)
+    prob = mms_manufacture(metric, mesh, "x1/r")
+    with pytest.raises(EvaluationError) as err:
+        prob.psi(mesh.vertices, 0.0)
+    assert str(err.value) == "division by zero" and err.value.pos is None
 
 
 def test_mms_study_prepares_the_jet_once(monkeypatch, euclid1):
