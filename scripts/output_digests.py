@@ -20,7 +20,8 @@ directory:
 - `capgraph oracle1d` on `interval_conformal.cfg` and `capgraph mms` on
   `cap_mms_conformal.cfg` (a conformal leaf in 1D and 2D),
 - `capgraph mms` on `cap_mms_nonradial.cfg` (a manufactured solution that is
-  not radial, on a warped leaf),
+  not radial, on a warped leaf) and on `cap_mms_constants.cfg` (data with
+  operations on constants only, such as `1.5^2` and `2*pi/4`),
 - `capgraph solve` on `annulus_capillary.cfg` and `interval_oracle.cfg` with
   their `[domain]` replaced by the exported `mesh.txt` rewritten with each
   cell's last two ids swapped (clockwise triangles, right-to-left segments:
@@ -118,6 +119,8 @@ def runs(tmp):
            ["mms", "--config", str(CONFIGS / "cap_mms_conformal.cfg")])
     yield ("mms/cap_mms_nonradial",
            ["mms", "--config", str(CONFIGS / "cap_mms_nonradial.cfg")])
+    yield ("mms/cap_mms_constants",
+           ["mms", "--config", str(CONFIGS / "cap_mms_constants.cfg")])
     for stem in ("annulus_capillary", "interval_oracle"):
         yield (f"solve-reversed-mesh-file/{stem}",
                ["solve", "--config", str(mesh_file_config(tmp, stem, reverse=True))])

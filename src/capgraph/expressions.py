@@ -19,18 +19,16 @@ the source offset on domain violations (sqrt of a negative, log of a
 non-positive, division by zero, non-finite powers) and on a variable that
 was not supplied.
 
-An `Expression` evaluates on a flat tape (`_Tape`), built once, on first
-use, in one pass over its tree: the nodes in post-order, one instruction
-each, except that structurally equal subtrees share one slot and are
-computed once per call (value numbering), and an operation on constants
-is folded by the same numpy or Python function that evaluation applies.
-A fold that fails its check stays on the tape, so it raises, with its
-offset, when evaluated.  The checks, their messages and offsets, and the
-order in which they fire are those of a recursive walk of the tree.  ``r``
-is derived once per call, and each slot is dropped after its last use.
-The private `_joint` puts several expressions on one tape, so that their
-common subtrees are also computed once: the manufactured solution's
-gradient, Hessian and value are evaluated that way.
+An `Expression` holds one tree and evaluates it on a flat tape (`_Tape`),
+built once, on first use, in one pass over the tree: the nodes in
+post-order, one instruction each, except that structurally equal subtrees
+share one slot and are computed once per call (value numbering).  Every
+operation runs when the tape runs, operations on constants included, so the
+checks, their messages and offsets, and the order in which they fire are
+those of a recursive walk of the tree.  ``r`` is derived once per call, and
+each slot is dropped after its last use.  A tape of several trees computes
+their common subtrees once: the manufactured solution's gradient, Hessian
+and value are evaluated that way.
 """
 
 from __future__ import annotations
@@ -330,33 +328,23 @@ class _Tape:
     instructions in post-order.
 
     Structurally equal subtrees share one slot (value numbering), so each
-    is computed once per call, at its first place in the post-order.  An
-    operation whose operands are all constants is folded when the tape is
-    built, by the same function evaluation applies; a fold that fails a
-    check stays on the tape, so it raises when evaluated.  Each
+    is computed once per call, at its first place in the post-order.  Each
     instruction is ``(fn, out, a, b, free)``: slot ``out`` gets ``fn`` of
     slot ``a`` (and ``b``), then the slots in ``free``, read for the last
-    time, are dropped.  Slot 0 holds the variables.
+    time, are dropped.  Slot 0 holds the variables; a number has a slot
+    that holds its value.
     """
 
     __slots__ = ("consts", "code", "outputs", "uses_r")
 
     def __init__(self, roots):
-        consts = [None]      # slot -> constant value; None: computed (slot 0 too)
+        consts = [None]      # slot -> number; None: computed (slot 0 too)
         code = []            # [fn, out, a, b]
         slots = {}           # structural key -> slot
         seen = {}            # id(node) -> slot, for node objects met again
 
         def emit(key, fn, a, b=None):
             out = slots[key] = len(consts)
-            if consts[a] is not None and (b is None or consts[b] is not None):
-                try:
-                    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                        consts.append(fn(consts[a]) if b is None
-                                      else fn(consts[a], consts[b]))
-                    return out
-                except EvaluationError:
-                    pass
             consts.append(None)
             code.append((fn, out, a, b))
             return out
@@ -419,13 +407,46 @@ class _Tape:
         self.uses_r = "r" in slots
 
     def run(self, env):
+        """The trees' values for the variables in ``env``, one per tree.
+
+        ``r`` is derived from x1 (and x2) when not supplied.  Overflow is
+        silent: a non-finite value reaches the checks that name its cause.
+        """
+        if "r" not in env and self.uses_r and "x1" in env:
+            x1 = np.asarray(env["x1"], dtype=float)
+            if "x2" in env and env["x2"] is not None:
+                r = np.sqrt(x1**2 + np.asarray(env["x2"], dtype=float) ** 2)
+            else:
+                r = np.abs(x1)
+            env = dict(env, r=r)
         vals = self.consts.copy()
         vals[0] = env
-        for fn, out, a, b, free in self.code:
-            vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
-            for i in free:
-                vals[i] = None
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for fn, out, a, b, free in self.code:
+                vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+                for i in free:
+                    vals[i] = None
         return [vals[i] for i in self.outputs]
+
+    def at_points(self, pts, s=None):
+        """The trees' values at the rows of an (n, dim) chart-point array, as
+        a new (k, n) float array for k trees; ``s`` binds the height."""
+        values = self.run(_point_env(pts, s))
+        out = np.empty((len(values), len(pts)))
+        for row, value in zip(out, values):
+            row[...] = np.asarray(value, dtype=float)
+        return out
+
+
+def _point_env(pts, s):
+    """The variables at the rows of an (n, dim) chart-point array, with the
+    height ``s`` (scalar or length n) when given."""
+    env = {"x1": pts[:, 0]}
+    if pts.shape[1] > 1:
+        env["x2"] = pts[:, 1]
+    if s is not None:
+        env["s"] = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),))
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -642,61 +663,26 @@ def _to_str(node, parent_prec=0):
 
 
 class Expression:
-    """Parsed expression: evaluate vectorized, differentiate symbolically.
-
-    A joint expression (`_joint`) holds several trees and evaluates them
-    together on one tape.
-    """
+    """Parsed expression: evaluate vectorized, differentiate symbolically."""
 
     def __init__(self, root, source=""):
         self._root = root
         self.source = source
         self._tape = None
 
-    def _roots(self):
-        return self._root if isinstance(self._root, tuple) else (self._root,)
-
     def evaluate(self, **env):
-        """Evaluate with keyword arrays/scalars for x1, x2, s, r; a joint
-        expression returns a list with one value per tree.
-
-        ``r`` is derived from x1 (and x2) when not supplied.  Overflow is
-        silent: a non-finite value reaches the checks that name its cause.
-        """
+        """Evaluate with keyword arrays/scalars for x1, x2, s, r, by the rules
+        of `_Tape.run`."""
         tape = self._tape
         if tape is None:     # built on first use (threads racing build equal tapes)
-            tape = self._tape = _Tape(self._roots())
-        if "r" not in env and tape.uses_r and "x1" in env:
-            x1 = np.asarray(env["x1"], dtype=float)
-            if "x2" in env and env["x2"] is not None:
-                r = np.sqrt(x1**2 + np.asarray(env["x2"], dtype=float) ** 2)
-            else:
-                r = np.abs(x1)
-            env = dict(env, r=r)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            values = tape.run(env)
-        return values if isinstance(self._root, tuple) else values[0]
-
-    __call__ = evaluate
+            tape = self._tape = _Tape([self._root])
+        return tape.run(env)[0]
 
     def at_points(self, pts, s=None):
         """Values at the rows of an (n, dim) chart-point array as a new float
-        array of length n, or (k, n) for a joint expression of k trees;
-        ``s`` (scalar or length n) binds the height."""
-        n = len(pts)
-        env = {"x1": pts[:, 0]}
-        if pts.shape[1] > 1:
-            env["x2"] = pts[:, 1]
-        if s is not None:
-            env["s"] = np.broadcast_to(np.asarray(s, dtype=float), (n,))
-        if not isinstance(self._root, tuple):
-            out = np.empty(n)
-            out[...] = np.asarray(self.evaluate(**env), dtype=float)
-            return out
-        values = self.evaluate(**env)
-        out = np.empty((len(values), n))
-        for row, value in zip(out, values):
-            row[...] = np.asarray(value, dtype=float)
+        array of length n; ``s`` (scalar or length n) binds the height."""
+        out = np.empty(len(pts))
+        out[...] = np.asarray(self.evaluate(**_point_env(pts, s)), dtype=float)
         return out
 
     def derivative(self, var, dim=None):
@@ -719,20 +705,13 @@ class Expression:
         return [self.derivative(v, dim=dim) for v in ("x1", "x2")[:dim]]
 
     def depends_on(self, var):
-        return any(_depends_on(root, var) for root in self._roots())
+        return _depends_on(self._root, var)
 
     def __str__(self):
-        return ", ".join(_to_str(root) for root in self._roots())
+        return _to_str(self._root)
 
     def __repr__(self):
         return f"Expression({str(self)!r})"
-
-
-def _joint(exprs, source=""):
-    """One `Expression` of several: its `evaluate` returns their values as a
-    list, from one tape on which their common subtrees are computed once.
-    It is for evaluation only: `derivative` takes single expressions."""
-    return Expression(tuple(e._root for e in exprs), source=source)
 
 
 def parse_expression(text):

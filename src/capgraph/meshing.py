@@ -395,6 +395,9 @@ def generate_interval_mesh(a, b, m):
         raise MeshError("need a < b")
     if m < 2:
         raise MeshError("need at least 2 cells")
+    # the sigma edge lengths square the width, so it must not overflow
+    if not math.isfinite((b - a) * (b - a)):
+        raise MeshError(f"interval width b - a = {b - a:.6g} overflows when squared")
     if m + 1 > MAX_VERTICES:
         raise MeshBudgetError("cell count exceeds the vertex budget")
     vertices = np.linspace(a, b, m + 1)[:, None]
@@ -406,21 +409,27 @@ def generate_interval_mesh(a, b, m):
 
 # ---------------------------------------------------------------------------
 # Distance fields (first-order: shortest paths on the sigma-weighted edge graph).
-# scipy.sparse.csgraph is imported by the two functions that use it, so it
-# loads on the first distance field, not with the package.
+# scipy.sparse.csgraph is imported by `_graph_distance`, so it loads on the
+# first distance field, not with the package.
+
+
+def _graph_distance(mesh, metric, sources, min_only=False):
+    """Graph distance in sigma edge lengths from the vertex or vertices
+    ``sources``, with ``min_only`` from the nearest of them."""
+    from scipy.sparse.csgraph import dijkstra
+
+    g = mesh.sigma_edge_graph(metric)
+    d = dijkstra(g, directed=False, indices=sources, min_only=min_only)
+    if not np.all(np.isfinite(d)):
+        raise UnreachableVertexError("mesh edge graph is disconnected")
+    return ScalarField(mesh, d)
 
 
 def geodesic_distance_field(mesh, metric, x0):
     """Graph distance from vertex ``x0`` in sigma edge lengths."""
     if not 0 <= x0 < mesh.num_vertices:
         raise MeshError(f"vertex {x0} out of range")
-    from scipy.sparse.csgraph import dijkstra
-
-    g = mesh.sigma_edge_graph(metric)
-    d = dijkstra(g, directed=False, indices=x0)
-    if not np.all(np.isfinite(d)):
-        raise UnreachableVertexError("mesh edge graph is disconnected")
-    return ScalarField(mesh, d)
+    return _graph_distance(mesh, metric, x0)
 
 
 def boundary_distance_field(mesh, metric):
@@ -428,13 +437,7 @@ def boundary_distance_field(mesh, metric):
     sources = mesh.boundary_vertices
     if len(sources) == 0:
         raise MeshError("mesh has no boundary")
-    from scipy.sparse.csgraph import dijkstra
-
-    g = mesh.sigma_edge_graph(metric)
-    d = dijkstra(g, directed=False, indices=sources, min_only=True)
-    if not np.all(np.isfinite(d)):
-        raise UnreachableVertexError("mesh edge graph is disconnected")
-    return ScalarField(mesh, d)
+    return _graph_distance(mesh, metric, sources, min_only=True)
 
 
 # ---------------------------------------------------------------------------

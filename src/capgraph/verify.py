@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .expressions import Expression, _joint, parse_expression
+from .expressions import Expression, _Tape, parse_expression
 from .geometry import (
     _average_cell_gradients,
     _patch_derivatives,
@@ -431,22 +431,24 @@ def _per_point_set(fn):
 
 class _Jet(NamedTuple):
     """A manufactured solution u*, parsed and differentiated once: u* alone,
-    its chart gradient, Hessian (row-major) and u* itself, in that order, as
-    one joint expression, and the gradient alone."""
+    its source text, a tape of its chart gradient, Hessian (row-major) and
+    u* itself, in that order, and a tape of the gradient alone."""
 
     dim: int
     value: Expression
-    full: Expression
-    gradient: Expression
+    source: str
+    full: _Tape
+    gradient: _Tape
 
 
 def _manufactured_jet(u_exact, dim):
     """The `_Jet` of ``u_exact`` (text or `Expression`) in a ``dim``-chart."""
     expr = parse_expression(u_exact) if isinstance(u_exact, str) else u_exact
-    source = expr.source or str(expr)
     dus = expr.gradient(dim)
     d2us = [d for du in dus for d in du.gradient(dim)]
-    return _Jet(dim, expr, _joint([*dus, *d2us, expr], source), _joint(dus, source))
+    return _Jet(dim, expr, expr.source or str(expr),
+                _Tape([e._root for e in (*dus, *d2us, expr)]),
+                _Tape([du._root for du in dus]))
 
 
 def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
@@ -514,7 +516,7 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
     return CapillaryProblem(
         dim=dim, psi=psi, dpsi_ds=dpsi_ds, phi=phi, dphi_ds=dphi_ds,
         beta=kappa0, beta_prime=float(np.min(1.0 - phib**2)),
-        psi_source=f"manufactured from u_exact = {jet.full.source}",
+        psi_source=f"manufactured from u_exact = {jet.source}",
         phi_source="manufactured contact angle", u_exact=u_ex, affine_in_s=True)
 
 

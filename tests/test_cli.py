@@ -295,6 +295,13 @@ CONFIG_RULES = [
           "[domain] mesh-file requires path"),
     _rule("domain.a-below-b", {"domain": {**INTERVAL, "a": "1"}},
           "[domain] requires a < b"),
+    # an interval whose squared width overflows, before any array is built
+    *[_rule(f"domain.interval-width-{w}-{command}",
+            {"domain": {**INTERVAL, "a": f"-{w}", "b": w, "m": "4"}, "mms": None},
+            f"config error: interval width b - a = 2e+{w[-3:]} overflows when squared",
+            command=command)
+      for command, w in (("solve", "1e300"), ("oracle1d", "1e300"),
+                         ("convergence", "1e300"), ("solve", "1e200"))],
     # [solver] step schedule
     _rule("solver.dtau-dtau_max", {"solver": {"dtau": "0.5", "dtau_max": "0.25"}},
           "[solver] dtau must not exceed dtau_max"),

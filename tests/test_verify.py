@@ -428,33 +428,33 @@ def test_cap_jet_is_one_short_tape():
     # u*, grad u* and its Hessian of sqrt(4 - r^2): 260 tree nodes, mostly
     # copies of one square root, on one tape of at most 40 instructions
     jet = vf._manufactured_jet("sqrt(4 - r^2)", 2)
-    values = jet.full.evaluate(x1=np.array([0.3]), x2=np.array([-0.2]))
-    assert len(values) == 7
-    assert len(jet.full._tape.code) <= 40
+    values = jet.full.at_points(np.array([[0.3, -0.2]]))
+    assert values.shape == (7, 1)
+    assert len(jet.full.code) <= 40
 
 
 def test_manufactured_psi_evaluates_once_per_point_set(monkeypatch):
-    # u* and its derivatives: one evaluation of the jet per new point set
-    # (the metric's own expressions are not counted)
+    # u* and its derivatives: one run of the jet's tape per new point set,
+    # and none of the gradient's tape or of u* alone (the metric's own
+    # expressions are not counted)
     metric = cg.MetricField.radial_warp(2, gamma="1 + r^2")
     mesh = cg.generate_disk_mesh(1.0, 0.2)
     jet = vf._manufactured_jet("sqrt(4 - r^2)", 2)
     prob = mms_manufacture(metric, mesh, jet)
-    calls = []
-    evaluate = cg.Expression.evaluate
+    runs = []
+    run = vf._Tape.run
 
-    def spy(self, **env):
-        if "sqrt(4 - r^2)" in self.source:
-            assert self is jet.full
-            calls.append(self)
-        return evaluate(self, **env)
+    def spy(self, env):
+        runs.append(self)
+        return run(self, env)
 
-    monkeypatch.setattr(cg.Expression, "evaluate", spy)
+    monkeypatch.setattr(vf._Tape, "run", spy)
     sets = [mesh.vertices, mesh.cell_points.reshape(-1, 2), mesh.vertices + 1e-3]
     for k, x in enumerate(sets * 2):
-        before = len(calls)
+        runs.clear()
         prob.psi(x, 0.5)
-        assert len(calls) - before == (1 if k < len(sets) else 0)
+        assert runs.count(jet.full) == (1 if k < len(sets) else 0)
+        assert [t for t in runs if t is jet.gradient or t is jet.value._tape] == []
 
 
 @pytest.mark.parametrize("case", ["cap", "warped-cap"])
