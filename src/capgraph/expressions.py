@@ -407,11 +407,8 @@ class _Tape:
         self.uses_r = "r" in slots
 
     def run(self, env):
-        """The trees' values for the variables in ``env``, one per tree.
-
-        ``r`` is derived from x1 (and x2) when not supplied.  Overflow is
-        silent: a non-finite value reaches the checks that name its cause.
-        """
+        """The trees' values for the variables in ``env``, one per tree, by
+        the rules of `Expression.evaluate`."""
         if "r" not in env and self.uses_r and "x1" in env:
             x1 = np.asarray(env["x1"], dtype=float)
             if "x2" in env and env["x2"] is not None:
@@ -671,8 +668,11 @@ class Expression:
         self._tape = None
 
     def evaluate(self, **env):
-        """Evaluate with keyword arrays/scalars for x1, x2, s, r, by the rules
-        of `_Tape.run`."""
+        """Evaluate with keyword arrays/scalars for x1, x2, s, r.
+
+        ``r`` is derived from x1 (and x2) when not supplied.  Overflow is
+        silent: a non-finite value reaches the checks that name its cause.
+        """
         tape = self._tape
         if tape is None:     # built on first use (threads racing build equal tapes)
             tape = self._tape = _Tape([self._root])

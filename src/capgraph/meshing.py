@@ -395,7 +395,7 @@ def generate_interval_mesh(a, b, m):
         raise MeshError("need a < b")
     if m < 2:
         raise MeshError("need at least 2 cells")
-    # the sigma edge lengths square the width, so it must not overflow
+    # later steps square widths (sigma edge lengths, height and oracle bounds)
     if not math.isfinite((b - a) * (b - a)):
         raise MeshError(f"interval width b - a = {b - a:.6g} overflows when squared")
     if m + 1 > MAX_VERTICES:
