@@ -66,7 +66,9 @@ class _Context:
             t = fverts[:, 1] - fverts[:, 0]
             that = t / np.linalg.norm(t, axis=1, keepdims=True)
             c2 = metric.conformal(fflat).reshape(nb, nqf) ** 2
-            stretch = np.sqrt(np.einsum("fi,fq,fi->fq", that, c2, that))
+            # a sum from 0.0 in np.einsum's order: its bits, signed zeros included
+            stretch = np.sqrt(sum(((that[:, i, None] * c2) * that[:, i, None]
+                                   for i in range(that.shape[1])), 0.0))
             wf = fw[None, :] * mesh.facet_measure[:, None] * stretch
         self.fcw = wf / np.sqrt(metric.gamma(fflat).reshape(nb, nqf))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import coo_matrix, diags
 
-from .expressions import EvaluationError, parse_expression
+from .expressions import EvaluationError, _Tape, parse_expression
 
 __all__ = [
     "MetricField",
@@ -42,7 +42,10 @@ class MetricField:
     and `grad_conformal` and `grad_gamma` (m, dim).  `conformal` and `gamma`
     check once that their values are finite and positive (c > 0 is sigma
     SPD).  Callers use the scalars c^2 (sigma), 1/c^2 (sigma^{-1}) and c^dim
-    (sqrt(det sigma)).
+    (sqrt(det sigma)).  The curvature operator takes all four from one run
+    of a tape over [c, gamma, grad gamma, grad c] (`_jet`), built from these
+    expressions on first use; its values are bit for bit those of the four
+    evaluators.
     `euclidean` (gamma = 1, c = 1) and `radial_warp` are `from_expressions`
     with fixed or named data.
     """
@@ -53,6 +56,7 @@ class MetricField:
         self.conformal_expr = conformal
         self.grad_gamma_exprs = gamma.gradient(dim)
         self.grad_conformal_exprs = conformal.gradient(dim)
+        self._jet_tape = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -90,6 +94,26 @@ class MetricField:
 
     def grad_gamma(self, x):
         return _gradient(self.grad_gamma_exprs, x, self.dim, "gamma")
+
+    def _jet(self, pts):
+        """(c, gamma, grad gamma, grad c) at the rows of ``pts`` (m, dim), from
+        one tape run.  Where that run fails or c or gamma is not finite and
+        positive, the four evaluators run in this order instead, so a failure
+        raises exactly their error."""
+        tape = self._jet_tape
+        if tape is None:
+            exprs = [self.conformal_expr, self.gamma_expr,
+                     *self.grad_gamma_exprs, *self.grad_conformal_exprs]
+            tape = self._jet_tape = _Tape([e._root for e in exprs])
+        try:
+            rows = tape.at_points(pts)
+        except EvaluationError:
+            rows = None
+        if rows is None or not _all_finite_positive(rows[:2]):
+            return (self.conformal(pts), self.gamma(pts),
+                    self.grad_gamma(pts), self.grad_conformal(pts))
+        d = self.dim
+        return rows[0], rows[1], rows[2:2 + d].T, rows[2 + d:].T
 
     # -- validation -----------------------------------------------------------
 
@@ -136,9 +160,13 @@ def _finite_positive(expr, x, dim, name):
     and positive."""
     pts, _ = _as_points(x, dim)
     values = expr.at_points(pts)
-    if not np.all((values > 0) & (values < np.inf)):
+    if not _all_finite_positive(values):
         raise ValueError(f"{name} must be finite and positive")
     return values
+
+
+def _all_finite_positive(values):
+    return np.all((values > 0) & (values < np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +184,10 @@ def slope_factor(metric, x, grad_u):
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(du))):
         raise ValueError("non-finite input")
     inv_c2 = 1.0 / metric.conformal(pts) ** 2
-    w = np.sqrt(metric.gamma(pts) + np.einsum("ki,k,ki->k", du, inv_c2, du))
+    # a sum from 0.0 over the components in order, as np.einsum runs it, so
+    # it gives its bits, signed zeros included
+    w = np.sqrt(metric.gamma(pts)
+                + sum(((du[:, i] * inv_c2) * du[:, i] for i in range(metric.dim)), 0.0))
     return float(w[0]) if squeeze else w
 
 
@@ -297,26 +328,33 @@ def mean_curvature_from_derivatives(metric, x, grad, hess):
     second derivative estimate of u; the divergence is the sigma-divergence.
     With sigma = c^2 I it takes its metric terms from the symbolic grad c:
     d_i(1/c^2) = -2 d_i c / c^3 and d_i log sqrt(det sigma) = d d_i c / c.
+    c, gamma and their gradients come from one run of the metric's jet tape
+    (built on first use), bit for bit the values of its four evaluators,
+    which still raise every metric error, in their order.  The contractions
+    are sums over the d components that start from 0.0, in np.einsum's
+    order, so they give its bits, signed zeros included.
     """
-    pts, squeeze = _as_points(x, metric.dim)
-    du = np.asarray(grad, dtype=float).reshape(len(pts), metric.dim)
-    hess = np.asarray(hess, dtype=float).reshape(len(pts), metric.dim, metric.dim)
-    c = metric.conformal(pts)
+    d = metric.dim
+    pts, squeeze = _as_points(x, d)
+    du = np.asarray(grad, dtype=float).reshape(len(pts), d)
+    hess = np.asarray(hess, dtype=float).reshape(len(pts), d, d)
+    c, gamma, ggam, grad_c = metric._jet(pts)
     inv_c2 = 1.0 / c ** 2
-    gamma = metric.gamma(pts)
-    ggam = metric.grad_gamma(pts)
-    gc3 = metric.grad_conformal(pts) / (c ** 3)[:, None]
+    gc3 = grad_c / (c ** 3)[:, None]
+
+    def dot(p, q):
+        return sum((p[:, i] * q[:, i] for i in range(d)), 0.0)
 
     g = inv_c2[:, None] * du
-    w = np.sqrt(gamma + np.einsum("mk,mk->m", du, g))
+    w = np.sqrt(gamma + dot(du, g))
     # dW_i = (d_i gamma - 2 |du|^2 d_i c / c^3 + 2 (hess g)_i) / 2W
-    dw = (ggam - 2.0 * np.einsum("mi,mk,mk->mi", gc3, du, du)
-          + 2.0 * np.einsum("mik,mk->mi", hess, g)) / (2.0 * w[:, None])
+    grad_c_du2 = sum(((gc3 * du[:, k, None]) * du[:, k, None] for k in range(d)), 0.0)
+    hess_g = sum((hess[:, :, k] * g[:, k, None] for k in range(d)), 0.0)
+    dw = (ggam - 2.0 * grad_c_du2 + 2.0 * hess_g) / (2.0 * w[:, None])
+    trace = sum((inv_c2 * hess[:, i, i] for i in range(d)), 0.0)
     # d_i(1/c^2) du_i + (1/c^2) du_i d_i log c^d = (d - 2) <grad c, du> / c^3
-    div_sigma = ((metric.dim - 2) * np.einsum("mi,mi->m", gc3, du) / w
-                 + np.einsum("m,mii->m", inv_c2, hess) / w
-                 - np.einsum("mi,mi->m", g, dw) / w**2)
-    out = div_sigma - np.einsum("mi,mi->m", ggam, g) / (2.0 * gamma * w)
+    div_sigma = ((d - 2) * dot(gc3, du) / w + trace / w - dot(g, dw) / w**2)
+    out = div_sigma - dot(ggam, g) / (2.0 * gamma * w)
     return float(out[0]) if squeeze else out
 
 

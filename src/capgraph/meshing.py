@@ -253,7 +253,8 @@ class Mesh:
         """
         c2 = metric.conformal(self.facet_midpoints()) ** 2   # sigma = c^2 I
         v = (1.0 / c2)[:, None] * self.inward_normals     # sigma^{-1} n, n a covector
-        norm = np.sqrt(np.einsum("ki,k,ki->k", v, c2, v))
+        # a sum from 0.0 in np.einsum's order: its bits, signed zeros included
+        norm = np.sqrt(sum(((v[:, i] * c2) * v[:, i] for i in range(v.shape[1])), 0.0))
         return v / norm[:, None]
 
     def facet_midpoints(self):
@@ -286,7 +287,9 @@ def _sigma_edge_graph(mesh, metric):
     p, q = mesh.edges[:, 0], mesh.edges[:, 1]
     t = mesh.vertices[q] - mesh.vertices[p]
     c2 = metric.conformal(0.5 * (mesh.vertices[p] + mesh.vertices[q])) ** 2
-    return mesh.edge_graph(np.sqrt(np.einsum("ki,k,ki->k", t, c2, t)))
+    # a sum from 0.0 in np.einsum's order: its bits, signed zeros included
+    return mesh.edge_graph(np.sqrt(sum(((t[:, i] * c2) * t[:, i]
+                                        for i in range(t.shape[1])), 0.0)))
 
 
 @dataclass

@@ -217,13 +217,16 @@ class _LinearSolver:
         iterations = 0
         while True:
             if self._lu is None:
-                # the Jacobian is symmetric, so the columns follow a
-                # minimum-degree ordering of A^T + A and symmetric mode
-                # applies it to the rows too; pivoting keeps the default
-                # threshold, so a diagonal pivot is taken only when it is
-                # the largest in its column
+                # the Jacobian is symmetric, and positive definite on
+                # admissible data, so the columns follow a minimum-degree
+                # ordering of A^T + A and symmetric mode applies it to the
+                # rows too; a diagonal pivot is kept unless it is below a
+                # tenth of its column's largest entry, so a rough iterate,
+                # whose diagonal is not always the largest, keeps the
+                # ordering and its fill
                 try:
                     self._lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                    diag_pivot_thresh=0.1,
                                     options={"SymmetricMode": True})
                 except RuntimeError as exc:
                     raise SingularJacobian(f"linear solve broke down: {exc}",

@@ -1,3 +1,4 @@
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import capgraph as cg
 from capgraph.config import load_config
+from capgraph.expressions import EvaluationError
 from capgraph.geometry import (
     _difference_points,
     _least_squares,
@@ -294,3 +296,98 @@ def test_conformal_derivatives_match_central_differences(path):
                    (d * grad_c / c[:, None], lambda x: np.log(metric.conformal(x) ** d))):
         want = np.stack([(f(xp) - f(xm)) / two_step for xp, xm, two_step in shifted], axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))
+
+
+def _einsum_mean_curvature(metric, pts, du, hess):
+    # the operator as it was written, kept as the reference: the metric's
+    # four evaluators and np.einsum contractions
+    c = metric.conformal(pts)
+    inv_c2 = 1.0 / c ** 2
+    gamma = metric.gamma(pts)
+    ggam = metric.grad_gamma(pts)
+    gc3 = metric.grad_conformal(pts) / (c ** 3)[:, None]
+    g = inv_c2[:, None] * du
+    w = np.sqrt(gamma + np.einsum("mk,mk->m", du, g))
+    dw = (ggam - 2.0 * np.einsum("mi,mk,mk->mi", gc3, du, du)
+          + 2.0 * np.einsum("mik,mk->mi", hess, g)) / (2.0 * w[:, None])
+    div_sigma = ((metric.dim - 2) * np.einsum("mi,mi->m", gc3, du) / w
+                 + np.einsum("m,mii->m", inv_c2, hess) / w
+                 - np.einsum("mi,mi->m", g, dw) / w**2)
+    return div_sigma - np.einsum("mi,mi->m", ggam, g) / (2.0 * gamma * w)
+
+
+def _einsum_slope_factor(metric, pts, du):
+    inv_c2 = 1.0 / metric.conformal(pts) ** 2
+    return np.sqrt(metric.gamma(pts) + np.einsum("ki,k,ki->k", du, inv_c2, du))
+
+
+_METRICS = {
+    "flat": lambda dim: cg.MetricField.euclidean(dim),
+    "radial-warp": lambda dim: cg.MetricField.radial_warp(dim, gamma="1 + 20*r^2"),
+    "conformal": lambda dim: cg.MetricField.from_expressions(
+        dim, gamma="1 + x1^2", sigma_conformal="2/(1 + 0.2*r^2)"),
+}
+
+
+def _signed_zeros(rng, a):
+    # about 30% of the entries become zeros, half of them -0.0
+    a = a.copy()
+    a[rng.random(a.shape) < 0.3] = 0.0
+    a[(a == 0.0) & (rng.random(a.shape) < 0.5)] = -0.0
+    return a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.sampled_from([1, 2]), kind=st.sampled_from(sorted(_METRICS)),
+       seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40))
+def test_operator_and_slope_factor_match_their_einsum_forms_bit_for_bit(dim, kind, seed, m):
+    metric = _METRICS[kind](dim)
+    rng = np.random.default_rng(seed)
+    pts = _signed_zeros(rng, rng.uniform(-0.9, 0.9, size=(m, dim)))
+    du = _signed_zeros(rng, rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-3, 3, (m, dim)))
+    hess = rng.standard_normal((m, dim, dim))
+    hess = _signed_zeros(rng, hess + hess.transpose(0, 2, 1))
+    # rows with zero derivatives, to reach signed zeros in the output
+    flat = rng.random(m) < 0.3
+    du[flat], hess[flat] = -0.0, 0.0
+    for new, old in ((mean_curvature_from_derivatives(metric, pts, du, hess),
+                      _einsum_mean_curvature(metric, pts, du, hess)),
+                     (cg.slope_factor(metric, pts, du), _einsum_slope_factor(metric, pts, du))):
+        np.testing.assert_array_equal(np.signbit(new), np.signbit(old))
+        assert new.tobytes() == old.tobytes()
+
+
+def test_operator_names_a_failing_conformal_gradient_and_its_point():
+    metric = cg.MetricField.from_expressions(2, sigma_conformal="1 + 0.2*r")
+    pts = np.array([[0.5, 0.1], [0.0, 0.0]])
+    with pytest.raises(EvaluationError) as err:
+        mean_curvature_from_derivatives(metric, pts, np.ones((2, 2)), np.zeros((2, 2, 2)))
+    assert str(err.value) == ("sigma_conformal: d/dx1 = 0.2*x1/r: division by zero "
+                              "at x = (0.0, 0.0)")
+
+
+def test_operator_checks_gamma_before_the_conformal_gradient():
+    # gamma < 0 at the second point and grad c fails at the first: the
+    # operator raises gamma's error, as the evaluators run in that order
+    metric = cg.MetricField.from_expressions(2, gamma="1 - 2*r^2", sigma_conformal="1 + 0.2*r")
+    pts = np.array([[0.0, 0.0], [0.9, 0.0]])
+    with pytest.raises(ValueError, match="^gamma must be finite and positive$"):
+        mean_curvature_from_derivatives(metric, pts, np.ones((2, 2)), np.zeros((2, 2, 2)))
+
+
+def _einsum_calls(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "einsum"):
+            yield node
+
+
+def test_package_has_no_einsum_of_three_operands():
+    # numpy runs a three-operand einsum on its slow generic loop; the package
+    # writes such contractions as sums over the components instead
+    src = Path(cg.__file__).parent
+    found = [f"{path.name}:{call.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for call in _einsum_calls(ast.parse(path.read_text()))
+             if len(call.args) - 1 >= 3]
+    assert found == []

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capgraph as cg
+from capgraph.assembly import jacobian, residual
 from capgraph.problem import random_positive_gravity_problem
 from capgraph.solver import (
     ContinuationConfig,
     SingularJacobian,
     SolverError,
+    _LinearSolver,
     continuation_solve,
     default_s_range,
     newton_solve,
@@ -40,6 +42,21 @@ def test_newton_recovers_trivial_solution(euclid1, interval_64):
     # accepted residual norms decrease monotonically
     hist = rep.residual_history
     assert all(b < a for a, b in zip(hist, hist[1:]))
+
+
+def test_rough_iterate_factor_keeps_its_pivots_on_the_diagonal(disk_01, euclid2):
+    # at a 0.3-amplitude noise iterate the diagonal is not always the largest
+    # entry of its column; the symmetric factor still pivots on it, so the
+    # row permutation is the column ordering
+    u = cg.ScalarField(disk_01, 0.3 * np.random.default_rng(0).standard_normal(
+        disk_01.num_vertices))
+    problem = make(2, "s")
+    j = jacobian(u, 1.0, problem, euclid2, disk_01)
+    r = residual(u, 1.0, problem, euclid2, disk_01)
+    linear = _LinearSolver()
+    _, backward, how, _ = linear.solve(j, -r, u)
+    assert how == "factor" and backward <= 1e-12
+    np.testing.assert_array_equal(linear._lu.perm_r, linear._lu.perm_c)
 
 
 def test_newton_input_validation(disk_01, euclid2):
