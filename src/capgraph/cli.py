@@ -182,9 +182,7 @@ def _cmd_verify(args, cfg):
                                  s_range=default_s_range(problem, metric, mesh))
     print(report.summary())
     certs = _solution_certificates(u, problem, metric, mesh, 1.0)
-    outdir = cfg.output_dir
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_report(outdir / "report.jsonl", certs)
+    _write_outputs(cfg, mesh, metric, u, certs, ["report"])
     _print_certificates(certs)
     return 0
 

@@ -30,7 +30,7 @@ from .expressions import ExpressionError, _tokenize, parse_expression
 from .geometry import MetricField
 from .meshing import MAX_VERTICES, DomainSpec
 from .problem import CapillaryProblem
-from .solver import _DTAU_MIN, ContinuationConfig
+from .solver import ContinuationConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -140,10 +140,6 @@ _SCHEMA = {
     },
     "solver": {
         "tol": _number(lo=1e-16, hi=1.0),
-        "max_newton": _number(lo=1, integer=True),
-        "dtau": _number(lo=1e-6, hi=1.0),
-        "dtau_min": _number(lo=_DTAU_MIN, hi=1.0),
-        "dtau_max": _number(lo=1e-6, hi=1.0),
         "unsafe": _boolean,
     },
     "output": {"dir": _text, "formats": _formats},
@@ -260,9 +256,4 @@ def load_config(path):
         raise ConfigError("[domain] requires a < b")
     if shape == "interval":
         _reject_x2(cfg, _SCHEMA, "an interval domain")
-
-    try:
-        cfg.build_solver_cfg()
-    except ValueError as exc:
-        raise ConfigError(f"[solver] {exc}") from exc
     return cfg

@@ -324,7 +324,7 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class _Tape:
-    """The nodes of one or more expression trees as a flat list of
+    """The trees of one or more `Expression` objects as one flat list of
     instructions in post-order.
 
     Structurally equal subtrees share one slot (value numbering), so each
@@ -337,7 +337,7 @@ class _Tape:
 
     __slots__ = ("consts", "code", "outputs", "uses_r")
 
-    def __init__(self, roots):
+    def __init__(self, exprs):
         consts = [None]      # slot -> number; None: computed (slot 0 too)
         code = []            # [fn, out, a, b]
         slots = {}           # structural key -> slot
@@ -390,7 +390,7 @@ class _Tape:
             seen[id(node)] = out
             return out
 
-        self.outputs = tuple(visit(root) for root in roots)
+        self.outputs = tuple(visit(e._root) for e in exprs)
         # each computed slot is dropped after the instruction that reads it
         # last; the variables (slot 0) and the outputs are kept
         last = {}
@@ -407,8 +407,8 @@ class _Tape:
         self.uses_r = "r" in slots
 
     def run(self, env):
-        """The trees' values for the variables in ``env``, one per tree, by
-        the rules of `Expression.evaluate`."""
+        """The expressions' values for the variables in ``env``, one per
+        expression, by the rules of `Expression.evaluate`."""
         if "r" not in env and self.uses_r and "x1" in env:
             x1 = np.asarray(env["x1"], dtype=float)
             if "x2" in env and env["x2"] is not None:
@@ -426,8 +426,9 @@ class _Tape:
         return [vals[i] for i in self.outputs]
 
     def at_points(self, pts, s=None):
-        """The trees' values at the rows of an (n, dim) chart-point array, as
-        a new (k, n) float array for k trees; ``s`` binds the height."""
+        """The expressions' values at the rows of an (n, dim) chart-point
+        array, as a new (k, n) float array for k expressions; ``s`` binds the
+        height."""
         values = self.run(_point_env(pts, s))
         out = np.empty((len(values), len(pts)))
         for row, value in zip(out, values):
@@ -675,7 +676,7 @@ class Expression:
         """
         tape = self._tape
         if tape is None:     # built on first use (threads racing build equal tapes)
-            tape = self._tape = _Tape([self._root])
+            tape = self._tape = _Tape([self])
         return tape.run(env)[0]
 
     def at_points(self, pts, s=None):

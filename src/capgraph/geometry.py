@@ -104,7 +104,7 @@ class MetricField:
         if tape is None:
             exprs = [self.conformal_expr, self.gamma_expr,
                      *self.grad_gamma_exprs, *self.grad_conformal_exprs]
-            tape = self._jet_tape = _Tape([e._root for e in exprs])
+            tape = self._jet_tape = _Tape(exprs)
         try:
             rows = tape.at_points(pts)
         except EvaluationError:

@@ -5,10 +5,10 @@ tau = 0 problem.  Positive gravity (dpsi/ds >= beta > 0) and monotone angle
 data (dphi/ds <= 0) make the discrete energy strictly convex, so damped
 Newton with residual-norm backtracking converges from any start, and the
 continuation first tries the full step to tau = 1.  The homotopy is
-the fallback: a rejected step is halved, and after three consecutive easy
-steps below ``dtau_max`` the step doubles again (up to ``dtau_max``).  Every
-attempt, accepted or rejected, is recorded with its Newton figures and, when
-rejected, its cause.
+the fallback: a rejected step is halved (below ``_STALL_DTAU`` the
+continuation stalls), and after three consecutive easy steps the step
+doubles again, up to 1.  Every attempt, accepted or rejected, is recorded
+with its Newton figures and, when rejected, its cause.
 
 The same convexity makes each Jacobian symmetric positive definite, and the
 Jacobians of one Newton solve differ only through the slope factor W, so one
@@ -57,7 +57,8 @@ _MAX_HALVINGS = 30
 _LINEAR_RTOL = 1e-12
 _PCG_MAX_ITER = 30
 _EASY_STREAK = 3          # consecutive accepted steps before dtau doubles
-_DTAU_MIN = 1e-12         # least dtau_min: every step tried then advances tau
+_STALL_DTAU = 1e-4        # a step halved below this stalls the continuation
+_MAX_NEWTON = 50          # Newton iterations per solve
 
 
 class SolverError(RuntimeError):
@@ -101,28 +102,9 @@ class NewtonReport:
 
 @dataclass
 class ContinuationConfig:
-    """Newton tolerance and the tau-step schedule.
-
-    The first step is ``dtau``; left unset, it is ``dtau_max``, so the
-    default is the full step to tau = 1.  Construction raises `ValueError`
-    unless 0 < dtau <= dtau_max <= 1 and dtau_min >= 1e-12.
-    """
+    """The Newton tolerance of every solve of a continuation."""
 
     tol: float = 1e-10
-    max_newton: int = 50
-    dtau: float | None = None
-    dtau_min: float = 1e-4
-    dtau_max: float = 1.0
-
-    def __post_init__(self):
-        if self.dtau is None:
-            self.dtau = self.dtau_max
-        if self.dtau > self.dtau_max:
-            raise ValueError("dtau must not exceed dtau_max")
-        if not (0 < self.dtau and self.dtau_max <= 1.0):
-            raise ValueError("need 0 < dtau <= dtau_max <= 1")
-        if not self.dtau_min >= _DTAU_MIN:
-            raise ValueError(f"dtau_min must be at least {_DTAU_MIN:g}")
 
 
 @dataclass
@@ -271,17 +253,22 @@ def _pcg(mat, rhs, lu, gate):
     return x, _PCG_MAX_ITER
 
 
-def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
+def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10):
     """Damped Newton on the weak residual; returns (solution, NewtonReport).
 
-    Accepted steps strictly decrease the residual max-norm (Armijo with halving,
-    at most 30 halvings per step).  Failures raise `SingularJacobian`,
+    Stops once the residual max-norm is at most tol * min(1, |Omega|), with
+    |Omega| the chart measure of the mesh: each entry integrates over the
+    cells at its vertex, so on a small domain an unscaled tol would accept
+    the start iterate whatever the data.  Accepted steps strictly decrease
+    the residual max-norm (Armijo with halving, at most 30 halvings per
+    step, at most ``_MAX_NEWTON`` steps).  Failures raise `SingularJacobian`,
     `LineSearchFailed`, `MaxIterationsExceeded` or, for a start iterate whose
     residual is not finite, `SolverError`; each carries the iterate and the
     report of the iterations made.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    tol = tol * min(1.0, float(mesh.cell_measure.sum()))
     u = _as_field(u0, mesh).values.copy()
     if not np.all(np.isfinite(u)):
         raise ValueError("initial iterate must be finite")
@@ -296,9 +283,9 @@ def newton_solve(u0, tau, problem, metric, mesh, tol=1e-10, max_iter=50):
             raise SolverError(f"residual is not finite at the start iterate (tau={tau:g})",
                               iterate=ScalarField(mesh, u))
         while rnorm > tol:
-            if rep.iterations == max_iter:
+            if rep.iterations == _MAX_NEWTON:
                 raise MaxIterationsExceeded(
-                    f"residual {rnorm:.3e} > tol {tol:g} after {max_iter} iterations",
+                    f"residual {rnorm:.3e} > tol {tol:g} after {_MAX_NEWTON} iterations",
                     iterate=ScalarField(mesh, u))
             j = jacobian(u, tau, problem, metric, mesh)
             delta, backward, how, pcg_iterations = linear.solve(j, -r, ScalarField(mesh, u))
@@ -351,12 +338,12 @@ def default_s_range(problem, metric, mesh):
 def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
     """Advance tau from 0 to 1 starting at the trivial solution.
 
-    The first attempt is ``cfg.dtau``: by default the full step to tau = 1,
-    which converges on data meeting the structural conditions.  A rejected
-    attempt halves dtau (below dtau_min the status is "stalled"; see
+    The first attempt is the full step to tau = 1, which converges on data
+    meeting the structural conditions.  A rejected attempt halves dtau
+    (below ``_STALL_DTAU`` the status is "stalled"; see
     `ContinuationState.stall_reason`); after three consecutive accepted
-    steps dtau doubles, up to dtau_max.  Predictor: the previous
-    solution, or secant extrapolation once two accepted points exist.
+    steps dtau doubles, up to 1.  Predictor: the previous solution, or
+    secant extrapolation once two accepted points exist.
     Validation of the structural conditions runs first unless ``unsafe``.
     """
     cfg = cfg or ContinuationConfig()
@@ -368,9 +355,8 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
                 "structural conditions fail (pass unsafe=True to proceed):\n"
                 + report.summary())
 
-    u, rep = newton_solve(ScalarField.zeros(mesh), 0.0, problem, metric, mesh,
-                          tol=cfg.tol, max_iter=cfg.max_newton)
-    state = ContinuationState(tau=0.0, u=u, dtau=cfg.dtau)
+    u, rep = newton_solve(ScalarField.zeros(mesh), 0.0, problem, metric, mesh, cfg.tol)
+    state = ContinuationState(tau=0.0, u=u, dtau=1.0)
     state.attempts.append(ContinuationStep(0.0, 0.0, rep))
     log.info("continuation tau=%.6f dtau=%.4g newton_iters=%d residual=%.3e",
              0.0, 0.0, rep.iterations, rep.residual_norm)
@@ -386,8 +372,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
             guess = state.u.values
         try:
             u_next, rep = newton_solve(ScalarField(mesh, guess), tau_next, problem,
-                                       metric, mesh, tol=cfg.tol,
-                                       max_iter=cfg.max_newton)
+                                       metric, mesh, cfg.tol)
         except SolverError as exc:
             cause = f"{type(exc).__name__}: {exc}"
             state.attempts.append(ContinuationStep(
@@ -396,7 +381,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
                      tau_next, cause, state.dtau / 2)
             state.dtau *= 0.5
             streak = 0
-            if state.dtau < cfg.dtau_min:
+            if state.dtau < _STALL_DTAU:
                 state.status = "stalled"
                 return state
             continue
@@ -407,7 +392,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
                  tau_next, state.dtau, rep.iterations, rep.residual_norm)
         streak += 1
         if streak >= _EASY_STREAK:
-            state.dtau = min(2.0 * state.dtau, cfg.dtau_max)
+            state.dtau = min(2.0 * state.dtau, 1.0)
     state.status = "converged"
     return state
 
@@ -420,9 +405,8 @@ def uniqueness_probe(problem, metric, mesh, trials=5, state=None, seed=0):
     positive gravity fails.  Trials that fail to converge are logged, not
     fatal.  `trials=1` returns 0 by definition.  Solves use the defaults.
     """
-    cfg = ContinuationConfig()
     if state is None:
-        state = continuation_solve(problem, metric, mesh, cfg)
+        state = continuation_solve(problem, metric, mesh)
     if state.status != "converged":
         raise ValueError("uniqueness probe requires a converged continuation")
     base = state.u.values
@@ -437,8 +421,7 @@ def uniqueness_probe(problem, metric, mesh, trials=5, state=None, seed=0):
     for t in range(trials):
         start = base + rng.uniform(-amp, amp, size=len(base))
         try:
-            u, _ = newton_solve(ScalarField(mesh, start), 1.0, problem, metric, mesh,
-                                tol=cfg.tol, max_iter=cfg.max_newton)
+            u, _ = newton_solve(ScalarField(mesh, start), 1.0, problem, metric, mesh)
         except SolverError as exc:
             log.warning("uniqueness trial %d failed: %s", t, exc)
             continue

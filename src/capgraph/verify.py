@@ -447,8 +447,7 @@ def _manufactured_jet(u_exact, dim):
     dus = expr.gradient(dim)
     d2us = [d for du in dus for d in du.gradient(dim)]
     return _Jet(dim, expr, expr.source or str(expr),
-                _Tape([e._root for e in (*dus, *d2us, expr)]),
-                _Tape([du._root for du in dus]))
+                _Tape([*dus, *d2us, expr]), _Tape(dus))
 
 
 def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):

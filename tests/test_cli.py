@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from capgraph import cli
+from capgraph import cli, solver
 from capgraph.cli import read_report, read_solution_csv, run_command
 from capgraph.config import load_config
 from capgraph.meshing import (DomainSpec, generate_disk_mesh, generate_interval_mesh,
@@ -118,7 +118,6 @@ def test_verify_runs_on_stored_solution(tmp_path, capsys):
 
 @pytest.mark.parametrize("mutation,message", [
     ("dtau = 2", "dtau"),
-    ("dtau = 0.5\ndtau_max = 0.25", "dtau must not exceed dtau_max"),
     ("granularity = 1", "unknown key"),
     ("formats = csv,xls", "formats"),
     ("[run]\nseed = 3", "unknown section"),
@@ -169,20 +168,6 @@ CONFIG_RULES = [
           "[solver] tol = 0.0 below allowed minimum 1e-16"),
     _rule("solver.tol-max", {"solver": {"tol": "2"}},
           "[solver] tol = 2.0 above allowed maximum 1.0"),
-    _rule("solver.max_newton-min", {"solver": {"max_newton": "0"}},
-          "[solver] max_newton = 0 below allowed minimum 1"),
-    _rule("solver.dtau-min", {"solver": {"dtau": "0"}},
-          "[solver] dtau = 0.0 below allowed minimum 1e-06"),
-    _rule("solver.dtau-max", {"solver": {"dtau": "2"}},
-          "[solver] dtau = 2.0 above allowed maximum 1.0"),
-    _rule("solver.dtau_min-min", {"solver": {"dtau_min": "0"}},
-          "[solver] dtau_min = 0.0 below allowed minimum 1e-12"),
-    _rule("solver.dtau_min-max", {"solver": {"dtau_min": "2"}},
-          "[solver] dtau_min = 2.0 above allowed maximum 1.0"),
-    _rule("solver.dtau_max-min", {"solver": {"dtau_max": "0"}},
-          "[solver] dtau_max = 0.0 below allowed minimum 1e-06"),
-    _rule("solver.dtau_max-max", {"solver": {"dtau_max": "2"}},
-          "[solver] dtau_max = 2.0 above allowed maximum 1.0"),
     _rule("domain.radius-min", {"domain": {**RULE_BASE["domain"], "radius": "0"}},
           "[domain] radius = 0.0 below allowed minimum 1e-12"),
     _rule("domain.h-min", {"domain": {**RULE_BASE["domain"], "h": "0"}},
@@ -216,8 +201,6 @@ CONFIG_RULES = [
       for key in ("beta", "mu", "beta_prime", "c_psi", "c_phi")],
     _rule("domain.a-number", {"domain": {**INTERVAL, "a": "left"}},
           "[domain] a = 'left' is not a number"),
-    _rule("solver.max_newton-integer", {"solver": {"max_newton": "2.5"}},
-          "[solver] max_newton = '2.5' is not a number"),
     _rule("domain.m-integer", {"domain": {**INTERVAL, "m": "eight"}},
           "[domain] m = 'eight' is not a number"),
     _rule("oracle.m_dense-integer", {"oracle": {"m_dense": "1e3"}},
@@ -302,12 +285,13 @@ CONFIG_RULES = [
             command=command)
       for command, w in (("solve", "1e300"), ("oracle1d", "1e300"),
                          ("convergence", "1e300"), ("solve", "1e200"))],
-    # [solver] step schedule
-    _rule("solver.dtau-dtau_max", {"solver": {"dtau": "0.5", "dtau_max": "0.25"}},
-          "[solver] dtau must not exceed dtau_max"),
     # unknown names and unreadable files
     _rule("unknown-key", {"solver": {"granularity": "1"}},
           "unknown key 'granularity' in section [solver]"),
+    # the continuation's schedule and Newton budget are not settings
+    *[_rule(f"unknown-key-solver.{key}", {"solver": {key: "1"}},
+            f"unknown key '{key}' in section [solver]")
+      for key in ("dtau", "dtau_min", "dtau_max", "max_newton")],
     _rule("unknown-section", {"run": {"seed": "3"}}, "unknown section [run]"),
     # what a command needs from the config
     _rule("command.psi", {"problem": None}, "[problem] psi is required for this command"),
@@ -714,14 +698,6 @@ def test_continuation_file_records_each_attempt(tmp_path):
     assert full["residual_history"][-1] == full["residual_norm"] <= 1e-10
 
 
-def test_dtau_max_alone_sets_the_step(tmp_path, capsys):
-    text = DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out").replace(
-        "tol = 1e-10", "tol = 1e-10\ndtau_max = 0.25")
-    assert run_command(["solve", "--config", write_cfg(tmp_path, "run.cfg", text)]) == 0
-    assert [a["tau"] for a in _attempts(tmp_path / "out")] == [0.0, 0.25, 0.5, 0.75, 1.0]
-    assert "steps=5 " in capsys.readouterr().out
-
-
 def test_solve_stall_names_its_cause(tmp_path, capsys):
     text = DISK_CFG.format(psi="1", phi="0", out=tmp_path / "out").replace(
         "tol = 1e-10", "tol = 1e-10\nunsafe = true")
@@ -770,10 +746,11 @@ def test_non_finite_metric_names_its_cause(tmp_path, capsys, command, key, name)
         f"error: {name} must be finite and positive"]
 
 
-def test_mms_stall_names_its_cause(tmp_path, capsys):
+def test_mms_stall_names_its_cause(tmp_path, capsys, monkeypatch):
     # one Newton iteration never meets a tolerance of 1e-16
+    monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
     text = DISK_CFG.format(psi="s", phi="0", out=tmp_path / "out").replace(
-        "tol = 1e-10", "tol = 1e-16\nmax_newton = 1") + (
+        "tol = 1e-10", "tol = 1e-16") + (
         "\n[mms]\nu_exact = sqrt(4 - r^2)\nlevels = 0,1\n")
     assert run_command(["mms", "--config", write_cfg(tmp_path, "run.cfg", text)]) == 1
     err = capsys.readouterr().err

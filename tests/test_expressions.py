@@ -294,7 +294,7 @@ def test_tape_matches_the_tree_walk(text, names, values, vector):
         _assert_same(got, want)
     # one tape of all the trees: each tree's value, or the first tree's error
     try:
-        together = ex._Tape([e._root for e in exprs]).run(env)
+        together = ex._Tape(exprs).run(env)
     except ExpressionError as exc:
         first = next(w for w in wanted if isinstance(w, ExpressionError))
         _assert_same(exc, first)
@@ -306,14 +306,13 @@ def test_tape_matches_the_tree_walk(text, names, values, vector):
 def test_tape_shares_subtrees_and_runs_operations_on_constants():
     # 2^0.5 is an instruction, the repeated sqrt(1 + x1^2) is one slot, and
     # 1/0 raises when the tape runs, with its offset
-    tape = ex._Tape([parse_expression("sqrt(1 + x1^2)*2^0.5 + sqrt(1 + x1^2)")._root])
+    tape = ex._Tape([parse_expression("sqrt(1 + x1^2)*2^0.5 + sqrt(1 + x1^2)")])
     assert len(tape.code) == 7        # load, ^, +, sqrt, ^, *, +
     with pytest.raises(EvaluationError, match=r"division by zero \(at offset 8\)"):
         parse_expression("x1 + 2*1/0").evaluate(x1=1.0)
     # a slot is dropped after its last use, and an output is kept: x1 (slot
     # 1) goes after the product, exp(x1) (slot 2) is the second output
-    tape = ex._Tape([parse_expression("exp(x1)*x1")._root,
-                     parse_expression("exp(x1)")._root])
+    tape = ex._Tape([parse_expression("exp(x1)*x1"), parse_expression("exp(x1)")])
     assert [np.ndim(v) for v in tape.run({"x1": np.ones(3)})] == [1, 1]
     assert [free for *_, free in tape.code] == [(), (), (1,)]
     assert tape.at_points(np.ones((3, 1))).shape == (2, 3)

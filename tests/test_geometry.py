@@ -391,3 +391,14 @@ def test_package_has_no_einsum_of_three_operands():
              for call in _einsum_calls(ast.parse(path.read_text()))
              if len(call.args) - 1 >= 3]
     assert found == []
+
+
+def test_only_expressions_reads_an_expression_tree():
+    # the tree format stays inside capgraph.expressions: other modules pass
+    # Expression objects, to a tape among others, and never read ._root
+    src = Path(cg.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py")) if path.name != "expressions.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "_root"]
+    assert found == []
