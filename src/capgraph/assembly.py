@@ -15,6 +15,9 @@ metric at the mesh's quadrature points is kept for the mesh's last metric,
 the Jacobian's CSR pattern and its scatter map once per mesh; each
 call fills the values with one np.bincount, and the residual is scattered
 with one np.bincount too, so reductions are deterministic for a fixed mesh.
+The Jacobian walks the cells in blocks of about `meshing._BLOCK` quadrature
+points, each block writing its local entries into one array, so that its
+temporaries stay in cache; the entries do not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .meshing import ScalarField
+from .meshing import _BLOCK, ScalarField, _walk_blocks
 
 __all__ = ["residual", "jacobian", "energy"]
 
@@ -119,13 +122,13 @@ def _check_tau(tau):
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
 
 
-def _cell_state(ctx, vals):
+def _cell_state(ctx, vals, cells=slice(None)):
     """Per-cell gradient (d, nc) and per-quadrature-point g (d, nq, nc),
-    W (nq, nc) and u (nq, nc)."""
-    vc = vals[ctx.topo.cells]                                   # (d+1, nc)
-    grad = np.einsum("ac,adc->dc", vc, ctx.topo.grads)
-    g = ctx.inv_c2_q * grad[:, None, :]
-    w = np.sqrt(ctx.gamma_q + np.einsum("ic,iqc->qc", grad, g))
+    W (nq, nc) and u (nq, nc) of the cells ``cells`` (a slice, all by default)."""
+    vc = vals[ctx.topo.cells[:, cells]]                         # (d+1, nc)
+    grad = np.einsum("ac,adc->dc", vc, ctx.topo.grads[:, :, cells])
+    g = ctx.inv_c2_q[:, cells] * grad[:, None, :]
+    w = np.sqrt(ctx.gamma_q[:, cells] + np.einsum("ic,iqc->qc", grad, g))
     uq = ctx.cell_bary @ vc
     return grad, g, w, uq
 
@@ -162,27 +165,41 @@ def jacobian(u, tau, problem, metric, mesh):
     _check_tau(tau)
     ctx = _context(mesh, metric)
     vals = _values(u)
-    grad, g, w, uq = _cell_state(ctx, vals)
-    # integral of D = (I / c^2 - g g^T / W^2) / W over each cell
-    cw = ctx.cw / w
-    # 0.0 - x, not -x: a zero off the diagonal keeps the sign the dense form gave it
-    d_bar = 0.0 - np.einsum("iqc,jqc->ijc", cw / w**2 * g, g)
-    diag = np.arange(mesh.dim)
-    d_bar[diag, diag] += np.einsum("qc,qc->c", cw, ctx.inv_c2_q)
-    t = np.einsum("aec,dec->adc", ctx.topo.grads, d_bar)
-    k_grad = np.einsum("adc,bdc->abc", t, ctx.topo.grads)
-    dpsi_q = problem.dpsi_ds(ctx.xq.reshape(-1, mesh.dim), uq.ravel()).reshape(uq.shape)
-    k_mass = ctx.cell_mass @ (tau * ctx.cw * dpsi_q)            # ((d+1)^2, nc)
-    dphi_q = _boundary_values(ctx, vals, problem.dphi_ds)
-    kb = -(tau * ctx.fcw * dphi_q) @ ctx.facet_mass              # (nb, d^2)
-
     topo = ctx.topo
-    data = np.bincount(topo.scatter, np.concatenate(
-        [(k_grad.reshape(k_mass.shape) + k_mass).ravel(), kb.ravel()]),
-        minlength=len(topo.indices))
+    nq, nc = ctx.cw.shape
+    # the local entries, in the scatter map's order, filled in blocks of cells
+    local = np.empty(len(topo.scatter))
+    cell_part = local[:topo.cells.shape[0] ** 2 * nc].reshape(-1, nc)
+
+    def fill(cells):
+        cell_part[:, cells] = _cell_entries(ctx, vals, tau, problem, cells)
+
+    _walk_blocks(nc, max(1, _BLOCK // nq), fill)
+    dphi_q = _boundary_values(ctx, vals, problem.dphi_ds)
+    local[cell_part.size:] = (-(tau * ctx.fcw * dphi_q) @ ctx.facet_mass).ravel()
+    data = np.bincount(topo.scatter, local, minlength=len(topo.indices))
     n = mesh.num_vertices
     # the index arrays are copied: scipy edits them in place (eliminate_zeros)
     return csr_matrix((data, topo.indices.copy(), topo.indptr.copy()), shape=(n, n))
+
+
+def _cell_entries(ctx, vals, tau, problem, cells):
+    """The Jacobian's cell blocks ((d+1)^2, nc) of the cells ``cells``, a slice."""
+    grad, g, w, uq = _cell_state(ctx, vals, cells)
+    cw_q = ctx.cw[:, cells]
+    # integral of D = (I / c^2 - g g^T / W^2) / W over each cell
+    cw = cw_q / w
+    # 0.0 - x, not -x: a zero off the diagonal keeps the sign the dense form gave it
+    d_bar = 0.0 - np.einsum("iqc,jqc->ijc", cw / w**2 * g, g)
+    diag = np.arange(len(grad))
+    d_bar[diag, diag] += np.einsum("qc,qc->c", cw, ctx.inv_c2_q[:, cells])
+    grads = ctx.topo.grads[:, :, cells]
+    t = np.einsum("aec,dec->adc", grads, d_bar)
+    k_grad = np.einsum("adc,bdc->abc", t, grads)
+    xq = ctx.xq[:, cells]
+    dpsi_q = problem.dpsi_ds(xq.reshape(-1, xq.shape[-1]), uq.ravel()).reshape(uq.shape)
+    k_mass = ctx.cell_mass @ (tau * cw_q * dpsi_q)              # ((d+1)^2, nc)
+    return k_grad.reshape(k_mass.shape) + k_mass
 
 
 def _simpson_01(f, tol=1e-10, max_doublings=16):

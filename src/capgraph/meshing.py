@@ -68,6 +68,26 @@ _PT_QP = np.array([[1.0]])
 _PT_QW = np.array([1.0])
 
 
+# Sample points per block of the walks over a mesh's samples (the sampled
+# structural checks, the Jacobian's cells): one block's temporaries stay in
+# cache.  Each walk reduces with min, max or one bincount, so its results do
+# not depend on the blocks.
+_BLOCK = 1 << 14
+
+
+def _walk_blocks(n, size, visit):
+    """``visit`` of each slice of ``size`` consecutive indices of range(n), in
+    order, as a list.  Where one raises `ValueError` (an `EvaluationError`, or
+    a metric that is not finite and positive), the list is
+    ``[visit(slice(None))]`` instead: the whole range as one block, so that
+    the error raised is the one the whole range raises first."""
+    try:
+        return [visit(slice(i, i + size)) for i in range(0, n, size)]
+    except ValueError:
+        pass
+    return [visit(slice(None))]
+
+
 def cell_geometry(vertices, cells):
     """P1 geometry of ``cells`` over ``vertices``: (measure, grads_lambda).
 

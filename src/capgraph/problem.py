@@ -22,6 +22,7 @@ import numpy as np
 
 from .expressions import DerivativeError, parse_expression, symbolic_s_derivative
 from .geometry import MetricField, _difference_points
+from .meshing import _BLOCK, _walk_blocks
 
 __all__ = [
     "CapillaryProblem",
@@ -143,6 +144,23 @@ def _boundary_sample_points(mesh):
                       mesh.vertices[mesh.boundary_vertices]])
 
 
+def _extremes(points, extremes, reduce):
+    """``extremes`` over the blocks of ``points`` (`meshing._walk_blocks`).
+
+    ``extremes(block)`` returns a tuple of scalars, and slot k of the blocks'
+    tuples is combined by ``reduce[k]`` (`np.minimum` or `np.maximum`, which
+    propagate NaN); the result is a tuple of floats.
+    """
+    parts = _walk_blocks(len(points), _BLOCK, lambda block: extremes(points[block]))
+    return tuple(float(r.reduce(col)) for r, col in zip(reduce, zip(*parts)))
+
+
+def _safer(declared, sampled, pick):
+    """``pick`` (`np.minimum` or `np.maximum`) of a declared and a sampled
+    constant, or the sampled one when none is declared; NaN wins."""
+    return sampled if declared is None else float(pick(declared, sampled))
+
+
 def _ambient_gradient_norm(problem, s, dpsi, inv_c2, gamma, shifted):
     """|ambient grad psi| = sqrt(|grad_x psi|^2 / c^2 + gamma (d_s psi)^2).
 
@@ -169,44 +187,55 @@ def validate_conditions(problem, mesh, metric, s_range):
     Heights are sampled at `_NUM_S` points of ``s_range``, or at its two ends
     when ``problem.affine_in_s``: the s-derivatives are then constant in s,
     |psi| + |grad psi| and |phi| convex and 1 - phi^2 concave, so the report
-    is the same.
+    is the same.  The samples are walked in blocks of `_BLOCK` points and
+    reduced by min and max, so the report does not depend on the blocks.
+    A NaN at any sample fails each condition that reads it: the reductions
+    and the declared/sampled reconciliation propagate NaN, and every test
+    is written so that NaN fails it.
     """
     report = ValidationReport(s_range=tuple(map(float, s_range)))
-    xs = _interior_sample_points(mesh)
-    xb = _boundary_sample_points(mesh)
     s_grid = _s_grid(problem, s_range[0], s_range[1], _NUM_S)
 
-    # positive gravity (ii) and magnitude bound (i) over interior x times s
-    dpsi_min, cpsi_max, fd_err = np.inf, 0.0, 0.0
-    inv_c2, gamma = 1.0 / metric.conformal(xs) ** 2, metric.gamma(xs)
-    shifted = _difference_points(xs)
-    for s0 in s_grid:
-        s = np.full(len(xs), s0)
-        dpsi = problem.dpsi_ds(xs, s)
-        dpsi_min = min(dpsi_min, float(np.min(dpsi)))
-        mag = np.abs(problem.psi(xs, s)) + _ambient_gradient_norm(
-            problem, s, dpsi, inv_c2, gamma, shifted)
-        cpsi_max = max(cpsi_max, float(np.max(mag)))
-        ds = 1e-6 * (1.0 + abs(s0))
-        fd = (problem.psi(xs, s + ds) - problem.psi(xs, s - ds)) / (2 * ds)
-        fd_err = max(fd_err, float(np.max(np.abs(fd - dpsi) / (1.0 + np.abs(fd)))))
-    mu_hat = float(np.max(problem.psi(xs, np.zeros(len(xs)))))
+    def interior(x):
+        # positive gravity (ii) and magnitude bound (i) over interior x times s
+        inv_c2, gamma = 1.0 / metric.conformal(x) ** 2, metric.gamma(x)
+        shifted = _difference_points(x)
+        dpsi_min, mag_max, fd_max = [], [], []
+        for s0 in s_grid:
+            s = np.full(len(x), s0)
+            dpsi = problem.dpsi_ds(x, s)
+            dpsi_min.append(np.min(dpsi))
+            mag = np.abs(problem.psi(x, s)) + _ambient_gradient_norm(
+                problem, s, dpsi, inv_c2, gamma, shifted)
+            mag_max.append(np.max(mag))
+            ds = 1e-6 * (1.0 + abs(s0))
+            fd = (problem.psi(x, s + ds) - problem.psi(x, s - ds)) / (2 * ds)
+            fd_max.append(np.max(np.abs(fd - dpsi) / (1.0 + np.abs(fd))))
+        return (np.min(dpsi_min), np.max(mag_max), np.max(fd_max),
+                np.max(problem.psi(x, np.zeros(len(x)))))
 
-    # angle conditions (iii)-(v) over boundary x times s
-    dphi_max, one_minus_sq_min, cphi_max = -np.inf, np.inf, 0.0
-    for s0 in s_grid:
-        s = np.full(len(xb), s0)
-        phi = problem.phi(xb, s)
-        dphi_max = max(dphi_max, float(np.max(problem.dphi_ds(xb, s))))
-        one_minus_sq_min = min(one_minus_sq_min, float(np.min(1.0 - phi**2)))
-        cphi_max = max(cphi_max, float(np.max(np.abs(phi))))
+    def boundary(x):
+        # angle conditions (iii)-(v) over boundary x times s
+        dphi_max, one_minus_sq_min, phi_max = [], [], []
+        for s0 in s_grid:
+            s = np.full(len(x), s0)
+            phi = problem.phi(x, s)
+            dphi_max.append(np.max(problem.dphi_ds(x, s)))
+            one_minus_sq_min.append(np.min(1.0 - phi**2))
+            phi_max.append(np.max(np.abs(phi)))
+        return np.max(dphi_max), np.min(one_minus_sq_min), np.max(phi_max)
 
-    report.beta = dpsi_min if problem.beta is None else min(problem.beta, dpsi_min)
-    report.mu = mu_hat if problem.mu is None else max(problem.mu, mu_hat)
-    report.beta_prime = (one_minus_sq_min if problem.beta_prime is None
-                         else min(problem.beta_prime, one_minus_sq_min))
-    report.c_psi = cpsi_max if problem.c_psi is None else max(problem.c_psi, cpsi_max)
-    report.c_phi = cphi_max if problem.c_phi is None else max(problem.c_phi, cphi_max)
+    dpsi_min, cpsi_max, fd_err, mu_hat = _extremes(
+        _interior_sample_points(mesh), interior,
+        (np.minimum, np.maximum, np.maximum, np.maximum))
+    dphi_max, one_minus_sq_min, cphi_max = _extremes(
+        _boundary_sample_points(mesh), boundary, (np.maximum, np.minimum, np.maximum))
+
+    report.beta = _safer(problem.beta, dpsi_min, np.minimum)
+    report.mu = _safer(problem.mu, mu_hat, np.maximum)
+    report.beta_prime = _safer(problem.beta_prime, one_minus_sq_min, np.minimum)
+    report.c_psi = _safer(problem.c_psi, cpsi_max, np.maximum)
+    report.c_phi = _safer(problem.c_phi, cphi_max, np.maximum)
 
     conds = report.conditions
     conds["magnitude-bound"] = ConditionResult(
@@ -227,7 +256,8 @@ def validate_conditions(problem, mesh, metric, s_range):
         "angle-nondegenerate", one_minus_sq_min > 0.0, margin=one_minus_sq_min,
         worst=one_minus_sq_min, note=f"sampled min 1-phi^2 = {one_minus_sq_min:.4g}")
     conds["angle-bound"] = ConditionResult(
-        "angle-bound", problem.c_phi is None or cphi_max <= problem.c_phi * (1 + 1e-9),
+        "angle-bound", bool(np.isfinite(cphi_max))
+        and (problem.c_phi is None or cphi_max <= problem.c_phi * (1 + 1e-9)),
         margin=(problem.c_phi - cphi_max) if problem.c_phi is not None else np.inf,
         worst=cphi_max, note=f"sampled max |phi| = {cphi_max:.4g}")
     report.passed = all(c.passed for c in conds.values())
@@ -240,23 +270,29 @@ def effective_constants(problem, metric, mesh):
     beta is sampled over a window bootstrapped from the implied bound itself
     (twice, which stabilizes for data whose s-slope is monotone in s).  Each
     window is sampled at 15 heights, or at its two ends for data affine in
-    s, whose s-slope does not depend on s.
+    s, whose s-slope does not depend on s.  The samples are walked in blocks
+    as in `validate_conditions`, and a NaN sample makes beta or mu NaN.
     """
     xs = _interior_sample_points(mesh)
-    gam = metric.gamma(xs)
-    ratio = float(np.sqrt(np.max(gam) / np.min(gam)))  # sup |Y| / inf |Y|
-    mu_hat = float(np.max(problem.psi(xs, np.zeros(len(xs)))))
-    mu = mu_hat if problem.mu is None else max(problem.mu, mu_hat)
 
-    def sampled_beta(lo, hi):
-        return min(float(np.min(problem.dpsi_ds(xs, np.full(len(xs), s0))))
-                   for s0 in _s_grid(problem, lo, hi, 15))
+    def sampled_beta(x, lo, hi):
+        return np.min([np.min(problem.dpsi_ds(x, np.full(len(x), s0)))
+                       for s0 in _s_grid(problem, lo, hi, 15)])
 
-    beta_hat = sampled_beta(-1.0, 1.0)
+    def first_window(x):
+        gam = metric.gamma(x)
+        return (np.min(gam), np.max(gam), np.max(problem.psi(x, np.zeros(len(x)))),
+                sampled_beta(x, -1.0, 1.0))
+
+    gam_min, gam_max, mu_hat, beta_hat = _extremes(
+        xs, first_window, (np.minimum, np.maximum, np.maximum, np.minimum))
+    ratio = float(np.sqrt(gam_max / gam_min))  # sup |Y| / inf |Y|
+    mu = _safer(problem.mu, mu_hat, np.maximum)
     if beta_hat > 0:
         bound = 2.0 * max(1.0, ratio * max(mu, 0.0) / beta_hat)
-        beta_hat = sampled_beta(-bound, bound)
-    beta = beta_hat if problem.beta is None else min(problem.beta, beta_hat)
+        beta_hat, = _extremes(xs, lambda x: (sampled_beta(x, -bound, bound),),
+                              (np.minimum,))
+    beta = _safer(problem.beta, beta_hat, np.minimum)
     return beta, mu, ratio
 
 
@@ -266,14 +302,15 @@ class PositiveGravityError(ValueError):
 
 def height_bound(problem, metric, mesh):
     """The a-priori bound (sup|Y|/inf|Y|) mu/beta on |u|; requires beta > 0,
-    else raises `PositiveGravityError`.
+    else (a NaN beta included) raises `PositiveGravityError`.
 
     For mu <= 0 the displayed bound is not two-sided; max(0, B) is returned
     and the certificate layer marks it not-applicable.
     """
     beta, mu, ratio = effective_constants(problem, metric, mesh)
-    if beta <= 0:
-        raise PositiveGravityError(f"positive gravity fails: beta = {beta:.4g} <= 0")
+    if not beta > 0:
+        raise PositiveGravityError(
+            f"positive gravity fails: beta = {beta:.4g} is not positive")
     return max(0.0, ratio * mu / beta)
 
 

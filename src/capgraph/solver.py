@@ -109,9 +109,10 @@ class ContinuationConfig:
 
 @dataclass
 class ContinuationStep:
-    """One corrector attempt from the current point with step ``dtau`` to
-    ``tau``, with the `NewtonReport` of its iterations.  ``cause`` is None for
-    an accepted attempt; for a rejected one it names the exception class and
+    """One corrector attempt from the current point to ``tau``, a step of
+    ``dtau`` (shorter than the step size where it is clipped at tau = 1),
+    with the `NewtonReport` of its iterations.  ``cause`` is None for an
+    accepted attempt; for a rejected one it names the exception class and
     message."""
 
     tau: float
@@ -376,7 +377,7 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
         except SolverError as exc:
             cause = f"{type(exc).__name__}: {exc}"
             state.attempts.append(ContinuationStep(
-                tau_next, state.dtau, exc.report, cause))
+                tau_next, tau_next - state.tau, exc.report, cause))
             log.info("continuation tau=%.6f rejected (%s); halving dtau=%.4g",
                      tau_next, cause, state.dtau / 2)
             state.dtau *= 0.5
@@ -385,9 +386,9 @@ def continuation_solve(problem, metric, mesh, cfg=None, unsafe=False):
                 state.status = "stalled"
                 return state
             continue
+        state.attempts.append(ContinuationStep(tau_next, tau_next - state.tau, rep))
         prev = (state.tau, state.u.values)
         state.tau, state.u = tau_next, u_next
-        state.attempts.append(ContinuationStep(tau_next, state.dtau, rep))
         log.info("continuation tau=%.6f dtau=%.4g newton_iters=%d residual=%.3e",
                  tau_next, state.dtau, rep.iterations, rep.residual_norm)
         streak += 1

@@ -116,6 +116,19 @@ def test_verify_runs_on_stored_solution(tmp_path, capsys):
     assert all(isinstance(r["passed"], bool) for r in report)
 
 
+@pytest.mark.parametrize("problem,condition", [
+    ("psi = 1 + s + 0*exp(800*s)\ndpsi_ds = 1\nphi = 0.3", "magnitude-bound"),
+    ("psi = 1 + s\ndpsi_ds = 1 + 0*exp(800*s)\nphi = 0.3", "positive-gravity"),
+    ("psi = 1 + s\nphi = 0.3 + 0*exp(800*s)\ndphi_ds = 0", "angle-nondegenerate"),
+], ids=["psi", "dpsi_ds", "phi"])
+def test_solve_exits_1_on_a_nan_sample(tmp_path, capsys, problem, condition):
+    # 0*exp(800*s) is NaN for s >= 0.89, inside the heights that are checked
+    text = DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out").replace(
+        "psi = 1 + s\nphi = 0.3", problem)
+    assert run_command(["solve", "--config", write_cfg(tmp_path, "nan.cfg", text)]) == 1
+    assert f"[FAIL] {condition}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mutation,message", [
     ("dtau = 2", "dtau"),
     ("granularity = 1", "unknown key"),

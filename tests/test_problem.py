@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import capgraph as cg
 from capgraph.problem import (
+    PositiveGravityError,
     effective_constants,
     random_positive_gravity_problem,
     validate_conditions,
@@ -209,3 +210,29 @@ def test_validation_samples_heights_by_s_structure(disk_01, euclid2, psi, height
     # per height: psi itself, two x-differences per coordinate and two
     # s-differences; plus one call at s = 0 for mu
     assert len(calls) == heights * (1 + 2 * 2 + 2) + 1
+
+
+# 0 * exp(800 s) is NaN wherever exp(800 s) overflows, s >= 0.89
+_NAN_ABOVE = "0*exp(800*s)"
+
+
+@pytest.mark.parametrize("data,failing", [
+    ({"psi": f"1 + s + {_NAN_ABOVE}", "dpsi_ds": "1"},
+     {"magnitude-bound", "dpsi-consistency"}),
+    ({"psi": "1 + s", "dpsi_ds": f"1 + {_NAN_ABOVE}"},
+     {"positive-gravity", "magnitude-bound", "dpsi-consistency"}),
+    ({"psi": "1 + s", "phi": f"0.3 + {_NAN_ABOVE}", "dphi_ds": "0"},
+     {"angle-nondegenerate", "angle-bound"}),
+], ids=["psi", "dpsi_ds", "phi"])
+def test_a_nan_sample_fails_validation(disk_01, euclid2, data, failing):
+    report = validate_conditions(cg.CapillaryProblem.from_expressions(2, **data),
+                                 disk_01, euclid2, (-2, 2))
+    assert not report.passed
+    assert {name for name, c in report.conditions.items() if not c.passed} == failing
+
+
+def test_a_nan_slope_fails_the_height_bound(disk_01, euclid2):
+    prob = make(2, "1 + s", dpsi_ds=f"1 + {_NAN_ABOVE}", beta=1.0)
+    assert np.isnan(effective_constants(prob, euclid2, disk_01)[0])
+    with pytest.raises(PositiveGravityError, match="beta = nan"):
+        cg.height_bound(prob, euclid2, disk_01)

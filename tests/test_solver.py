@@ -212,7 +212,7 @@ def test_the_fallback_halves_then_doubles(monkeypatch, disk_01, euclid2):
     assert all(a.cause.startswith("MaxIterationsExceeded: ") for a in rejected)
     assert [(a.tau, a.dtau) for a in state.history] == [
         (0.0, 0.0), (0.125, 0.125), (0.25, 0.125), (0.375, 0.125), (0.625, 0.25),
-        (1.0, 0.5)]
+        (1.0, 0.375)]
     assert state.attempts[1:4] == rejected
     np.testing.assert_allclose(state.u.values, full.u.values, rtol=0, atol=1e-9)
 
