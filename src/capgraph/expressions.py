@@ -282,17 +282,9 @@ def _check(cond, message, pos):
         raise EvaluationError(message, pos)
 
 
-def _load(name, pos):
-    def load(env):
-        if name not in env:
-            raise EvaluationError(f"variable {name!r} was not supplied", pos)
-        return env[name]
-    return load
-
-
 def _divide(pos):
     def divide(a, b):
-        _check(np.all(np.asarray(b) != 0.0), "division by zero", pos)
+        _check(np.not_equal(b, 0.0).all(), "division by zero", pos)
         return a / b
     return divide
 
@@ -300,24 +292,22 @@ def _divide(pos):
 def _power(pos):
     def power(a, b):
         out = np.power(a, b)
-        _check(np.all(np.isfinite(out)), "power produced a non-finite value", pos)
+        _check(np.isfinite(out).all(), "power produced a non-finite value", pos)
         return out
     return power
 
 
 def _function(name, pos):
     fn = _FUNCTIONS_1.get(name) or _FUNCTIONS_2.get(name)
-    if name == "sqrt":
-        def sqrt(a):
-            _check(np.all(np.asarray(a) >= 0.0), "sqrt of a negative value", pos)
-            return fn(a)
-        return sqrt
-    if name == "log":
-        def log(a):
-            _check(np.all(np.asarray(a) > 0.0), "log of a non-positive value", pos)
-            return fn(a)
-        return log
-    return fn
+    if name not in ("sqrt", "log"):
+        return fn
+    test, message = ((np.greater_equal, "sqrt of a negative value") if name == "sqrt"
+                     else (np.greater, "log of a non-positive value"))
+
+    def checked(a):
+        _check(test(a, 0.0).all(), message, pos)
+        return fn(a)
+    return checked
 
 
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
@@ -331,79 +321,73 @@ class _Tape:
     is computed once per call, at its first place in the post-order.  Each
     instruction is ``(fn, out, a, b, free)``: slot ``out`` gets ``fn`` of
     slot ``a`` (and ``b``), then the slots in ``free``, read for the last
-    time, are dropped.  Slot 0 holds the variables; a number has a slot
-    that holds its value.
+    time, are dropped.  Slot 0 holds the variables, and a load is an
+    `operator.itemgetter` of slot 0, whose `KeyError` names a missing
+    variable; a number has a slot that holds its value.
     """
 
-    __slots__ = ("consts", "code", "outputs", "uses_r")
+    __slots__ = ("consts", "code", "outputs", "positions", "uses_r")
 
     def __init__(self, exprs):
         consts = [None]      # slot -> number; None: computed (slot 0 too)
-        code = []            # [fn, out, a, b]
+        code = []            # (fn, out, a, b)
         slots = {}           # structural key -> slot
-        seen = {}            # id(node) -> slot, for node objects met again
-
-        def emit(key, fn, a, b=None):
-            out = slots[key] = len(consts)
-            consts.append(None)
-            code.append((fn, out, a, b))
-            return out
+        positions = {}       # variable -> offset of its first use
+        seen = {}            # id(node) -> slot, for operations met again
+        last = {}            # slot -> the last instruction that reads it
 
         def visit(node):
-            out = seen.get(id(node))
-            if out is not None:
-                return out
             kind = type(node)
-            if kind is _Bin:
-                a, b = visit(node.left), visit(node.right)
-                key = (node.op, a, b)
-                out = slots.get(key)
-                if out is None:
-                    fn = _ARITHMETIC.get(node.op)
-                    if fn is None:
-                        fn = (_divide if node.op == "/" else _power)(node.pos)
-                    out = emit(key, fn, a, b)
-            elif kind is _Num:
+            if kind is _Num:
                 key = node.value.hex()
                 out = slots.get(key)
                 if out is None:
                     out = slots[key] = len(consts)
                     consts.append(node.value)
-            elif kind is _Var:
+                return out
+            if kind is _Var:
                 out = slots.get(node.name)
                 if out is None:
-                    out = emit(node.name, _load(node.name, node.pos), 0)
-            elif kind is _Call:
-                args = tuple(visit(a) for a in node.args)
-                key = (node.name, *args)
-                out = slots.get(key)
-                if out is None:
-                    out = emit(key, _function(node.name, node.pos), *args)
+                    out = slots[node.name] = len(consts)
+                    consts.append(None)
+                    positions[node.name] = node.pos
+                    code.append((operator.itemgetter(node.name), out, 0, None))
+                return out
+            out = seen.get(id(node))
+            if out is not None:
+                return out
+            if kind is _Bin:
+                key = (node.op, visit(node.left), visit(node.right))
+            elif kind is _Call:      # (name, a, b), with b None for one argument
+                key = (node.name, *map(visit, node.args), None)[:3]
             elif kind is _Neg:
-                a = visit(node.arg)
-                key = ("neg", a)
-                out = slots.get(key)
-                if out is None:
-                    out = emit(key, operator.neg, a)
+                key = ("neg", visit(node.arg), None)
             else:
                 raise TypeError(f"unknown node {node!r}")
+            out = slots.get(key)
+            if out is None:
+                out = slots[key] = len(consts)
+                consts.append(None)
+                if kind is _Bin:
+                    fn = _ARITHMETIC.get(node.op) or (_divide if node.op == "/"
+                                                      else _power)(node.pos)
+                else:
+                    fn = operator.neg if kind is _Neg else _function(node.name, node.pos)
+                last[key[1]] = last[key[2]] = len(code)
+                code.append((fn, out, key[1], key[2]))
             seen[id(node)] = out
             return out
 
         self.outputs = tuple(visit(e._root) for e in exprs)
         # each computed slot is dropped after the instruction that reads it
-        # last; the variables (slot 0) and the outputs are kept
-        last = {}
-        for k, (_, _, a, b) in enumerate(code):
-            last[a] = last[b] = k
-        keep = {None, 0, *self.outputs}
-        frees = [[] for _ in code]
+        # last; the outputs are kept
+        frees = [()] * len(code)
         for i, k in last.items():
-            if i not in keep and consts[i] is None:
-                frees[k].append(i)
+            if i is not None and consts[i] is None and i not in self.outputs:
+                frees[k] += (i,)
         self.consts = consts
-        self.code = tuple((fn, out, a, b, tuple(free))
-                          for (fn, out, a, b), free in zip(code, frees))
+        self.code = tuple((fn, out, a, b, free) for (fn, out, a, b), free in zip(code, frees))
+        self.positions = positions
         self.uses_r = "r" in slots
 
     def run(self, env):
@@ -418,12 +402,12 @@ class _Tape:
             env = dict(env, r=r)
         vals = self.consts.copy()
         vals[0] = env
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for fn, out, a, b, free in self.code:
-                vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
-                for i in free:
-                    vals[i] = None
-        return [vals[i] for i in self.outputs]
+        try:
+            return _execute(self.code, vals, self.outputs)
+        except KeyError as exc:      # from a load: no other instruction raises it
+            name = exc.args[0]
+            raise EvaluationError(f"variable {name!r} was not supplied",
+                                  self.positions[name]) from None
 
     def at_points(self, pts, s=None):
         """The expressions' values at the rows of an (n, dim) chart-point
@@ -432,8 +416,19 @@ class _Tape:
         values = self.run(_point_env(pts, s))
         out = np.empty((len(values), len(pts)))
         for row, value in zip(out, values):
-            row[...] = np.asarray(value, dtype=float)
+            row[...] = value
         return out
+
+
+@np.errstate(invalid="ignore", over="ignore", divide="ignore")
+def _execute(code, vals, outputs):
+    """Run the instructions ``code`` on the slots ``vals``; the values of the
+    slots ``outputs``."""
+    for fn, out, a, b, free in code:
+        vals[out] = fn(vals[a]) if b is None else fn(vals[a], vals[b])
+        for i in free:
+            vals[i] = None
+    return [vals[i] for i in outputs]
 
 
 def _point_env(pts, s):
@@ -443,7 +438,9 @@ def _point_env(pts, s):
     if pts.shape[1] > 1:
         env["x2"] = pts[:, 1]
     if s is not None:
-        env["s"] = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),))
+        if not (type(s) is np.ndarray and s.dtype == float and s.shape == (len(pts),)):
+            s = np.broadcast_to(np.asarray(s, dtype=float), (len(pts),))
+        env["s"] = s
     return env
 
 
@@ -683,7 +680,7 @@ class Expression:
         """Values at the rows of an (n, dim) chart-point array as a new float
         array of length n; ``s`` (scalar or length n) binds the height."""
         out = np.empty(len(pts))
-        out[...] = np.asarray(self.evaluate(**_point_env(pts, s)), dtype=float)
+        out[...] = self.evaluate(**_point_env(pts, s))
         return out
 
     def derivative(self, var, dim=None):

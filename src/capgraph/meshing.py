@@ -75,17 +75,21 @@ _PT_QW = np.array([1.0])
 _BLOCK = 1 << 14
 
 
-def _walk_blocks(n, size, visit):
-    """``visit`` of each slice of ``size`` consecutive indices of range(n), in
-    order, as a list.  Where one raises `ValueError` (an `EvaluationError`, or
-    a metric that is not finite and positive), the list is
-    ``[visit(slice(None))]`` instead: the whole range as one block, so that
-    the error raised is the one the whole range raises first."""
-    try:
-        return [visit(slice(i, i + size)) for i in range(0, n, size)]
-    except ValueError:
-        pass
-    return [visit(slice(None))]
+def _walk_blocks(n, size, visit, combine=list):
+    """``combine`` (`list` by default) of the list of the results of
+    ``visit`` on the slices of ``size`` consecutive indices of range(n), in
+    order.  A range that fits one block is visited whole, as
+    ``visit(slice(None))``, and that result is returned as it is.  So is the
+    whole range's where a block raises `ValueError` (an `EvaluationError`, or
+    a metric that is not finite and positive), so that the error raised is
+    the one the whole range raises first."""
+    if n > size:
+        try:
+            parts = [visit(slice(i, i + size)) for i in range(0, n, size)]
+        except ValueError:
+            return visit(slice(None))
+        return combine(parts)
+    return visit(slice(None))
 
 
 def cell_geometry(vertices, cells):
@@ -456,11 +460,17 @@ def geodesic_distance_field(mesh, metric, x0):
 
 
 def boundary_distance_field(mesh, metric):
-    """Graph distance to the nearest boundary vertex; exactly zero on the boundary."""
-    sources = mesh.boundary_vertices
-    if len(sources) == 0:
+    """Graph distance to the nearest boundary vertex; exactly zero on the
+    boundary.  Computed once per mesh and metric (`Mesh.metric_data`); each
+    call returns a new field, so a caller may edit its values."""
+    if len(mesh.boundary_vertices) == 0:
         raise MeshError("mesh has no boundary")
-    return _graph_distance(mesh, metric, sources, min_only=True)
+    d = mesh.metric_data(metric, "boundary_distance", _boundary_distance)
+    return ScalarField(mesh, d.copy())
+
+
+def _boundary_distance(mesh, metric):
+    return _graph_distance(mesh, metric, mesh.boundary_vertices, min_only=True).values
 
 
 # ---------------------------------------------------------------------------

@@ -147,12 +147,13 @@ def _boundary_sample_points(mesh):
 def _extremes(points, extremes, reduce):
     """``extremes`` over the blocks of ``points`` (`meshing._walk_blocks`).
 
-    ``extremes(block)`` returns a tuple of scalars, and slot k of the blocks'
+    ``extremes(block)`` returns a tuple of floats, and slot k of the blocks'
     tuples is combined by ``reduce[k]`` (`np.minimum` or `np.maximum`, which
-    propagate NaN); the result is a tuple of floats.
+    propagate NaN); points that fit one block give their tuple as it is.
     """
-    parts = _walk_blocks(len(points), _BLOCK, lambda block: extremes(points[block]))
-    return tuple(float(r.reduce(col)) for r, col in zip(reduce, zip(*parts)))
+    return _walk_blocks(len(points), _BLOCK, lambda block: extremes(points[block]),
+                        lambda parts: tuple(float(r.reduce(col))
+                                            for r, col in zip(reduce, zip(*parts))))
 
 
 def _safer(declared, sampled, pick):
@@ -200,30 +201,26 @@ def validate_conditions(problem, mesh, metric, s_range):
         # positive gravity (ii) and magnitude bound (i) over interior x times s
         inv_c2, gamma = 1.0 / metric.conformal(x) ** 2, metric.gamma(x)
         shifted = _difference_points(x)
-        dpsi_min, mag_max, fd_max = [], [], []
-        for s0 in s_grid:
+        per_s = np.empty((3, len(s_grid)))
+        for k, s0 in enumerate(s_grid):
             s = np.full(len(x), s0)
             dpsi = problem.dpsi_ds(x, s)
-            dpsi_min.append(np.min(dpsi))
             mag = np.abs(problem.psi(x, s)) + _ambient_gradient_norm(
                 problem, s, dpsi, inv_c2, gamma, shifted)
-            mag_max.append(np.max(mag))
             ds = 1e-6 * (1.0 + abs(s0))
             fd = (problem.psi(x, s + ds) - problem.psi(x, s - ds)) / (2 * ds)
-            fd_max.append(np.max(np.abs(fd - dpsi) / (1.0 + np.abs(fd))))
-        return (np.min(dpsi_min), np.max(mag_max), np.max(fd_max),
-                np.max(problem.psi(x, np.zeros(len(x)))))
+            per_s[:, k] = dpsi.min(), mag.max(), (np.abs(fd - dpsi) / (1.0 + np.abs(fd))).max()
+        return (float(per_s[0].min()), float(per_s[1].max()), float(per_s[2].max()),
+                float(problem.psi(x, np.zeros(len(x))).max()))
 
     def boundary(x):
         # angle conditions (iii)-(v) over boundary x times s
-        dphi_max, one_minus_sq_min, phi_max = [], [], []
-        for s0 in s_grid:
+        per_s = np.empty((3, len(s_grid)))
+        for k, s0 in enumerate(s_grid):
             s = np.full(len(x), s0)
             phi = problem.phi(x, s)
-            dphi_max.append(np.max(problem.dphi_ds(x, s)))
-            one_minus_sq_min.append(np.min(1.0 - phi**2))
-            phi_max.append(np.max(np.abs(phi)))
-        return np.max(dphi_max), np.min(one_minus_sq_min), np.max(phi_max)
+            per_s[:, k] = problem.dphi_ds(x, s).max(), (1.0 - phi**2).min(), np.abs(phi).max()
+        return float(per_s[0].max()), float(per_s[1].min()), float(per_s[2].max())
 
     dpsi_min, cpsi_max, fd_err, mu_hat = _extremes(
         _interior_sample_points(mesh), interior,
@@ -276,13 +273,13 @@ def effective_constants(problem, metric, mesh):
     xs = _interior_sample_points(mesh)
 
     def sampled_beta(x, lo, hi):
-        return np.min([np.min(problem.dpsi_ds(x, np.full(len(x), s0)))
-                       for s0 in _s_grid(problem, lo, hi, 15)])
+        return float(np.array([problem.dpsi_ds(x, np.full(len(x), s0)).min()
+                               for s0 in _s_grid(problem, lo, hi, 15)]).min())
 
     def first_window(x):
         gam = metric.gamma(x)
-        return (np.min(gam), np.max(gam), np.max(problem.psi(x, np.zeros(len(x)))),
-                sampled_beta(x, -1.0, 1.0))
+        return (float(gam.min()), float(gam.max()),
+                float(problem.psi(x, np.zeros(len(x))).max()), sampled_beta(x, -1.0, 1.0))
 
     gam_min, gam_max, mu_hat, beta_hat = _extremes(
         xs, first_window, (np.minimum, np.maximum, np.maximum, np.minimum))
@@ -297,12 +294,12 @@ def effective_constants(problem, metric, mesh):
 
 
 class PositiveGravityError(ValueError):
-    """The sampled data fail positive gravity (beta <= 0): no height bound."""
+    """No height bound: positive gravity fails (beta <= 0 or NaN), or mu is NaN."""
 
 
 def height_bound(problem, metric, mesh):
-    """The a-priori bound (sup|Y|/inf|Y|) mu/beta on |u|; requires beta > 0,
-    else (a NaN beta included) raises `PositiveGravityError`.
+    """The a-priori bound (sup|Y|/inf|Y|) mu/beta on |u|; requires beta > 0
+    and a mu that is a number, else raises `PositiveGravityError`.
 
     For mu <= 0 the displayed bound is not two-sided; max(0, B) is returned
     and the certificate layer marks it not-applicable.
@@ -311,6 +308,8 @@ def height_bound(problem, metric, mesh):
     if not beta > 0:
         raise PositiveGravityError(
             f"positive gravity fails: beta = {beta:.4g} is not positive")
+    if np.isnan(mu):
+        raise PositiveGravityError("no height bound: the sampled mu is NaN")
     return max(0.0, ratio * mu / beta)
 
 

@@ -168,7 +168,10 @@ class _LinearSolver:
     down or misses the gate with a held factor drops it, factors its own
     Jacobian and runs once more, and that factor is held from then on; a
     fresh factor that misses raises `SingularJacobian`.  Call `release` when
-    the Newton solve ends.
+    the Newton solve ends.  The gate's norms are infinity norms, taken as
+    ``np.abs(v).max()`` of a vector and `_abs_row_sum_max` of the Jacobian
+    (once per step), which give the bits of `np.linalg.norm` and of scipy's
+    row sums without their wrappers.
     """
 
     def __init__(self):
@@ -186,13 +189,13 @@ class _LinearSolver:
         # measure for a direct solve) plus a loose forward gate: a singular
         # factorization can return a huge null-space-polluted delta whose
         # backward error still looks tiny
-        rhs_norm = np.linalg.norm(rhs, np.inf)
-        mat_norm = abs(mat).sum(axis=1).max()
+        rhs_norm = np.abs(rhs).max()
+        mat_norm = _abs_row_sum_max(mat)
 
         def gate(res, d):
-            res_norm = np.linalg.norm(res, np.inf)
+            res_norm = np.abs(res).max()
             with np.errstate(invalid="ignore"):     # inf / inf for a non-finite d
-                backward = res_norm / (mat_norm * np.linalg.norm(d, np.inf) + rhs_norm)
+                backward = res_norm / (mat_norm * np.abs(d).max() + rhs_norm)
             forward = res_norm / rhs_norm if rhs_norm > 0 else 0.0
             return backward <= _LINEAR_RTOL and forward <= 1e-6, backward, forward
 
@@ -225,6 +228,17 @@ class _LinearSolver:
                     f"relative residual {forward:.2e})", iterate=iterate)
             how = "fallback"
             self._lu = None          # never two factors alive at once
+
+
+def _abs_row_sum_max(mat):
+    """The infinity norm of a CSR matrix in canonical form (the Jacobian's),
+    bit for bit ``abs(mat).sum(axis=1).max()``: scipy sums each non-empty
+    row by one ``np.add.reduceat``, as here, and an empty row is 0."""
+    starts, stops = mat.indptr[:-1], mat.indptr[1:]
+    full = starts < stops
+    sums = np.zeros(len(starts))
+    sums[full] = np.add.reduceat(np.abs(mat.data), starts[full])
+    return sums.max()
 
 
 def _pcg(mat, rhs, lu, gate):

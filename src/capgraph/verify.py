@@ -548,6 +548,15 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, max_iter=60):
     rho_w = c_x / np.sqrt(gam_x)
     ends = [0, -1]
     end_w = c_x[ends] / np.sqrt(gam_x[ends] * c_x[ends] ** 2)
+    x_ends = xc[ends]
+
+    def at_ends(fn, u):
+        """``fn`` at both ends in one call; where that raises, at each end in
+        turn, so that the error raised is the left end's."""
+        try:
+            return fn(x_ends, u[ends])
+        except ValueError:
+            return [fn(xc[:1], u[:1])[0], fn(xc[-1:], u[-1:])[0]]
 
     def slopes(u):
         """(u', W) at the cell midpoints."""
@@ -560,8 +569,9 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, max_iter=60):
 
     def res(u):
         f = fluxes(u)
-        f_a = -end_w[0] * float(problem.phi(xc[:1], u[:1])[0])
-        f_b = end_w[1] * float(problem.phi(xc[-1:], u[-1:])[0])
+        phi_a, phi_b = at_ends(problem.phi, u)
+        f_a = -end_w[0] * float(phi_a)
+        f_b = end_w[1] * float(phi_b)
         rho = problem.psi(xc, u) * rho_w
         out = np.empty_like(u)
         out[1:-1] = (f[1:] - f[:-1]) / hd - rho[1:-1]
@@ -573,8 +583,9 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, max_iter=60):
         _, w = slopes(u)
         dfd = coef * gam_m / w**3 / hd          # d flux / d u_right
         drho = problem.dpsi_ds(xc, u) * rho_w
-        dfa = -end_w[0] * float(problem.dphi_ds(xc[:1], u[:1])[0])
-        dfb = end_w[1] * float(problem.dphi_ds(xc[-1:], u[-1:])[0])
+        dphi_a, dphi_b = at_ends(problem.dphi_ds, u)
+        dfa = -end_w[0] * float(dphi_a)
+        dfb = end_w[1] * float(dphi_b)
         n = len(u)
         ab = np.zeros((3, n))
         ab[0, 2:] = dfd[1:] / hd                               # super

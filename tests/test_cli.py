@@ -116,13 +116,33 @@ def test_verify_runs_on_stored_solution(tmp_path, capsys):
     assert all(isinstance(r["passed"], bool) for r in report)
 
 
+def test_solve_finds_the_boundary_distances_once(tmp_path, monkeypatch):
+    # the boundary-gradient certificate, the interior bump and the d_gamma
+    # output share one solve; the interior-gradient certificate makes the other
+    import scipy.sparse.csgraph as csgraph
+    real, calls = csgraph.dijkstra, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("min_only", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    cfg = write_cfg(tmp_path, "run.cfg",
+                    DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out"))
+    assert run_command(["solve", "--config", cfg]) == 0
+    assert sorted(calls) == [False, True]
+
+
 @pytest.mark.parametrize("problem,condition", [
+    ("psi = 1 + s + 0*exp(800 - s)\ndpsi_ds = 1\nphi = 0.3", "magnitude-bound"),
     ("psi = 1 + s + 0*exp(800*s)\ndpsi_ds = 1\nphi = 0.3", "magnitude-bound"),
     ("psi = 1 + s\ndpsi_ds = 1 + 0*exp(800*s)\nphi = 0.3", "positive-gravity"),
     ("psi = 1 + s\nphi = 0.3 + 0*exp(800*s)\ndphi_ds = 0", "angle-nondegenerate"),
-], ids=["psi", "dpsi_ds", "phi"])
+], ids=["mu", "psi", "dpsi_ds", "phi"])
 def test_solve_exits_1_on_a_nan_sample(tmp_path, capsys, problem, condition):
-    # 0*exp(800*s) is NaN for s >= 0.89, inside the heights that are checked
+    # 0*exp(800*s) is NaN for s >= 0.89, inside the heights that are checked;
+    # 0*exp(800 - s) is NaN at s = 0 too, so that mu is NaN and there is no
+    # height bound
     text = DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out").replace(
         "psi = 1 + s\nphi = 0.3", problem)
     assert run_command(["solve", "--config", write_cfg(tmp_path, "nan.cfg", text)]) == 1

@@ -316,3 +316,33 @@ def test_tape_shares_subtrees_and_runs_operations_on_constants():
     assert [np.ndim(v) for v in tape.run({"x1": np.ones(3)})] == [1, 1]
     assert [free for *_, free in tape.code] == [(), (), (1,)]
     assert tape.at_points(np.ones((3, 1))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("sqrt(x1 - 2) + s", r"sqrt of a negative value \(at offset 0\)"),
+    ("s + sqrt(x1 - 2)", r"variable 's' was not supplied \(at offset 0\)"),
+    ("x1/0 + s*log(x1 - 2)", r"division by zero \(at offset 2\)"),
+    ("log(x1 - 2)*x2 + s", r"log of a non-positive value \(at offset 0\)"),
+    ("x2 + log(x1 - 2)", r"variable 'x2' was not supplied \(at offset 0\)"),
+])
+def test_a_missing_variable_raises_in_evaluation_order(text, message):
+    # a run reads the variables before it runs the other instructions, but
+    # where one is missing each load runs at its place, as in a tree walk
+    runs = (lambda e: e.evaluate(x1=1.0),
+            lambda e: e.at_points(np.ones((3, 1))),
+            lambda e: ex._Tape([parse_expression("x1 + 1"), e]).run({"x1": 1.0}))
+    for run in runs:
+        with pytest.raises(EvaluationError, match=message):
+            run(parse_expression(text))
+
+
+def test_at_points_returns_a_new_array_for_any_height():
+    # a height array of the points' length is read as it is, a scalar or a
+    # length-1 array is broadcast; the values are a new array either way
+    pts = np.linspace(0.0, 1.0, 5)[:, None]
+    s = np.linspace(-1.0, 1.0, 5)
+    out = parse_expression("s").at_points(pts, s)
+    assert out.tobytes() == s.tobytes() and not np.shares_memory(out, s)
+    for height in (0.5, np.array([0.5]), np.full(5, 0.5)):
+        assert (parse_expression("s*x1").at_points(pts, height).tobytes()
+                == (0.5 * pts[:, 0]).tobytes())

@@ -258,6 +258,30 @@ def test_boundary_distance(disk_01, euclid2, euclid1):
     assert d1[2] == pytest.approx(0.5)
 
 
+def test_one_boundary_distance_solve_per_mesh_and_metric(monkeypatch):
+    # the distances are kept with the mesh's metric data: one dijkstra per
+    # mesh and metric, the bits of a direct solve, and a new array per call,
+    # so that a caller's edit does not reach the next one
+    import scipy.sparse.csgraph as csgraph
+    real, calls = csgraph.dijkstra, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    mesh = cg.generate_disk_mesh(1.0, 0.2)
+    metric = cg.MetricField.radial_warp(2, "1 + r^2", "1 + 0.2*x1^2")
+    want = real(mesh.sigma_edge_graph(metric), directed=False,
+                indices=mesh.boundary_vertices, min_only=True)
+    cg.boundary_distance_field(mesh, metric).values[:] = -1.0
+    fields = [cg.boundary_distance_field(mesh, metric) for _ in range(3)]
+    assert len(calls) == 1
+    assert all(f.values.tobytes() == want.tobytes() for f in fields)
+    cg.boundary_distance_field(mesh, cg.MetricField.euclidean(2))
+    assert len(calls) == 2
+
+
 def test_one_sigma_graph_per_mesh():
     # a fresh metric per call replaces the data of the last one in the mesh's
     # one last-metric slot instead of adding to it; the sigma graph and the

@@ -231,6 +231,15 @@ def test_a_nan_sample_fails_validation(disk_01, euclid2, data, failing):
     assert {name for name, c in report.conditions.items() if not c.passed} == failing
 
 
+def test_a_nan_mu_has_no_height_bound(disk_01, euclid2):
+    # 0*exp(800 - s) is NaN for s below about 90, so psi(., 0) is NaN
+    prob = make(2, "1 + s + 0*exp(800 - s)", dpsi_ds="1")
+    beta, mu, ratio = effective_constants(prob, euclid2, disk_01)
+    assert (beta, ratio) == (1.0, 1.0) and np.isnan(mu)
+    with pytest.raises(PositiveGravityError, match="mu is NaN"):
+        cg.height_bound(prob, euclid2, disk_01)
+
+
 def test_a_nan_slope_fails_the_height_bound(disk_01, euclid2):
     prob = make(2, "1 + s", dpsi_ds=f"1 + {_NAN_ABOVE}", beta=1.0)
     assert np.isnan(effective_constants(prob, euclid2, disk_01)[0])

@@ -3,6 +3,7 @@ import functools
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from capgraph.solver import (
     ContinuationConfig,
     SingularJacobian,
     SolverError,
+    _abs_row_sum_max,
     _LinearSolver,
     continuation_solve,
     default_s_range,
@@ -380,3 +382,31 @@ def test_pcg_stops_at_the_backward_error_gate(monkeypatch, disk_01, euclid2):
     assert all(e <= 1e-8 for e in loose.backward_errors)
 
 
+
+
+def test_the_gate_norm_equals_the_scipy_row_sums(disk_01, interval_64, euclid1):
+    # the infinity norm of the Jacobian, bit for bit abs(mat).sum(axis=1).max(),
+    # on a warped 2D and a warped 1D Jacobian and on a CSR matrix with empty
+    # rows (a vertex that no cell uses), the last row among them
+    warp2 = cg.MetricField.radial_warp(2, gamma="1 + r^2", sigma_conformal="1 + 0.1*x1^2")
+    warp1 = cg.MetricField.radial_warp(1, gamma="exp(2*x1)")
+    mats = []
+    for mesh, metric, dim in ((disk_01, warp2, 2), (interval_64, warp1, 1)):
+        u = np.random.default_rng(dim).uniform(-0.5, 0.5, mesh.num_vertices)
+        mats.append(jacobian(u, 0.7, make(dim, "1 + s + 0.2*s^3", "-0.3 - 0.1*tanh(s)"),
+                             metric, mesh))
+    # rows 1, 4 and 5 are empty
+    mats.append(csr_matrix((np.array([1.5, -2.0, 0.1, -0.7, 3.0]), np.array([0, 2, 1, 2, 0]),
+                            np.array([0, 2, 2, 4, 5, 5, 5])), shape=(6, 3)))
+    for mat in mats:
+        want = abs(mat).sum(axis=1).max()
+        got = _abs_row_sum_max(mat)
+        assert (type(got), np.float64(got).tobytes()) == (type(want), want.tobytes())
+    assert _abs_row_sum_max(csr_matrix((3, 3))) == 0.0
+
+
+def test_a_nan_mu_falls_back_to_the_default_s_range(disk_01, euclid2):
+    # 0*exp(800 - s) is NaN at s = 0, where mu is sampled: there is no height
+    # bound, and the heights checked are those of failed positive gravity
+    prob = make(2, "1 + s + 0*exp(800 - s)", dpsi_ds="1")
+    assert default_s_range(prob, euclid2, disk_01) == (-2.0, 2.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -499,6 +500,43 @@ def test_oracle_recovers_manufactured_solution(euclid1):
         errs.append(np.max(np.abs(u - prob.u_exact(x[:, None]))))
     assert errs[0] / errs[1] > 3.0          # second-order convergence
     assert errs[1] < 1e-5
+
+
+def test_oracle_evaluates_both_ends_in_one_call():
+    # one phi call per residual (one psi call) and one dphi/ds call per
+    # Jacobian (one dpsi/ds call), each at the two end points, with the bits
+    # of evaluating each end on its own
+    metric = cg.MetricField.radial_warp(1, gamma="exp(2*x1)")
+    prob = make(1, "1 + s + 0.2*sin(3*x1)", "0.25 - 0.1*tanh(s) + 0.05*x1")
+    calls = {name: [] for name in ("psi", "dpsi_ds", "phi", "dphi_ds")}
+
+    def spied(name):
+        fn = getattr(prob, name)
+        return lambda x, s: calls[name].append(len(x)) or fn(x, s)
+
+    def one_at_a_time(fn):
+        return lambda x, s: np.concatenate([fn(x[i:i + 1], s[i:i + 1])
+                                            for i in range(len(x))])
+
+    spy = dataclasses.replace(prob, **{name: spied(name) for name in calls})
+    x, u = oracle_1d_solve(spy, metric, 0.0, 1.0, 256)
+    assert len(calls["phi"]) == len(calls["psi"]) > 1
+    assert len(calls["dphi_ds"]) == len(calls["dpsi_ds"]) > 1
+    assert set(calls["phi"]) == set(calls["dphi_ds"]) == {2}
+    apart = dataclasses.replace(prob, phi=one_at_a_time(prob.phi),
+                                dphi_ds=one_at_a_time(prob.dphi_ds))
+    x_apart, u_apart = oracle_1d_solve(apart, metric, 0.0, 1.0, 256)
+    assert (x.tobytes(), u.tobytes()) == (x_apart.tobytes(), u_apart.tobytes())
+
+
+def test_oracle_end_errors_are_the_left_ends_first(euclid1):
+    # at x1 = 0 only the log fails, at x1 = 1 only the sqrt, which comes first
+    # in evaluation order: the left end is evaluated first, so the log raises
+    prob = make(1, "1 + s", "0.1 + 0*sqrt(0.5 - x1) + 0*log(x1) + 0*s")
+    with pytest.raises(EvaluationError, match="sqrt"):
+        prob.phi(np.array([[0.0], [1.0]]), np.zeros(2))
+    with pytest.raises(EvaluationError, match="log"):
+        oracle_1d_solve(prob, euclid1, 0.0, 1.0, 64)
 
 
 def test_oracle_reports_failure(euclid1):
