@@ -203,7 +203,7 @@ def _cmd_mms(args, cfg):
         raise ConfigError("[mms] u_exact is required for the mms command")
     domain, levels, dim = _refined_domain(cfg, "mms")
     rows, orders = vf.mms_convergence_study(
-        cfg.build_metric(dim), domain, cfg.mms["u_exact"], levels=levels,
+        cfg.build_metric(dim), domain, cfg.expression("mms", "u_exact"), levels=levels,
         kappa0=cfg.mms.get("kappa0", 1.0), cfg=cfg.build_solver_cfg(),
         unsafe=cfg.unsafe)
     print(f"{'h':>10} {'Linf_error':>14} {'angle_residual':>16} {'strong_residual':>16}")

@@ -9,7 +9,9 @@ Every key present is parsed; unknown sections and keys, [domain] keys that
 the shape does not use, and expressions that use x2 on an interval fail
 fast.  A mesh file's dimension is known only once it is read, so
 `build_metric` and `build_problem` take the dimension of the built mesh and
-apply the x2 rule to a 1D mesh.  Numbers must be finite.
+apply the x2 rule to a 1D mesh.  Numbers must be finite.  An expression's
+value is its text, which keeps the tree that validated it, so the `build_*`
+methods parse nothing again.
 
 Every [metric] preset builds the metric from the expressions gamma and
 sigma_conformal (both 1 by default); a preset only checks them:
@@ -72,12 +74,19 @@ def _boolean(section, key, raw):
     raise ConfigError(f"[{section}] {key} = {raw!r} is not a boolean")
 
 
+class _Source(str):
+    """An expression's text that keeps its parse, ``expression``, so that a
+    config parses each of its expressions once."""
+
+
 def _expression(section, key, raw):
     try:
-        parse_expression(raw)
+        expression = parse_expression(raw)
     except ExpressionError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
-    return raw
+    text = _Source(raw)
+    text.expression = expression
+    return text
 
 
 def _text(section, key, raw):
@@ -177,11 +186,22 @@ class RunConfig:
         params = {k: v for k, v in self.domain.items() if k != "shape"}
         return DomainSpec(self.domain["shape"], params)
 
+    def _parsed(self, section):
+        """``section``'s values with each expression as its parse: the one
+        `load_config` made, or a new one for text set since."""
+        return {k: (getattr(v, "expression", None) or parse_expression(v))
+                if _SCHEMA[section][k] is _expression else v
+                for k, v in getattr(self, section).items()}
+
+    def expression(self, section, key):
+        """The parsed expression of ``key`` in ``section``."""
+        return self._parsed(section)[key]
+
     def build_metric(self, dim):
         if dim == 1:
             _reject_x2(self, ("metric",), "a 1D domain")
-        data = {k: v for k, v in self.metric.items() if k != "preset"}
         try:
+            data = {k: v for k, v in self._parsed("metric").items() if k != "preset"}
             return MetricField.from_expressions(dim, **data)
         except ExpressionError as exc:
             raise ConfigError(f"[metric] expression error: {exc}") from exc
@@ -192,7 +212,7 @@ class RunConfig:
         if dim == 1:
             _reject_x2(self, ("problem",), "a 1D domain")
         try:
-            return CapillaryProblem.from_expressions(dim, **self.problem)
+            return CapillaryProblem.from_expressions(dim, **self._parsed("problem"))
         except ExpressionError as exc:
             raise ConfigError(f"[problem] expression error: {exc}") from exc
 

@@ -713,7 +713,10 @@ class Expression:
 
 
 def parse_expression(text):
-    """Parse ``text`` into an `Expression`; raises `ParseError` with offset."""
+    """Parse ``text`` into an `Expression`; raises `ParseError` with offset.
+    An `Expression` is returned as it is, so callers may pass either."""
+    if isinstance(text, Expression):
+        return text
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty expression", 0)
     return Expression(_Parser(text).parse(), source=text)

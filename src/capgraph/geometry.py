@@ -69,8 +69,9 @@ class MetricField:
     def from_expressions(cls, dim, gamma="1", sigma_conformal="1"):
         """Conformal leaf metric sigma = c(x)^2 I with warping gamma(x).
 
-        Both data are expression strings in x1[, x2, r]; their gradients
-        are produced symbolically, so both obey the same derivative rules.
+        Both data are expressions in x1[, x2, r], as strings or parsed; their
+        gradients are produced symbolically, so both obey the same derivative
+        rules.
         """
         return cls(dim, parse_expression(gamma), parse_expression(sigma_conformal))
 

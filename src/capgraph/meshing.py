@@ -136,8 +136,10 @@ class Mesh:
     target_h : requested edge length, if generated
 
     Computed once: the P1 cell and facet geometry, ``boundary_cells``,
-    ``edges``, the quadrature points ``cell_points`` (nq, nc, d) and
-    ``facet_points`` (nb, nqf, d) and the sorted ``boundary_vertices``.
+    ``edges``, the ``interior_facets`` (nif, dim) with their two cells
+    ``interior_facet_cells`` (nif, 2), the quadrature points ``cell_points``
+    (nq, nc, d) and ``facet_points`` (nb, nqf, d) and the sorted
+    ``boundary_vertices``.
     Data derived from a metric share one slot, the last metric's (`metric_data`).
     """
 
@@ -163,7 +165,8 @@ class Mesh:
             if len(bad):
                 raise MeshFormatError(f"{kind} vertex id {bad[0]} outside [0, {nv})")
         self._fix_orientation()
-        self.boundary_cells, self.edges = self._check_conformity()
+        (self.boundary_cells, self.edges, self.interior_facets,
+         self.interior_facet_cells) = self._check_conformity()
         self._build_geometry()
         self._cache = {}
 
@@ -180,9 +183,12 @@ class Mesh:
         self.cell_measure, self.grads_lambda = measure, grads
 
     def _check_conformity(self):
-        """(owning cell of each boundary facet, unique edges); `MeshFormatError`
-        unless every interior facet lies in exactly two cells, a boundary
-        facet in one, and the declared boundary is the once-counted facets."""
+        """(owning cell of each boundary facet, unique edges, interior facets,
+        their two cells); `MeshFormatError` unless every interior facet lies
+        in exactly two cells, a boundary facet in one, and the declared
+        boundary is the once-counted facets.  An interior facet's vertex ids
+        are sorted, and its cells are in the order of their first local facet
+        in the cell list."""
         local = [[0, 1], [1, 2], [0, 2]] if self.dim == 2 else [[0], [1]]
         facets = np.sort(self.cells[:, local], axis=2).reshape(-1, self.dim)
         declared = np.sort(self.boundary_facets, axis=1)
@@ -196,8 +202,13 @@ class Mesh:
                 out = out * base + col
             return out
 
-        unique, first, counts = np.unique(keys(facets), return_index=True,
-                                          return_counts=True)
+        # one stable sort: equal facets sit together, in the order of their cells
+        flat = keys(facets)
+        perm = np.argsort(flat, kind="stable")
+        ordered = flat[perm]
+        start = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+        unique, first = ordered[start], perm[start]
+        counts = np.diff(np.r_[start, len(ordered)])
         bad = first[counts > 2]
         if len(bad):
             raise MeshFormatError(
@@ -215,7 +226,11 @@ class Mesh:
         # in 2D the facets are the edges; a 1D cell is its own edge
         edges = (np.column_stack([unique // base, unique % base]) if self.dim == 2
                  else self.cells.copy())
-        return owner.astype(np.int64), edges
+        # a facet in two cells: its second cell follows its first in the sort
+        inner = counts == 2
+        pairs = np.column_stack([first[inner], perm[start[inner] + 1]]) // len(local)
+        inner_facets = edges[inner] if self.dim == 2 else unique[inner, None]
+        return owner.astype(np.int64), edges, inner_facets, pairs
 
     def _build_geometry(self):
         verts, cells = self.vertices, self.cells

@@ -75,7 +75,8 @@ class CapillaryProblem:
     @classmethod
     def from_expressions(cls, dim, psi, phi="0", dpsi_ds=None, dphi_ds=None,
                          **constants):
-        """Build from expression strings; s-derivatives are symbolic unless given.
+        """Build from expression strings or parsed `Expression`s; s-derivatives
+        are symbolic unless given.
 
         The data count as affine in s when no s-derivative they use (the
         symbolic ones of psi and phi and any declared ones) contains s.
@@ -99,7 +100,8 @@ class CapillaryProblem:
                    dpsi_ds=_expr_callable(dpsi_expr, dim),
                    phi=_expr_callable(phi_expr, dim),
                    dphi_ds=_expr_callable(dphi_expr, dim),
-                   psi_source=psi, phi_source=phi, affine_in_s=affine, **constants)
+                   psi_source=psi_expr.source, phi_source=phi_expr.source,
+                   affine_in_s=affine, **constants)
 
 
 @dataclass

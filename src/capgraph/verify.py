@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
+from .assembly import _boundary_values, _cell_state, _context
 from .expressions import Expression, _Tape, parse_expression
 from .geometry import (
     _average_cell_gradients,
-    _patch_derivatives,
     mean_curvature_from_derivatives,
     mean_curvature_strong,  # noqa: F401 (capbench counts calls through this name)
     recover_vertex_gradients,
@@ -253,31 +253,130 @@ def contact_angle_residual(u, tau, problem, metric, mesh):
                        details={"tau": float(tau)})
 
 
-def strong_form_residual(u, tau, problem, metric, mesh):
-    """max over interior vertices of |nH(u) - tau psi(x, u)| via patch recovery.
+class _FacetSides(NamedTuple):
+    """Per-mesh geometry of the residual estimator.  For the interior facets
+    (`Mesh.interior_facets`, their cells `Mesh.interior_facet_cells`) and the
+    boundary facets (their owners `Mesh.boundary_cells`): the flat index
+    local * nc + cell of each facet vertex in the cell on each side, and a
+    normal.  An interior facet's normal has the length sqrt(h_E |E|), so that
+    the squared jump it gives carries the facet's weight: in 2D h_E = |E|, and
+    the normal is the edge rotated; in 1D a facet is a vertex of measure 1 and
+    size h_E the mean length of its cells.  A boundary facet's normal is the
+    outward unit one, and its size h_E is |E| in 2D and its cell's length in
+    1D.  Last, the longest edge h_T of each cell."""
 
-    All interior vertices are fitted in one batched patch recovery (a QR
-    least-squares solve per patch size, the pseudo-inverse only for a patch
-    too ill-conditioned for it), with one curvature and one psi evaluation;
-    vertices whose patch cannot support a quadratic count as skipped
-    stencils.  The median over interior vertices is recorded alongside:
-    pointwise second-derivative recovery from P1 data does not converge in
-    sup norm at irregular patches, so refinement decay is judged on the
-    median while the max is reported faithfully.
+    inner_at: np.ndarray        # (2, d, nif): side, facet vertex
+    inner_normal: np.ndarray    # (d, nif)
+    boundary_at: np.ndarray     # (d, nb)
+    boundary_normal: np.ndarray  # (d, nb)
+    boundary_h: np.ndarray      # (nb,)
+    h_cell: np.ndarray          # (nc,)
+
+
+def _local_index(columns, owner, vertex):
+    """local * nc + owner of ``vertex`` in its ``owner`` cell (both (n,)),
+    where ``columns`` (d+1, nc) are the cells' vertex ids by local index."""
+    local = sum((row.take(owner) == vertex) * a for a, row in enumerate(columns) if a)
+    return local * columns.shape[1] + owner
+
+
+def _facet_sides(mesh):
+    verts, d = mesh.vertices, mesh.dim
+    columns = np.ascontiguousarray(mesh.cells.T)
+    pts = np.take(verts.T, columns, axis=1)                     # (d, d+1, nc)
+    # squared edge lengths: a 1D cell is one edge, a triangle has three
+    sq = [sum((pts[i, a] - pts[i, a - 1]) ** 2 for i in range(d)) for a in range(2 - d, d + 1)]
+    h_cell = np.sqrt(np.max(sq, axis=0))
+    pairs, owner = mesh.interior_facet_cells.T, mesh.boundary_cells
+    facets, bfacets = mesh.interior_facets.T, mesh.boundary_facets.T
+    inner_at = np.array([[_local_index(columns, side, v) for v in facets] for side in pairs])
+    if d == 1:
+        inner_normal = np.sqrt(0.5 * (h_cell[pairs[0]] + h_cell[pairs[1]]))[None]
+        boundary_h = h_cell[owner]
+    else:
+        t = verts.take(facets[1], axis=0) - verts.take(facets[0], axis=0)
+        inner_normal = np.array([t[:, 1], -t[:, 0]])
+        boundary_h = mesh.facet_measure
+    return _FacetSides(
+        inner_at, inner_normal, np.array([_local_index(columns, owner, v) for v in bfacets]),
+        -mesh.inward_normals.T, boundary_h, h_cell)
+
+
+def strong_form_residual(u, tau, problem, metric, mesh):
+    """Residual estimator eta of the weak form that `assembly.residual` solves.
+
+    With the flux q_h = c^(d-2) grad u_h / (sqrt(gamma) W) and the facet
+    weight c / sqrt(gamma) (1 / sqrt(gamma) in 1D) of the boundary integral,
+
+        eta^2 = sum_T h_T^2 |c^d tau psi / sqrt(gamma) - div q_h|_T^2
+              + sum_E h_E |[q_h . n]|_E^2
+              + sum_{E on the boundary} h_E |q_h . n - (facet weight) tau phi|_E^2,
+
+    in chart coordinates (Verfuerth, A Posteriori Error Estimation Techniques
+    for Finite Element Methods, 2013, ch. 1).  Inside each cell q_h is the
+    linear function through its values at the cell's quadrature points, so
+    div q_h needs no metric gradient; the norms use the mesh's quadrature
+    rules, h_T is a cell's longest edge and h_E a facet's length.  Everything
+    comes from the assembly's cached per-cell state (`assembly._context`,
+    `assembly._cell_state`), with one psi evaluation at the cell quadrature
+    points and one phi evaluation at the boundary facet quadrature points.
+
+    eta decays at first order in h for a smooth solution.  No bound is
+    claimed on a single solve; ``details`` holds the three parts of eta and
+    the cell or facet with the largest local term (its square root and the
+    mean of its vertices).
     """
-    interior = np.where(~mesh.is_boundary_vertex)[0]
-    grad, hess, fitted = _patch_derivatives(mesh, u.values, interior)
-    pts, s = mesh.vertices[interior[fitted]], u.values[interior[fitted]]
-    nh = mean_curvature_from_derivatives(metric, pts, grad[fitted], hess[fitted])
-    vals = np.abs(nh - tau * problem.psi(pts, s))
-    obs = float(np.max(vals)) if len(vals) else 0.0
-    med = float(np.median(vals)) if len(vals) else 0.0
+    d = mesh.dim
+    ctx = _context(mesh, metric)
+    sides = _facet_sides(mesh)
+    _, g, w, uq = _cell_state(ctx, u.values)
+    bary, wref = mesh.cell_quad
+    # c^d / sqrt(gamma) at the quadrature points, from the cell weights
+    density = ctx.cw / (wref[:, None] * mesh.cell_measure)
+    flux = density / w * g                                      # (d, nq, nc)
+    # the linear q_h through the quadrature values, by its values at the
+    # vertices: (d, d+1, nc), flattened to (d, (d+1) nc) for `_FacetSides`
+    corner = np.linalg.inv(bary) @ flux
+    grads = ctx.topo.grads                                      # (d+1, d, nc)
+    div = sum(corner[i, a] * grads[a, i] for a in range(d + 1) for i in range(d))
+    psi_q = problem.psi(ctx.xq.reshape(-1, d), uq.ravel()).reshape(uq.shape)
+    cell = (sides.h_cell ** 2 * mesh.cell_measure
+            * (wref @ (tau * density * psi_q - div) ** 2))
+
+    corner = corner.reshape(d, -1)
+    fbary, fw = mesh.facet_quad
+
+    def normal_flux(at, normal):
+        """q_h . normal at the facet vertices ``at`` (d, n), as (n, d)."""
+        return sum(corner[i][at] * normal[i] for i in range(d)).T
+
+    # the normal's length sqrt(h_E |E|) weighs the jump
+    jump = (normal_flux(sides.inner_at[0], sides.inner_normal)
+            - normal_flux(sides.inner_at[1], sides.inner_normal)) @ fbary.T
+    inner = jump ** 2 @ fw
+    phi_q = _boundary_values(ctx, u.values, problem.phi)
+    weight = ctx.fcw / (fw * mesh.facet_measure[:, None])
+    defect = (normal_flux(sides.boundary_at, sides.boundary_normal) @ fbary.T
+              - tau * weight * phi_q)
+    outer = sides.boundary_h * mesh.facet_measure * (defect ** 2 @ fw)
+
+    terms = np.concatenate([cell, inner, outer])
+    eta = float(np.sqrt(np.sum(terms)))
+    # the largest local term: the first of the cells, then of the two facet kinds
+    k = top = int(np.argmax(terms))
+    for kind, ids in (("cell", mesh.cells), ("interior-facet", mesh.interior_facets),
+                      ("boundary-facet", mesh.boundary_facets)):
+        if k < len(ids):
+            break
+        k -= len(ids)
     h = _resolution(mesh)
-    return Certificate("strong-form-residual", obs, trace=[(h, obs)],
-                       details={"tau": float(tau),
-                                "skipped_stencils": int(np.count_nonzero(~fitted)),
-                                "interior_vertices": len(interior),
-                                "median": med})
+    return Certificate("strong-form-residual", eta, trace=[(h, eta)], details={
+        "tau": float(tau), "eta_cell": float(np.sqrt(np.sum(cell))),
+        "eta_jump": float(np.sqrt(np.sum(inner))),
+        "eta_boundary": float(np.sqrt(np.sum(outer))),
+        "largest_kind": kind, "largest_index": k,
+        "largest_term": float(np.sqrt(terms[top])),
+        "largest_at": mesh.vertices[ids[k]].mean(axis=0)})
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +495,12 @@ def _shape_conormal(mesh, metric):
 
 
 # Distinct point sets whose s-independent data one manufactured problem keeps.
-# One level calls psi on at most 3 + 2 dim of them (validation's samples and
-# their 2 dim difference shifts, the assembly quadrature points, the
-# strong-form vertices) and phi on at most 3 (validation's boundary samples,
-# the facet quadrature points of assembly and of the angle certificate), so
-# 8 keeps them all and validation's sweep over the shifts evicts nothing.
+# One level calls psi on at most 2 + 2 dim of them (validation's samples and
+# their 2 dim difference shifts, the assembly quadrature points, which the
+# strong-form certificate shares) and phi on at most 3 (validation's boundary
+# samples, the facet quadrature points of assembly and of the angle
+# certificate), so 8 keeps them all and validation's sweep over the shifts
+# evicts nothing.
 _POINT_SETS = 8
 
 
@@ -443,7 +543,7 @@ class _Jet(NamedTuple):
 
 def _manufactured_jet(u_exact, dim):
     """The `_Jet` of ``u_exact`` (text or `Expression`) in a ``dim``-chart."""
-    expr = parse_expression(u_exact) if isinstance(u_exact, str) else u_exact
+    expr = parse_expression(u_exact)
     dus = expr.gradient(dim)
     d2us = [d for du in dus for d in du.gradient(dim)]
     return _Jet(dim, expr, expr.source or str(expr),
@@ -521,6 +621,21 @@ def mms_manufacture(metric, mesh, u_exact, kappa0=1.0):
 
 # ---------------------------------------------------------------------------
 # Dense 1D oracle (independent finite-volume discretization, own Newton)
+
+
+def _solve_tridiagonal(ab, rhs):
+    """``solve_banded((1, 1), ab, rhs)`` by one direct LAPACK ``dgtsv`` call,
+    with its bits and its errors: `ValueError` for an entry that is not
+    finite, `numpy.linalg.LinAlgError` for a singular system.  ``ab`` and
+    ``rhs`` are float arrays that the call overwrites."""
+    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], rhs, True, True, True, True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv/gtsv")
+    return x
 
 
 def oracle_1d_solve(problem, metric, a, b, m_dense, max_iter=60):
@@ -610,7 +725,7 @@ def oracle_1d_solve(problem, metric, a, b, m_dense, max_iter=60):
         if rnorm <= atol(u):
             return x, u
         try:
-            delta = solve_banded((1, 1), jac_banded(u), -r)
+            delta = _solve_tridiagonal(jac_banded(u), -r)
         except np.linalg.LinAlgError as exc:
             raise OracleFailed(f"oracle linear solve failed: {exc}") from exc
         alpha = 1.0
@@ -660,7 +775,8 @@ def mms_convergence_study(metric, domain, u_exact, levels=(0, 1, 2), kappa0=1.0,
     """Solve a manufactured problem at several distinct refinement levels.
 
     Returns a list of rows {h, error, angle_residual, strong_residual} plus
-    observed orders; error is the vertex max-norm against the exact field.
+    observed orders; error is the vertex max-norm against the exact field,
+    and strong_residual the residual estimator eta (`strong_form_residual`).
     """
     rows = []
     jet = _manufactured_jet(u_exact, metric.dim)
@@ -713,19 +829,17 @@ def run_refinement_suite(problem, metric, domain, levels=(0, 1, 2), cfg=None,
     certs.append(_stabilize(per_level["boundary"], "boundary-gradient"))
     if per_level["interior"]:
         certs.append(_stabilize(per_level["interior"], "interior-gradient"))
-    for key, name in (("angle", "contact-angle-residual"),
-                      ("strong", "strong-form-residual")):
+    # decay is judged on what each observes: the angle residual's max, and
+    # the residual estimator eta, which decays at first order
+    for key, name, measure in (("angle", "contact-angle-residual", "max"),
+                               ("strong", "strong-form-residual", "eta")):
         cs = per_level[key]
         trace = [e for c in cs for e in c.trace]
-        hs = [h for h, _ in trace]
-        # the strong-form max saturates at irregular patches; judge its decay
-        # on the median (recorded per level), the angle residual on the max
-        vs = ([c.details["median"] for c in cs] if key == "strong"
-              else [v for _, v in trace])
+        hs, vs = zip(*trace)
         tiny = max(vs) <= 1e-10
         order = None if tiny else observed_order(hs, vs)
         certs.append(Certificate(
             name, cs[-1].observed, passed=tiny or order >= 0.5, trace=trace,
             details={**cs[-1].details, "observed_order": order,
-                     "decay_measured_on": "median" if key == "strong" else "max"}))
+                     "decay_measured_on": measure}))
     return certs, state

@@ -462,17 +462,17 @@ def test_shipped_solve_config_certifies_everything(name, tmp_path, caplog):
 
 
 def test_cone_point_conformal_factor(tmp_path, caplog, capsys):
-    # c = 1 + 0.2 r has no gradient at the disk's centre vertex: a solve skips
-    # the strong-form certificate there, and manufactured data cannot be made
+    # c = 1 + 0.2 r has no gradient at the disk's centre vertex: the
+    # residual estimator needs none, so a solve certifies everything, but
+    # manufactured data cannot be made
     text = DISK_CFG.format(psi="1 + s", phi="0.3", out=tmp_path / "out").replace(
         "preset = euclidean", "preset = custom-expression\nsigma_conformal = 1 + 0.2*r")
     cfg = write_cfg(tmp_path, "cone.cfg", text + "\n[mms]\nu_exact = sqrt(4 - r^2)\n")
     with caplog.at_level(logging.WARNING, logger="capgraph"):
         assert run_command(["solve", "--config", cfg]) == 0
-    cause = "sigma_conformal: d/dx1 = 0.2*x1/r: division by zero at x = (0.0, 0.0)"
     skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
-    assert skipped == [f"certificate strong skipped: {cause}"]
-    capsys.readouterr()
+    assert skipped == []
+    assert "certificate strong-form-residual: observed=" in capsys.readouterr().out
     assert run_command(["mms", "--config", cfg]) == 1
     assert "division by zero" in capsys.readouterr().err
 
@@ -885,3 +885,65 @@ def test_solve_and_export_write_the_per_value_text(tmp_path):
         assert run_command(["export", "--config", cfg, "--format", fmt,
                             "--solution", str(stored)]) == 0
         assert (out / name).read_text() == before
+
+
+def test_the_strong_certificate_fits_no_patch_and_reads_the_cached_metric(
+        tmp_path, monkeypatch):
+    # `capgraph solve` and `capgraph verify` on a conformal, warped leaf: no
+    # patch fit or QR anywhere, and the residual estimator evaluates the
+    # metric only through the assembly context, once per mesh and metric
+    from capgraph import assembly, geometry
+    from capgraph import verify as vf
+    from capgraph.geometry import MetricField
+
+    fits = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(geometry, "_patch_derivatives", lambda *a: fits.append("patch"))
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: fits.append("qr") or qr(*a, **k))
+    evaluations = []
+    for name in ("conformal", "gamma", "grad_conformal", "grad_gamma", "_jet"):
+        def spy(self, x, _original=getattr(MetricField, name), _name=name):
+            evaluations.append(_name)
+            return _original(self, x)
+        monkeypatch.setattr(MetricField, name, spy)
+    inside = []
+    strong = vf.strong_form_residual
+
+    def counted(*args):
+        before = len(evaluations)
+        cert = strong(*args)
+        inside.append(evaluations[before:])
+        return cert
+    monkeypatch.setattr(vf, "strong_form_residual", counted)
+
+    cfg = str(SHIPPED_CONFIGS[0].parent / "hyperbolic_warp.cfg")
+    assert run_command(["solve", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+    assert run_command(["verify", "--config", cfg, "--output-dir", str(tmp_path)]) == 0
+    # a context built afresh evaluates what `verify`'s certificate evaluates
+    evaluations.clear()
+    cfg = load_config(cfg)
+    mesh = cfg.build_domain().build()
+    assembly._Context(mesh, cfg.build_metric(2))
+    assert fits == []
+    assert inside == [[], evaluations] and evaluations
+
+
+@pytest.mark.parametrize("command,metric,parses", [
+    ("oracle1d", "preset = radial-warp\ngamma = exp(2*x1)",
+     ["1 + s", "0.2", "exp(2*x1)", "1"]),
+    ("solve", "preset = custom-expression\ngamma = exp(2*x1)\nsigma_conformal = 1 + 0.5*x1",
+     ["1 + s", "0.2", "exp(2*x1)", "1 + 0.5*x1"]),
+], ids=["oracle1d", "solve"])
+def test_each_config_expression_is_parsed_once(tmp_path, monkeypatch, command, metric,
+                                               parses):
+    # the conformal factor 1 that the oracle1d config leaves out is parsed once too
+    from capgraph import expressions
+    parsed, init = [], expressions._Parser.__init__
+
+    def spy(self, text):
+        parsed.append(text)
+        init(self, text)
+    monkeypatch.setattr(expressions._Parser, "__init__", spy)
+    text = INTERVAL_CFG.format(out=tmp_path / "out") + f"\n[metric]\n{metric}\n"
+    assert run_command([command, "--config", write_cfg(tmp_path, "run.cfg", text)]) == 0
+    assert sorted(parsed) == sorted(parses)

@@ -434,6 +434,50 @@ def test_edges_of_a_permuted_mesh_file(tmp_path):
     assert len(back.edges) == len(mesh.edges)
 
 
+def _interior_facets_reference(mesh):
+    # every facet of every cell in a dict, then the facets met twice
+    cells_of = {}
+    for c, cell in enumerate(mesh.cells):
+        subs = ([(cell[0], cell[1]), (cell[1], cell[2]), (cell[0], cell[2])]
+                if mesh.dim == 2 else [(cell[0],), (cell[1],)])
+        for f in subs:
+            cells_of.setdefault(tuple(sorted(f)), []).append(c)
+    return {f: cs for f, cs in cells_of.items() if len(cs) == 2}
+
+
+def _permuted_mesh_file(tmp_path):
+    mesh = cg.generate_disk_mesh(1.0, 0.2, inner_radius=0.3)
+    rng = np.random.default_rng(7)
+    new_id = rng.permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    cells = new_id[mesh.cells][rng.permutation(mesh.num_cells)]
+    write_mesh(cg.Mesh(2, vertices, cells, new_id[mesh.boundary_facets], mesh.boundary_tags),
+               tmp_path / "permuted.txt")
+    return read_mesh(tmp_path / "permuted.txt")
+
+
+@pytest.mark.parametrize("build", [
+    lambda tmp: cg.generate_disk_mesh(1.0, 0.1),
+    lambda tmp: cg.generate_disk_mesh(1.0, 0.1, inner_radius=0.5),
+    lambda tmp: cg.generate_interval_mesh(0.0, 1.0, 16),
+    _permuted_mesh_file,
+    lambda tmp: cg.Mesh(2, SQUARE[:3], [[0, 1, 2]], SQUARE_FACETS[:2] + [[2, 0]], ["b"] * 3),
+    lambda tmp: cg.Mesh(1, [[0.0], [1.0]], [[0, 1]], [[0], [1]], ["a", "b"]),
+], ids=["disk", "annulus", "interval", "mesh-file", "one-triangle", "one-segment"])
+def test_interior_facet_cells_match_a_brute_force_map(build, tmp_path):
+    mesh = build(tmp_path)
+    reference = _interior_facets_reference(mesh)
+    assert mesh.interior_facets.shape == (len(reference), mesh.dim)
+    assert mesh.interior_facet_cells.shape == (len(reference), 2)
+    assert mesh.interior_facets.dtype == mesh.interior_facet_cells.dtype == np.int64
+    found = {tuple(f): list(cs) for f, cs in
+             zip(mesh.interior_facets.tolist(), mesh.interior_facet_cells.tolist())}
+    assert found == reference
+    # the facets come sorted, as the edges do
+    assert list(found) == sorted(found)
+
+
 def test_interval_edges_are_its_cells():
     mesh = cg.generate_interval_mesh(0.0, 1.0, 5)
     np.testing.assert_array_equal(mesh.edges, mesh.cells)
